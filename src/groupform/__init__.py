@@ -9,7 +9,6 @@ formation dynamics (`dynamics`), and the command-line front end (`cli`).
 from .model import (
     CoordinationMatrix,
     GroupPartition,
-    IndividualMatrix,
     ModelParams,
     Network,
     Society,
@@ -29,6 +28,7 @@ from .thresholds import (
     RegimeKind,
     RegimePrediction,
     RegimeUndefinedError,
+    below_clique_bound,
     classify_two_group_efficient,
     classify_two_group_stable,
     clique_link_gain,
@@ -45,7 +45,6 @@ from .stability import (
     PoAUndefinedError,
     SearchSpace,
     SpaceKind,
-    benefits_from_edge,
     defeats,
     enumerate_stable,
     full_graph_space,

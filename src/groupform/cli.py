@@ -26,6 +26,7 @@ from .model import (
     Network,
     Society,
     ValidationError,
+    _parse_pairs,
     format_edge_list,
     parse_edge_list,
     payoffs,
@@ -301,12 +302,12 @@ def _sweep_row(scenario: Scenario, space_kind: Optional[str], value: float,
     # Space too large to enumerate: closed-form predictions, welfare columns empty.
     stable_count = stable_pred.interconnections(s1, s2)
     if stable_count is None:
-        lo_pred = th.classify_two_group_stable(
-            s1, s2, params, max(0.0, stable_pred.lower - 10 * params.epsilon))
-        hi_pred = th.classify_two_group_stable(
-            s1, s2, params, min(1.0, stable_pred.upper + 10 * params.epsilon))
-        stable_cell = (f"{lo_pred.interconnections(s1, s2)}.."
-                       f"{hi_pred.interconnections(s1, s2)}")
+        # Bound k separates k from k + 1 links; the last one separates
+        # min(s1, s2) from s1 * s2.
+        bounds = th.stable_boundaries(s1, s2, params)
+        k = bounds.index(stable_pred.lower)
+        upper = s1 * s2 if k == len(bounds) - 1 else k + 1
+        stable_cell = f"{k}..{upper}"
     else:
         stable_cell = str(stable_count)
     eff_count = eff_pred.interconnections(s1, s2)
@@ -346,20 +347,9 @@ def cmd_dynamics(scenario: Scenario, seed: Optional[int], script_path: Optional[
                  svg_path: Optional[str], out) -> int:
     society = scenario.society
     if script_path is not None:
-        pairs = []
         text = Path(script_path).read_text(encoding="ascii")
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) != 2:
-                raise ValidationError(f"script line {lineno}: expected 'i j'")
-            try:
-                pairs.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise ValidationError(f"script line {lineno}: non-integer pair") from None
-        selector: dyn.PairSelector = dyn.Scripted.of(pairs)
+        selector: dyn.PairSelector = dyn.Scripted.of(
+            [(i, j) for _, i, j in _parse_pairs(text)])
     else:
         run_seed = seed if seed is not None else scenario.seed
         if run_seed is None:
@@ -599,7 +589,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, th.RegimeUndefinedError, stab.PoAUndefinedError,
-            FileNotFoundError) as exc:
+            OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

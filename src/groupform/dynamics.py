@@ -14,9 +14,10 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from .model import (
     GroupPartition,
-    IndividualMatrix,
     ModelParams,
     Network,
     Society,
@@ -26,8 +27,8 @@ from .model import (
     normalize_edge,
     payoff,
 )
-from .stability import _addition_forms, is_pairwise_stable
-from .thresholds import clique_link_gain, shortcut_gain
+from .stability import _pair_changes, _toggle, is_pairwise_stable
+from .thresholds import below_clique_bound, clique_link_gain
 
 
 class Action(enum.Enum):
@@ -110,7 +111,7 @@ class DynamicsTrace:
         return "\n".join(lines) + "\n"
 
 
-def step(network: Network, pair: tuple[int, int], weights: IndividualMatrix,
+def step(network: Network, pair: tuple[int, int], weights: np.ndarray,
          params: ModelParams) -> tuple[Network, Action]:
     """Resolve one activated pair against the current network.
 
@@ -120,20 +121,12 @@ def step(network: Network, pair: tuple[int, int], weights: IndividualMatrix,
     strictly gains from cutting it.
     """
     i, j = normalize_edge(*pair)
-    eps = params.epsilon
-    if network.has_edge(i, j):
-        cut = network.without_edge(i, j)
-        gain_i = payoff(cut, i, weights, params) - payoff(network, i, weights, params)
-        gain_j = payoff(cut, j, weights, params) - payoff(network, j, weights, params)
-        if gain_i > eps or gain_j > eps:
-            return cut, Action.REMOVED
+    present = network.has_edge(i, j)
+    toggled, du_i, du_j = _toggle(network, i, j, payoff(network, i, weights, params),
+                                  payoff(network, j, weights, params), weights, params)
+    if not _pair_changes(present, du_i, du_j, params.epsilon):
         return network, Action.NO_CHANGE
-    joined = network.with_edge(i, j)
-    gain_i = payoff(joined, i, weights, params) - payoff(network, i, weights, params)
-    gain_j = payoff(joined, j, weights, params) - payoff(network, j, weights, params)
-    if _addition_forms(gain_i, gain_j, eps):
-        return joined, Action.ADDED
-    return network, Action.NO_CHANGE
+    return toggled, Action.REMOVED if present else Action.ADDED
 
 
 def run(start: Network, selector: PairSelector, society: Society,
@@ -201,7 +194,7 @@ def run(start: Network, selector: PairSelector, society: Society,
 def _no_cross_incentive_bounds(society: Society) -> bool:
     """True when every cross weight sits strictly below the first-link bound."""
     params = society.params
-    if not params.cost < shortcut_gain(params.delta) - params.epsilon:
+    if not below_clique_bound(params):
         return False
     sizes = society.partition.sizes
     coord = society.coordination

@@ -12,14 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import GroupPartition, Network, Society, ValidationError
-from .stability import (
-    DEFAULT_FREE_BITS_CAP,
-    SearchSpace,
-    SpaceScan,
-    SpaceTables,
-    compute_tables,
-    scan_space,
-)
+from .stability import DEFAULT_FREE_BITS_CAP, SearchSpace, SpaceScan, _scan_for
 
 
 class ConsolidationCollisionError(ValidationError):
@@ -34,9 +27,7 @@ def efficient_search(space: SearchSpace, society: Society,
     Maximizers within epsilon of the best are all returned (bitmask order);
     regime boundaries genuinely produce such ties.
     """
-    tables = compute_tables(space, society.partition, society.params.delta,
-                            free_bits_cap=free_bits_cap, workers=workers)
-    scan = scan_space(tables, society)
+    scan = _scan_for(space, society, free_bits_cap, workers)
     return argmax_from_scan(scan, society.params.epsilon)
 
 

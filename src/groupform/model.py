@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -158,25 +158,6 @@ class CoordinationMatrix:
 
 
 @dataclass(frozen=True)
-class IndividualMatrix:
-    """Per-individual coordination weights: the group matrix spread over nodes.
-
-    entries[i][j] equals the group weight of (group(i), group(j)) for i != j
-    and 0 on the diagonal, so intra-group weights are exactly 1.
-    """
-
-    n: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.entries.shape != (self.n, self.n):
-            raise ValidationError("individual matrix shape mismatch")
-
-    def row(self, i: int) -> np.ndarray:
-        return self.entries[i]
-
-
-@dataclass(frozen=True)
 class ModelParams:
     """One-hop benefit, per-link cost, and the indifference tolerance."""
 
@@ -185,6 +166,9 @@ class ModelParams:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
+        for name in ("delta", "cost", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.delta < 1.0:
             raise ValidationError(f"delta must be in (0, 1), got {self.delta}")
         if not self.cost > 0.0:
@@ -278,15 +262,19 @@ def density(network: Network) -> float:
     return 2.0 * network.edge_count / (n * (n - 1))
 
 
-def expand_matrix(coordination: CoordinationMatrix, partition: GroupPartition) -> IndividualMatrix:
-    """Spread the group coordination matrix onto individual node pairs."""
+def expand_matrix(coordination: CoordinationMatrix, partition: GroupPartition) -> np.ndarray:
+    """Spread the group coordination matrix onto individual node pairs.
+
+    Entry [i, j] is the group weight of (group(i), group(j)) for i != j and
+    0 on the diagonal, so intra-group weights are exactly 1.
+    """
     if coordination.m != partition.m:
         raise ValidationError(
             f"coordination matrix has {coordination.m} groups, partition has {partition.m}")
     group = np.array(partition.membership)
     entries = coordination.as_array()[np.ix_(group, group)]
     np.fill_diagonal(entries, 0.0)
-    return IndividualMatrix(n=partition.n, entries=entries)
+    return entries
 
 
 def _bfs_levels(masks, source: int):
@@ -310,23 +298,26 @@ def _bfs_levels(masks, source: int):
         frontier = newly
 
 
+def _hop_distances(masks, source: int) -> list[float]:
+    """Hop count from source to every node; math.inf where unreachable."""
+    dist = [math.inf] * len(masks)
+    dist[source] = 0
+    for level, newly in _bfs_levels(masks, source):
+        while newly:
+            bit = newly & -newly
+            dist[bit.bit_length() - 1] = level
+            newly ^= bit
+    return dist
+
+
 def all_pairs_distances(network: Network) -> np.ndarray:
     """Hop-count distance matrix; unreachable pairs hold math.inf.
 
     Entries are integer-valued floats so that delta ** d evaluates the
     benefit discount directly (delta ** inf == 0 for 0 < delta < 1).
     """
-    n = network.n
-    dist = np.full((n, n), math.inf)
-    np.fill_diagonal(dist, 0.0)
     masks = network.neighbor_masks
-    for source in range(n):
-        for level, newly in _bfs_levels(masks, source):
-            while newly:
-                bit = newly & -newly
-                dist[source, bit.bit_length() - 1] = level
-                newly ^= bit
-    return dist
+    return np.array([_hop_distances(masks, s) for s in range(network.n)], dtype=float)
 
 
 def _benefit_from(masks, source: int, weight_row: np.ndarray,
@@ -349,29 +340,29 @@ def _delta_powers(delta: float, n: int) -> list[float]:
     return powers
 
 
-def payoff(network: Network, i: int, weights: IndividualMatrix, params: ModelParams) -> float:
+def payoff(network: Network, i: int, weights: np.ndarray, params: ModelParams) -> float:
     """Benefit sum over reachable nodes minus degree * cost for node i."""
     if not 0 <= i < network.n:
         raise ValidationError(f"node {i} out of range")
-    if weights.n != network.n:
+    if weights.shape != (network.n, network.n):
         raise ValidationError("weight matrix does not match the network size")
-    benefit = _benefit_from(network.neighbor_masks, i, weights.row(i),
+    benefit = _benefit_from(network.neighbor_masks, i, weights[i],
                             _delta_powers(params.delta, network.n))
     return benefit - network.degree(i) * params.cost
 
 
-def payoffs(network: Network, weights: IndividualMatrix, params: ModelParams) -> np.ndarray:
+def payoffs(network: Network, weights: np.ndarray, params: ModelParams) -> np.ndarray:
     """Payoff of every node, as one vector."""
     powers = _delta_powers(params.delta, network.n)
     masks = network.neighbor_masks
     out = np.empty(network.n)
     for i in range(network.n):
-        out[i] = (_benefit_from(masks, i, weights.row(i), powers)
+        out[i] = (_benefit_from(masks, i, weights[i], powers)
                   - int.bit_count(masks[i]) * params.cost)
     return out
 
 
-def welfare(network: Network, weights: IndividualMatrix, params: ModelParams) -> float:
+def welfare(network: Network, weights: np.ndarray, params: ModelParams) -> float:
     """Total value of the network: the sum of all individual payoffs."""
     return float(payoffs(network, weights, params).sum())
 
@@ -394,7 +385,7 @@ class Society:
             raise ValidationError("coordination matrix and partition disagree on group count")
 
     @cached_property
-    def weights(self) -> IndividualMatrix:
+    def weights(self) -> np.ndarray:
         return expand_matrix(self.coordination, self.partition)
 
     @property
@@ -409,8 +400,8 @@ def format_edge_list(network: Network) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_edge_list(text: str, n: int) -> Network:
-    edges = []
+def _parse_pairs(text: str) -> Iterator[tuple[int, int, int]]:
+    """Yield (line number, i, j) for every "i j" line; # starts a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -422,6 +413,12 @@ def parse_edge_list(text: str, n: int) -> Network:
             i, j = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValidationError(f"line {lineno}: non-integer node id in {raw!r}") from None
+        yield lineno, i, j
+
+
+def parse_edge_list(text: str, n: int) -> Network:
+    edges = []
+    for lineno, i, j in _parse_pairs(text):
         if i == j:
             raise ValidationError(f"line {lineno}: self-loop ({i}, {j})")
         if not (0 <= i < n and 0 <= j < n):

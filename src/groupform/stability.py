@@ -23,7 +23,6 @@ import numpy as np
 
 from .model import (
     GroupPartition,
-    IndividualMatrix,
     ModelParams,
     Network,
     Society,
@@ -32,7 +31,7 @@ from .model import (
     payoff,
     payoffs,
 )
-from .thresholds import shortcut_gain
+from .thresholds import below_clique_bound, shortcut_gain
 
 DEFAULT_FULL_NODE_CAP = 7
 DEFAULT_FREE_BITS_CAP = 22
@@ -107,59 +106,46 @@ def interconnection_space(partition: GroupPartition) -> SearchSpace:
 
 # -- scalar definitions -------------------------------------------------------
 
-def benefits_from_edge(network: Network, i: int, j: int,
-                       weights: IndividualMatrix, params: ModelParams) -> bool:
-    """Strict gain for i of having edge (i, j) versus not having it."""
-    if i == j:
-        raise ValidationError("a pair needs two distinct nodes")
-    with_e = network.with_edge(i, j)
-    without_e = network.without_edge(i, j)
-    return payoff(with_e, i, weights, params) > payoff(without_e, i, weights, params) + params.epsilon
+def _pair_changes(present, du_i, du_j, eps):
+    """Pairwise-stability rule for one pair, given each endpoint's payoff
+    change from toggling the pair: a present link is cut when one side
+    strictly gains; a missing link forms when one side strictly gains and
+    neither strictly loses.  Broadcasts over numpy arrays.
+    """
+    return ((du_i > eps) | (du_j > eps)) & (present | ((du_i >= -eps) & (du_j >= -eps)))
 
 
-def _addition_forms(du_i: float, du_j: float, eps: float) -> bool:
-    """Mutual-consent rule: one side strictly gains, neither strictly loses."""
-    return max(du_i, du_j) > eps and min(du_i, du_j) >= -eps
+def _toggle(network: Network, i: int, j: int, base_i: float, base_j: float,
+            weights: np.ndarray, params: ModelParams) -> tuple[Network, float, float]:
+    """The network with pair (i, j) toggled, and each endpoint's payoff
+    change against the given current payoffs."""
+    other = network.without_edge(i, j) if network.has_edge(i, j) else network.with_edge(i, j)
+    return (other, payoff(other, i, weights, params) - base_i,
+            payoff(other, j, weights, params) - base_j)
 
 
-def is_pairwise_stable(network: Network, weights: IndividualMatrix,
+def is_pairwise_stable(network: Network, weights: np.ndarray,
                        params: ModelParams) -> bool:
     """No profitable unilateral cut and no mutually agreeable missing link."""
-    eps = params.epsilon
     base = payoffs(network, weights, params)
     for i, j in all_pairs(network.n):
-        if network.has_edge(i, j):
-            cut = network.without_edge(i, j)
-            if payoff(cut, i, weights, params) > base[i] + eps:
-                return False
-            if payoff(cut, j, weights, params) > base[j] + eps:
-                return False
-        else:
-            joined = network.with_edge(i, j)
-            du_i = payoff(joined, i, weights, params) - base[i]
-            du_j = payoff(joined, j, weights, params) - base[j]
-            if _addition_forms(du_i, du_j, eps):
-                return False
+        _, du_i, du_j = _toggle(network, i, j, base[i], base[j], weights, params)
+        if _pair_changes(network.has_edge(i, j), du_i, du_j, params.epsilon):
+            return False
     return True
 
 
 def defeats(candidate: Network, network: Network,
-            weights: IndividualMatrix, params: ModelParams) -> bool:
-    """One-edge-adjacent preference: a cut needs one strict winner, an
-    addition needs mutual weak consent with at least one strict winner."""
-    added = candidate.edges - network.edges
-    removed = network.edges - candidate.edges
-    if len(added) + len(removed) != 1:
+            weights: np.ndarray, params: ModelParams) -> bool:
+    """One-edge-adjacent preference: ``candidate`` defeats ``network`` when
+    the pair rule toggles the one pair in which they differ."""
+    changed = candidate.edges ^ network.edges
+    if len(changed) != 1:
         raise ValidationError("networks must differ in exactly one edge")
-    eps = params.epsilon
-    if removed:
-        (i, j), = removed
-        return (payoff(candidate, i, weights, params) > payoff(network, i, weights, params) + eps
-                or payoff(candidate, j, weights, params) > payoff(network, j, weights, params) + eps)
-    (i, j), = added
-    du_i = payoff(candidate, i, weights, params) - payoff(network, i, weights, params)
-    du_j = payoff(candidate, j, weights, params) - payoff(network, j, weights, params)
-    return du_i >= -eps and du_j >= -eps and max(du_i, du_j) > eps
+    (i, j), = changed
+    _, du_i, du_j = _toggle(network, i, j, payoff(network, i, weights, params),
+                            payoff(network, j, weights, params), weights, params)
+    return bool(_pair_changes(network.has_edge(i, j), du_i, du_j, params.epsilon))
 
 
 # -- vectorized space tables ---------------------------------------------------
@@ -275,16 +261,6 @@ class SpaceScan:
         return np.flatnonzero(self.stable)
 
 
-def _require_pinned_cliques_safe(tables: SpaceTables, params: ModelParams) -> None:
-    # Pinned intra links are exempt from per-network cut checks only because
-    # cutting a clique link always costs at least shortcut_gain - cost; that
-    # argument needs the cost strictly below the clique-formation bound.
-    if not params.cost < shortcut_gain(tables.delta) - params.epsilon:
-        raise ValidationError(
-            "interconnection spaces require cost below the clique-formation bound "
-            f"(cost={params.cost}, bound={shortcut_gain(tables.delta)})")
-
-
 def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
     """Evaluate stability and welfare of every network against one society."""
     space, partition = tables.space, tables.partition
@@ -293,8 +269,13 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
         raise ValidationError("society partition does not match the tables")
     if params.delta != tables.delta:
         raise ValidationError("society delta does not match the tables")
-    if space.fixed_edges:
-        _require_pinned_cliques_safe(tables, params)
+    # Pinned intra links are exempt from per-network cut checks only because
+    # cutting a clique link always costs at least shortcut_gain - cost; that
+    # argument needs the cost strictly below the clique-formation bound.
+    if space.fixed_edges and not below_clique_bound(params):
+        raise ValidationError(
+            "interconnection spaces require cost below the clique-formation bound "
+            f"(cost={params.cost}, bound={shortcut_gain(tables.delta)})")
 
     coord = society.coordination.as_array()
     group = np.array(partition.membership)
@@ -311,17 +292,15 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
         du_i = util[partner, i] - util[:, i]
         du_j = util[partner, j] - util[:, j]
         present = (idx >> t & 1).astype(bool)
-        hi = np.maximum(du_i, du_j)
-        lo = np.minimum(du_i, du_j)
-        violation = np.where(present, hi > eps, (hi > eps) & (lo >= -eps))
-        stable &= ~violation
+        stable &= ~_pair_changes(present, du_i, du_j, eps)
     return SpaceScan(space=space, stable=stable, welfare=util.sum(axis=1))
 
 
-def _tables_for(space: SearchSpace, society: Society,
-                free_bits_cap: int, workers: int) -> SpaceTables:
-    return compute_tables(space, society.partition, society.params.delta,
-                          free_bits_cap=free_bits_cap, workers=workers)
+def _scan_for(space: SearchSpace, society: Society,
+              free_bits_cap: int, workers: int) -> SpaceScan:
+    tables = compute_tables(space, society.partition, society.params.delta,
+                            free_bits_cap=free_bits_cap, workers=workers)
+    return scan_space(tables, society)
 
 
 def enumerate_stable(space: SearchSpace, society: Society,
@@ -333,8 +312,7 @@ def enumerate_stable(space: SearchSpace, society: Society,
     lookups, pinned clique links by the cost bound that makes cutting
     them provably unprofitable.
     """
-    tables = _tables_for(space, society, free_bits_cap, workers)
-    scan = scan_space(tables, society)
+    scan = _scan_for(space, society, free_bits_cap, workers)
     return [space.network_for(int(mask)) for mask in scan.stable_masks()]
 
 
@@ -342,9 +320,7 @@ def price_of_anarchy(space: SearchSpace, society: Society,
                      free_bits_cap: int = DEFAULT_FREE_BITS_CAP,
                      workers: int = 1) -> float:
     """Best welfare anywhere in the space over worst stable welfare."""
-    tables = _tables_for(space, society, free_bits_cap, workers)
-    scan = scan_space(tables, society)
-    return poa_from_scan(scan)
+    return poa_from_scan(_scan_for(space, society, free_bits_cap, workers))
 
 
 def poa_from_scan(scan: SpaceScan) -> float:

@@ -18,10 +18,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
-from .model import CoordinationMatrix, GroupPartition, ModelParams, ValidationError
+from .model import (
+    CoordinationMatrix,
+    GroupPartition,
+    ModelParams,
+    Network,
+    ValidationError,
+    _hop_distances,
+)
 
 
 class RegimeUndefinedError(ValueError):
@@ -53,8 +59,17 @@ def shortcut_gain(delta: float) -> float:
     return delta - delta * delta
 
 
+def below_clique_bound(params: ModelParams) -> bool:
+    """True when the link cost lies strictly below the clique-formation bound.
+
+    Only then does every intra-group link pay, so groups form cliques and
+    cutting a clique link never pays.
+    """
+    return params.cost < shortcut_gain(params.delta) - params.epsilon
+
+
 def _require_low_cost(params: ModelParams) -> None:
-    if not params.cost < shortcut_gain(params.delta) - params.epsilon:
+    if not below_clique_bound(params):
         raise RegimeUndefinedError(
             f"cost {params.cost} is not below the clique-formation bound "
             f"{shortcut_gain(params.delta)}; regimes are undefined there")
@@ -205,68 +220,32 @@ def redundancy_bounds(s_a: int, s_b: int, params: ModelParams) -> tuple[float, f
     return redundant_lb, maximal_lb
 
 
-@dataclass(frozen=True)
-class GroupGraph:
+class GroupGraph(Network):
     """Simple undirected graph on group ids, one node per group."""
 
-    m: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        for a, b in self.edges:
-            if not (0 <= a < b < self.m):
-                raise ValidationError(f"group edge ({a}, {b}) invalid for m={self.m}")
-
-    @classmethod
-    def from_edges(cls, m: int, edges) -> "GroupGraph":
-        norm = frozenset((a, b) if a < b else (b, a) for a, b in edges)
-        if any(a == b for a, b in norm):
-            raise ValidationError("group graph cannot hold self-loops")
-        return cls(m=m, edges=norm)
+    @property
+    def m(self) -> int:
+        return self.n
 
     @classmethod
     def star(cls, m: int, center: int = 0) -> "GroupGraph":
         return cls.from_edges(m, [(center, g) for g in range(m) if g != center])
 
-    @cached_property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        adj = [set() for _ in range(self.m)]
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return tuple(frozenset(s) for s in adj)
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return ((a, b) if a < b else (b, a)) in self.edges
-
     def distances_from(self, source: int,
                        drop: Optional[tuple[int, int]] = None,
                        add: Optional[tuple[int, int]] = None) -> list[float]:
         """Hop distances on the group graph, optionally toggling one edge."""
-        adj = [set(s) for s in self.neighbor_sets]
+        masks = list(self.neighbor_masks)
         if drop is not None:
             a, b = drop
-            adj[a].discard(b)
-            adj[b].discard(a)
+            masks[a] &= ~(1 << b)
+            masks[b] &= ~(1 << a)
         if add is not None:
             a, b = add
             if a != b:
-                adj[a].add(b)
-                adj[b].add(a)
-        dist = [math.inf] * self.m
-        dist[source] = 0
-        frontier = [source]
-        level = 0
-        while frontier:
-            level += 1
-            nxt = []
-            for v in frontier:
-                for u in adj[v]:
-                    if dist[u] == math.inf:
-                        dist[u] = level
-                        nxt.append(u)
-            frontier = nxt
-        return dist
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+        return _hop_distances(masks, source)
 
     def is_connected(self) -> bool:
         return all(d < math.inf for d in self.distances_from(0)) if self.m else True

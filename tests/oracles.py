@@ -5,7 +5,9 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from groupform.model import GroupPartition, IndividualMatrix, ModelParams, Network
+import numpy as np
+
+from groupform.model import GroupPartition, ModelParams, Network
 
 
 def oracle_distance(network: Network, start: int, goal: int) -> float:
@@ -29,17 +31,17 @@ def oracle_distance(network: Network, start: int, goal: int) -> float:
     return best
 
 
-def oracle_payoff(network: Network, i: int, weights: IndividualMatrix,
+def oracle_payoff(network: Network, i: int, weights: np.ndarray,
                   params: ModelParams) -> float:
     total = 0.0
     for k in range(network.n):
         if k == i:
             continue
-        total += weights.entries[i][k] * params.delta ** oracle_distance(network, i, k)
+        total += weights[i, k] * params.delta ** oracle_distance(network, i, k)
     return total - network.degree(i) * params.cost
 
 
-def oracle_welfare(network: Network, weights: IndividualMatrix,
+def oracle_welfare(network: Network, weights: np.ndarray,
                    params: ModelParams) -> float:
     return sum(oracle_payoff(network, i, weights, params) for i in range(network.n))
 

@@ -175,6 +175,18 @@ class TestSweep:
         assert code == 0
         assert svg.read_text(encoding="ascii").startswith("<svg")
 
+    def test_closed_form_fallback_tie_rows(self, tmp_path):
+        # groups of 10 and 10 exceed the enumeration cap; the grid points sit
+        # on the first stable bound (0.2 / 2.75) and on the last one (0.8)
+        scenario = write(tmp_path, "s.scn",
+                         "group_sizes = 10, 10\nF = 0.25\ndelta = 0.5\ncost = 0.2\n")
+        code, text = run_cli(["sweep", "--scenario", scenario, "--parameter", "F12",
+                              "--from", "0.0727272727", "--to", "0.8",
+                              "--step", "0.7272727273"])
+        assert code == 0
+        assert text.splitlines()[1:] == ["0.0727272727,0..1,1,nan,nan,nan",
+                                         "0.8,10..100,,nan,nan,nan"]
+
     def test_three_groups_rejected(self, tmp_path, capsys):
         scenario = write(tmp_path, "s.scn",
                          "group_sizes = 3, 3, 3\nF = 0.2, 0.2, 0.2\n"
@@ -313,3 +325,26 @@ class TestPoaCommand:
         assert code == 0
         assert "space: interconnection (32768 networks)" in text
         assert "price of anarchy: 1.02564" in text
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("old, new", [("epsilon = 1e-9", "epsilon = nan"),
+                                          ("cost = 0.2", "cost = inf")])
+    def test_non_finite_parameter_exits_one(self, tmp_path, capsys, old, new):
+        scenario = write(tmp_path, "s.scn", SCENARIO_3_5.replace(old, new))
+        code, text = run_cli(["dynamics", "--scenario", scenario])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_ascii_scenario_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "s.scn"
+        path.write_bytes(SCENARIO_3_5.encode("ascii") + "# caf\u00e9\n".encode("utf-8"))
+        code, _ = run_cli(["classify", "--scenario", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_directory_as_scenario_exits_one(self, tmp_path, capsys):
+        code, _ = run_cli(["classify", "--scenario", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")

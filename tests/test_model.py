@@ -81,7 +81,7 @@ class TestExpandMatrix:
         p = GroupPartition.from_sizes([3])
         w = expand_matrix(CoordinationMatrix.uniform(1, 0.0), p)
         expected = np.ones((3, 3)) - np.eye(3)
-        assert np.array_equal(w.entries, expected)
+        assert np.array_equal(w, expected)
 
     def test_two_group_blocks(self):
         p = GroupPartition.from_sizes([3, 5])
@@ -89,18 +89,18 @@ class TestExpandMatrix:
         for i in range(8):
             for j in range(8):
                 if i == j:
-                    assert w.entries[i][j] == 0.0
+                    assert w[i, j] == 0.0
                 elif (i < 3) == (j < 3):
-                    assert w.entries[i][j] == 1.0
+                    assert w[i, j] == 1.0
                 else:
-                    assert w.entries[i][j] == 0.4
+                    assert w[i, j] == 0.4
 
     def test_equal_sizes_match_block_construction(self):
         coordination = CoordinationMatrix.from_array([[1.0, 0.7], [0.7, 1.0]])
         p = GroupPartition.from_sizes([3, 3])
         w = expand_matrix(coordination, p)
         blocks = np.kron(coordination.as_array(), np.ones((3, 3))) - np.eye(6)
-        assert np.allclose(w.entries, blocks, atol=0)
+        assert np.allclose(w, blocks, atol=0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
@@ -198,7 +198,7 @@ class TestWelfare:
         total = 0.0
         for i, j in all_pairs(network.n):
             if d[i, j] < math.inf:
-                total += 2.0 * society.weights.entries[i][j] * params.delta ** d[i, j]
+                total += 2.0 * society.weights[i, j] * params.delta ** d[i, j]
         total -= 2.0 * network.edge_count * params.cost
         assert welfare(network, society.weights, params) == pytest.approx(total, abs=1e-9)
 
@@ -276,6 +276,13 @@ class TestNetworkEncoding:
             ModelParams(0.5, 0.0)
         with pytest.raises(ValidationError):
             ModelParams(0.5, 0.2, epsilon=-1e-9)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["delta", "cost", "epsilon"])
+    def test_params_reject_non_finite(self, field, value):
+        fields = {"delta": 0.5, "cost": 0.2, "epsilon": 1e-9, field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            ModelParams(**fields)
 
     def test_society_group_count_checked(self):
         with pytest.raises(ValidationError):

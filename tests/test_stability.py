@@ -14,12 +14,13 @@ from groupform.model import (
     ValidationError,
     all_pairs,
     expand_matrix,
+    payoff,
 )
 from groupform.stability import (
     CapExceededError,
+    _pair_changes,
     PoAUndefinedError,
     SpaceScan,
-    benefits_from_edge,
     compute_tables,
     defeats,
     enumerate_stable,
@@ -47,21 +48,49 @@ def society_3_3(f12: float, params: ModelParams = PARAMS) -> Society:
                    CoordinationMatrix.uniform(2, f12), params)
 
 
+def gains_from_edge(network: Network, i: int, j: int, society: Society) -> bool:
+    """Strict gain for i of having edge (i, j) versus not having it."""
+    w, params = society.weights, society.params
+    return (payoff(network.with_edge(i, j), i, w, params)
+            - payoff(network.without_edge(i, j), i, w, params)) > params.epsilon
+
+
 class TestBenefitsFromEdge:
     def test_intra_link_always_pays_below_the_clique_bound(self):
         society = society_3_5(0.1)
         network = Network.from_edges(8, [(0, 1), (1, 2)])
-        assert benefits_from_edge(network, 0, 2, society.weights, society.params)
+        assert gains_from_edge(network, 0, 2, society)
 
     def test_cross_link_refused_in_the_disjoint_regime(self):
         society = society_3_5(0.1)
         network = Network.disjoint_cliques(society.partition)
-        assert not benefits_from_edge(network, 0, 3, society.weights, society.params)
+        assert not gains_from_edge(network, 0, 3, society)
 
     def test_cross_link_pays_for_the_smaller_group_member(self):
         society = society_3_5(0.3)
         network = Network.disjoint_cliques(society.partition)
-        assert benefits_from_edge(network, 0, 3, society.weights, society.params)
+        assert gains_from_edge(network, 0, 3, society)
+
+
+EPS = 1e-9
+
+
+class TestPairRule:
+    @pytest.mark.parametrize("present, du_i, du_j, changes", [
+        (False, 2 * EPS, 0.0, True),         # one strict gain, the other indifferent
+        (False, 0.0, 2 * EPS, True),
+        (False, 2 * EPS, -EPS, True),        # a loss inside the band is indifference
+        (False, 0.0, 0.0, False),            # nobody strictly gains
+        (False, 2 * EPS, -2 * EPS, False),   # the other side strictly loses
+        (False, EPS, EPS, False),            # gains inside the band are not strict
+        (True, 2 * EPS, -1.0, True),         # a cut needs one strict winner only
+        (True, -1.0, 2 * EPS, True),
+        (True, EPS, -1.0, False),
+    ])
+    def test_truth_table_at_the_epsilon_band(self, present, du_i, du_j, changes):
+        assert bool(_pair_changes(present, du_i, du_j, EPS)) is changes
+        vector = _pair_changes(np.array([present]), np.array([du_i]), np.array([du_j]), EPS)
+        assert vector.tolist() == [changes]
 
 
 class TestIsPairwiseStable:
