@@ -13,8 +13,6 @@ from .model import (
     Network,
     Society,
     ValidationError,
-    all_pairs_distances,
-    density,
     expand_matrix,
     format_edge_list,
     in_invariant_set,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -43,7 +44,6 @@ class Scenario:
     society: Society
     seed: Optional[int]
     space: str                       # "full" | "inter"
-    max_full_n: int
     max_steps: int
 
     @property
@@ -53,14 +53,14 @@ class Scenario:
     def build_space(self, override: Optional[str] = None) -> stab.SearchSpace:
         kind = override or self.space
         if kind == "full":
-            return stab.full_graph_space(self.partition.n, node_cap=self.max_full_n)
+            return stab.full_graph_space(self.partition.n)
         if kind == "inter":
             return stab.interconnection_space(self.partition)
         raise ValidationError(f"unknown space kind {kind!r} (use 'full' or 'inter')")
 
 
 _SCENARIO_KEYS = {"group_sizes", "F", "delta", "cost", "epsilon", "seed",
-                  "space", "max_full_n", "max_steps"}
+                  "space", "max_steps"}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -116,15 +116,13 @@ def parse_scenario(text: str) -> Scenario:
     cost = number("cost")
     epsilon = number("epsilon", DEFAULT_EPSILON)
     seed = number("seed", 0, cast=int) if "seed" in raw else None
-    max_full_n = number("max_full_n", stab.DEFAULT_FULL_NODE_CAP, cast=int)
     max_steps = number("max_steps", DEFAULT_MAX_STEPS, cast=int)
     space = take("space", "inter")
     if space not in ("full", "inter"):
         raise ValidationError(f"space must be 'full' or 'inter', got {space!r}")
 
     society = Society(partition, coordination, ModelParams(delta, cost, epsilon))
-    return Scenario(society=society, seed=seed,
-                    space=space, max_full_n=max_full_n, max_steps=max_steps)
+    return Scenario(society=society, seed=seed, space=space, max_steps=max_steps)
 
 
 def load_scenario(path: str, epsilon_override: Optional[float] = None) -> Scenario:
@@ -133,8 +131,7 @@ def load_scenario(path: str, epsilon_override: Optional[float] = None) -> Scenar
     if epsilon_override is not None:
         society = scenario.society
         params = replace(society.params, epsilon=epsilon_override)
-        scenario = replace(scenario, society=Society(society.partition,
-                                                     society.coordination, params))
+        scenario = replace(scenario, society=replace(society, params=params))
     return scenario
 
 
@@ -144,9 +141,9 @@ def _fmt(x: float) -> str:
 
 # -- subcommands ---------------------------------------------------------------
 
-def cmd_eval(scenario: Scenario, network_path: str, out) -> int:
+def cmd_eval(scenario: Scenario, args: argparse.Namespace, out) -> int:
     society = scenario.society
-    text = Path(network_path).read_text(encoding="ascii")
+    text = Path(args.network).read_text(encoding="ascii")
     network = parse_edge_list(text, society.n)
     values = payoffs(network, society.weights, society.params)
     for node, value in enumerate(values):
@@ -165,7 +162,7 @@ def _describe(pred: th.RegimePrediction, s1: int, s2: int) -> str:
             f"for F12 in [{_fmt(pred.lower)}, {_fmt(pred.upper)}]")
 
 
-def cmd_classify(scenario: Scenario, out) -> int:
+def cmd_classify(scenario: Scenario, args: argparse.Namespace, out) -> int:
     society = scenario.society
     params = society.params
     partition = society.partition
@@ -228,67 +225,43 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
-def _count_cell(counts: list[int]) -> str:
+def _count_cell(counts: list[int], tie: bool = False) -> str:
+    if not counts:
+        return ""
     lo, hi = min(counts), max(counts)
-    return str(lo) if lo == hi else f"{lo}..{hi}"
+    return str(lo) if lo == hi and not tie else f"{lo}..{hi}"
 
 
-def _sweep_row(scenario: Scenario, space_kind: Optional[str], value: float,
-               parameter: str, tables_cache: dict) -> str:
-    society = scenario.society
-    s1, s2 = society.partition.sizes
-    params = society.params
+def _society_at(society: Society, parameter: str, value: float) -> Society:
+    """The society with one sweep parameter set to ``value``."""
     if parameter == "F12":
-        society = Society(society.partition,
-                          CoordinationMatrix.uniform(2, value), params)
-    elif parameter == "s1":
+        return replace(society, coordination=CoordinationMatrix.uniform(2, value))
+    if parameter == "s1":
         sizes = (int(value), society.partition.n - int(value))
         if min(sizes) < 3:
             raise ValidationError(f"s1={int(value)} leaves a group below 3 members")
-        partition = GroupPartition.from_sizes(sizes)
-        society = Society(partition,
-                          CoordinationMatrix.uniform(2, society.coordination[0, 1]),
-                          params)
-    elif parameter == "delta":
-        society = Society(society.partition, society.coordination,
-                          ModelParams(value, params.cost, params.epsilon))
-    elif parameter == "cost":
-        society = Society(society.partition, society.coordination,
-                          ModelParams(params.delta, value, params.epsilon))
-    else:
-        raise ValidationError(f"unknown sweep parameter {parameter!r} "
-                              "(use F12, s1, delta, or cost)")
+        return replace(society, partition=GroupPartition.from_sizes(sizes))
+    if parameter in ("delta", "cost"):
+        return replace(society, params=replace(society.params, **{parameter: value}))
+    raise ValidationError(f"unknown sweep parameter {parameter!r} "
+                          "(use F12, s1, delta, or cost)")
+
+
+def _sweep_row(value: float, society: Society, scan: Optional[stab.SpaceScan]) -> str:
+    """One CSV row: counts from the scan of the society's space, or the
+    closed-form predictions when the space was too large to enumerate."""
     s1, s2 = society.partition.sizes
     params = society.params
     f12 = society.coordination[0, 1]
-
     stable_pred = th.classify_two_group_stable(s1, s2, params, f12)
-    eff_pred = th.classify_two_group_efficient(s1, s2, params, f12)
-
-    scenario_now = replace(scenario, society=society)
-    try:
-        space = scenario_now.build_space(space_kind)
-        key = (space.kind, society.partition, params.delta)
-        if key not in tables_cache:
-            tables_cache.clear()  # sweeps vary one axis; one live table is enough
-            tables_cache[key] = stab.compute_tables(space, society.partition,
-                                                    params.delta)
-        scan = stab.scan_space(tables_cache[key], society)
-    except stab.CapExceededError:
-        scan = None
-
     partition = society.partition
     if scan is not None:
-        stable_masks = scan.stable_masks()
-        stable_counts = [space.network_for(int(k)).inter_count(partition)
-                         for k in stable_masks]
+        stable_counts = [scan.space.network_for(int(k)).inter_count(partition)
+                         for k in scan.stable_masks()]
         _, argmax = eff.argmax_from_scan(scan, params.epsilon)
-        eff_counts = [net.inter_count(partition) for net in argmax]
-        if stable_pred.kind is th.RegimeKind.BOUNDARY_TIE:
-            stable_cell = f"{min(stable_counts)}..{max(stable_counts)}"
-        else:
-            stable_cell = str(stable_pred.interconnections(s1, s2))
-        eff_cell = _count_cell(eff_counts)
+        stable_cell = _count_cell(stable_counts,
+                                  tie=stable_pred.kind is th.RegimeKind.BOUNDARY_TIE)
+        eff_cell = _count_cell([net.inter_count(partition) for net in argmax])
         stable_welfares = scan.welfare[scan.stable]
         stable_min = float(stable_welfares.min()) if stable_welfares.size else float("nan")
         best = float(scan.welfare.max())
@@ -310,6 +283,7 @@ def _sweep_row(scenario: Scenario, space_kind: Optional[str], value: float,
         stable_cell = f"{k}..{upper}"
     else:
         stable_cell = str(stable_count)
+    eff_pred = th.classify_two_group_efficient(s1, s2, params, f12)
     eff_count = eff_pred.interconnections(s1, s2)
     if eff_pred.kind is th.RegimeKind.REDUNDANT:
         eff_cell = f"2..{s1 * s2 - 1}"
@@ -320,61 +294,73 @@ def _sweep_row(scenario: Scenario, space_kind: Optional[str], value: float,
     return f"{_fmt(value)},{stable_cell},{eff_cell},nan,nan,nan"
 
 
-def cmd_sweep(scenario: Scenario, parameter: str, start: float, stop: float,
-              step: float, space_kind: Optional[str], out_path: Optional[str],
-              svg_path: Optional[str], out) -> int:
+def cmd_sweep(scenario: Scenario, args: argparse.Namespace, out) -> int:
     if scenario.partition.m != 2:
         raise ValidationError("sweeps need exactly two groups")
-    tables_cache: dict = {}
+
+    @lru_cache(maxsize=1)  # sweeps vary one axis; one live table is enough
+    def tables(space: stab.SearchSpace, partition: GroupPartition, delta: float):
+        tables.cache_clear()  # free the old table before building the next
+        return stab.compute_tables(space, partition, delta)
+
+    def scan_at(society: Society) -> Optional[stab.SpaceScan]:
+        try:
+            space = replace(scenario, society=society).build_space(args.space)
+            return stab.scan_space(tables(space, society.partition, society.params.delta),
+                                   society)
+        except stab.CapExceededError:
+            return None
+
     rows = [SWEEP_HEADER]
-    for value in _grid(start, stop, step):
-        rows.append(_sweep_row(scenario, space_kind, value, parameter, tables_cache))
+    for value in _grid(args.start, args.stop, args.step):
+        society = _society_at(scenario.society, args.parameter, value)
+        if th.below_clique_bound(society.params):
+            rows.append(_sweep_row(value, society, scan_at(society)))
+        else:  # the regime table and the pinned cliques both need the bound
+            rows.append(f"{_fmt(value)},,,nan,nan,nan")
     csv_text = "\n".join(rows) + "\n"
-    if out_path:
-        Path(out_path).write_text(csv_text, encoding="ascii")
-        print(f"wrote {len(rows) - 1} rows to {out_path}", file=out)
+    if args.out:
+        Path(args.out).write_text(csv_text, encoding="ascii")
+        print(f"wrote {len(rows) - 1} rows to {args.out}", file=out)
     else:
         out.write(csv_text)
-    if svg_path:
-        _write_sweep_svg(csv_text, svg_path)
-        print(f"wrote plot to {svg_path}", file=out)
+    if args.svg:
+        _write_sweep_svg(csv_text, args.svg)
+        print(f"wrote plot to {args.svg}", file=out)
     return 0
 
 
-def cmd_dynamics(scenario: Scenario, seed: Optional[int], script_path: Optional[str],
-                 start_path: Optional[str], max_steps: Optional[int],
-                 out_path: Optional[str], final_path: Optional[str],
-                 svg_path: Optional[str], out) -> int:
+def cmd_dynamics(scenario: Scenario, args: argparse.Namespace, out) -> int:
     society = scenario.society
-    if script_path is not None:
-        text = Path(script_path).read_text(encoding="ascii")
+    if args.script is not None:
+        text = Path(args.script).read_text(encoding="ascii")
         selector: dyn.PairSelector = dyn.Scripted.of(
             [(i, j) for _, i, j in _parse_pairs(text)])
     else:
-        run_seed = seed if seed is not None else scenario.seed
+        run_seed = args.seed if args.seed is not None else scenario.seed
         if run_seed is None:
             raise ValidationError("seeded dynamics need a seed (scenario key or --seed)")
         selector = dyn.SeededUniform(run_seed)
 
-    if start_path is not None:
-        start = parse_edge_list(Path(start_path).read_text(encoding="ascii"), society.n)
+    if args.start is not None:
+        start = parse_edge_list(Path(args.start).read_text(encoding="ascii"), society.n)
     else:
         start = Network.empty(society.n)
 
-    steps = max_steps if max_steps is not None else scenario.max_steps
+    steps = args.max_steps if args.max_steps is not None else scenario.max_steps
     trace = dyn.run(start, selector, society, max_steps=steps)
     csv_text = trace.to_csv()
-    if out_path:
-        Path(out_path).write_text(csv_text, encoding="ascii")
-        print(f"wrote trace ({len(trace.steps)} periods) to {out_path}", file=out)
+    if args.out:
+        Path(args.out).write_text(csv_text, encoding="ascii")
+        print(f"wrote trace ({len(trace.steps)} periods) to {args.out}", file=out)
     else:
         out.write(csv_text)
-    if final_path:
-        Path(final_path).write_text(format_edge_list(trace.final), encoding="ascii")
-        print(f"wrote final network to {final_path}", file=out)
-    if svg_path:
-        _write_trace_svg(trace, svg_path)
-        print(f"wrote plot to {svg_path}", file=out)
+    if args.final_out:
+        Path(args.final_out).write_text(format_edge_list(trace.final), encoding="ascii")
+        print(f"wrote final network to {args.final_out}", file=out)
+    if args.svg:
+        _write_trace_svg(trace, args.svg)
+        print(f"wrote plot to {args.svg}", file=out)
     print(f"converged: {'yes' if trace.converged else 'no'}", file=out)
     if trace.converged:
         print(f"steps to convergence: {trace.steps_to_convergence}", file=out)
@@ -397,36 +383,34 @@ def _write_networks(networks, partition, society, out_dir: str, prefix: str, out
     print(f"wrote {len(networks)} networks and summary.csv to {directory}", file=out)
 
 
-def cmd_stable(scenario: Scenario, space_kind: Optional[str],
-               out_dir: Optional[str], out) -> int:
+def cmd_stable(scenario: Scenario, args: argparse.Namespace, out) -> int:
     society = scenario.society
-    space = scenario.build_space(space_kind)
+    space = scenario.build_space(args.space)
     networks = stab.enumerate_stable(space, society)
     print(f"space: {space.kind.value} ({space.size} networks); "
           f"{len(networks)} pairwise stable", file=out)
     counts = sorted({net.inter_count(society.partition) for net in networks})
     if counts:
         print(f"interconnection counts: {counts[0]}..{counts[-1]}", file=out)
-    if out_dir:
-        _write_networks(networks, society.partition, society, out_dir, "stable", out)
+    if args.out:
+        _write_networks(networks, society.partition, society, args.out, "stable", out)
     return 0
 
 
-def cmd_efficient(scenario: Scenario, space_kind: Optional[str],
-                  out_dir: Optional[str], out) -> int:
+def cmd_efficient(scenario: Scenario, args: argparse.Namespace, out) -> int:
     society = scenario.society
-    space = scenario.build_space(space_kind)
+    space = scenario.build_space(args.space)
     best, argmax = eff.efficient_search(space, society)
     print(f"space: {space.kind.value} ({space.size} networks); "
           f"best welfare {_fmt(best)} attained by {len(argmax)} networks", file=out)
-    if out_dir:
-        _write_networks(argmax, society.partition, society, out_dir, "efficient", out)
+    if args.out:
+        _write_networks(argmax, society.partition, society, args.out, "efficient", out)
     return 0
 
 
-def cmd_poa(scenario: Scenario, space_kind: Optional[str], out) -> int:
+def cmd_poa(scenario: Scenario, args: argparse.Namespace, out) -> int:
     society = scenario.society
-    space = scenario.build_space(space_kind)
+    space = scenario.build_space(args.space)
     value = stab.price_of_anarchy(space, society)
     print(f"space: {space.kind.value} ({space.size} networks)", file=out)
     print(f"price of anarchy: {_fmt(value)}", file=out)
@@ -514,20 +498,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "efficiency, dynamics, and parameter sweeps.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--scenario", required=True, help="scenario file path")
         p.add_argument("--epsilon", type=float, default=None,
                        help="override the indifference tolerance")
+        return p
 
-    p = sub.add_parser("eval", help="per-node payoffs and welfare of a network")
-    common(p)
+    p = command("eval", cmd_eval, "per-node payoffs and welfare of a network")
     p.add_argument("--network", required=True, help="edge-list file")
 
-    p = sub.add_parser("classify", help="stable/efficient regimes and boundaries")
-    common(p)
+    command("classify", cmd_classify, "stable/efficient regimes and boundaries")
 
-    p = sub.add_parser("sweep", help="CSV over a parameter grid")
-    common(p)
+    p = command("sweep", cmd_sweep, "CSV over a parameter grid")
     p.add_argument("--parameter", required=True, choices=["F12", "s1", "delta", "cost"])
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
@@ -536,8 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.add_argument("--svg", default=None, help="optional SVG plot path")
 
-    p = sub.add_parser("dynamics", help="run formation dynamics, write the trace")
-    common(p)
+    p = command("dynamics", cmd_dynamics, "run formation dynamics, write the trace")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--script", default=None, help="file of 'i j' activations")
     p.add_argument("--start", default=None, help="starting network edge-list file")
@@ -546,19 +529,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--final-out", default=None, help="final network edge-list path")
     p.add_argument("--svg", default=None, help="optional SVG plot path")
 
-    p = sub.add_parser("stable", help="enumerate pairwise stable networks")
-    common(p)
-    p.add_argument("--space", choices=["full", "inter"], default=None)
-    p.add_argument("--out", default=None, help="directory for edge lists + summary.csv")
-
-    p = sub.add_parser("efficient", help="enumerate welfare-maximal networks")
-    common(p)
-    p.add_argument("--space", choices=["full", "inter"], default=None)
-    p.add_argument("--out", default=None, help="directory for edge lists + summary.csv")
-
-    p = sub.add_parser("poa", help="price of anarchy over the declared space")
-    common(p)
-    p.add_argument("--space", choices=["full", "inter"], default=None)
+    for name, run, help_text in (
+            ("stable", cmd_stable, "enumerate pairwise stable networks"),
+            ("efficient", cmd_efficient, "enumerate welfare-maximal networks"),
+            ("poa", cmd_poa, "price of anarchy over the declared space")):
+        p = command(name, run, help_text)
+        p.add_argument("--space", choices=["full", "inter"], default=None)
+        if run is not cmd_poa:
+            p.add_argument("--out", default=None,
+                           help="directory for edge lists + summary.csv")
     return parser
 
 
@@ -566,25 +545,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.scenario, args.epsilon)
-        if args.command == "eval":
-            return cmd_eval(scenario, args.network, out)
-        if args.command == "classify":
-            return cmd_classify(scenario, out)
-        if args.command == "sweep":
-            return cmd_sweep(scenario, args.parameter, args.start, args.stop,
-                             args.step, args.space, args.out, args.svg, out)
-        if args.command == "dynamics":
-            return cmd_dynamics(scenario, args.seed, args.script, args.start,
-                                args.max_steps, args.out, args.final_out,
-                                args.svg, out)
-        if args.command == "stable":
-            return cmd_stable(scenario, args.space, args.out, out)
-        if args.command == "efficient":
-            return cmd_efficient(scenario, args.space, args.out, out)
-        if args.command == "poa":
-            return cmd_poa(scenario, args.space, out)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(load_scenario(args.scenario, args.epsilon), args, out)
     except stab.CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

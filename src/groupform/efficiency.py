@@ -12,22 +12,20 @@ from __future__ import annotations
 import numpy as np
 
 from .model import GroupPartition, Network, Society, ValidationError
-from .stability import DEFAULT_FREE_BITS_CAP, SearchSpace, SpaceScan, _scan_for
+from .stability import SearchSpace, SpaceScan, _scan_for
 
 
 class ConsolidationCollisionError(ValidationError):
     """Two cross-group links between the same group pair would merge."""
 
 
-def efficient_search(space: SearchSpace, society: Society,
-                     free_bits_cap: int = DEFAULT_FREE_BITS_CAP,
-                     workers: int = 1) -> tuple[float, list[Network]]:
+def efficient_search(space: SearchSpace, society: Society) -> tuple[float, list[Network]]:
     """Maximal welfare over the space and every network attaining it.
 
     Maximizers within epsilon of the best are all returned (bitmask order);
     regime boundaries genuinely produce such ties.
     """
-    scan = _scan_for(space, society, free_bits_cap, workers)
+    scan = _scan_for(space, society)
     return argmax_from_scan(scan, society.params.epsilon)
 
 

@@ -256,12 +256,6 @@ class Network:
         return sorted(self.edges)
 
 
-def density(network: Network) -> float:
-    """Observed over possible edges, 2|E| / (n (n-1))."""
-    n = network.n
-    return 2.0 * network.edge_count / (n * (n - 1))
-
-
 def expand_matrix(coordination: CoordinationMatrix, partition: GroupPartition) -> np.ndarray:
     """Spread the group coordination matrix onto individual node pairs.
 
@@ -308,16 +302,6 @@ def _hop_distances(masks, source: int) -> list[float]:
             dist[bit.bit_length() - 1] = level
             newly ^= bit
     return dist
-
-
-def all_pairs_distances(network: Network) -> np.ndarray:
-    """Hop-count distance matrix; unreachable pairs hold math.inf.
-
-    Entries are integer-valued floats so that delta ** d evaluates the
-    benefit discount directly (delta ** inf == 0 for 0 < delta < 1).
-    """
-    masks = network.neighbor_masks
-    return np.array([_hop_distances(masks, s) for s in range(network.n)], dtype=float)
 
 
 def _benefit_from(masks, source: int, weight_row: np.ndarray,

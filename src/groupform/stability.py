@@ -33,7 +33,6 @@ from .model import (
 )
 from .thresholds import below_clique_bound, shortcut_gain
 
-DEFAULT_FULL_NODE_CAP = 7
 DEFAULT_FREE_BITS_CAP = 22
 _CHUNK_BITS = 18
 
@@ -73,26 +72,10 @@ class SearchSpace:
                            if free_mask >> t & 1)
         return Network(self.n, self.fixed_edges | chosen)
 
-    def free_mask_of(self, network: Network) -> int:
-        extra = network.edges - self.fixed_edges
-        mask = 0
-        index = {pair: t for t, pair in enumerate(self.free_pairs)}
-        for pair in extra:
-            if pair not in index:
-                raise ValidationError(f"edge {pair} lies outside the search space")
-        if not self.fixed_edges <= network.edges:
-            raise ValidationError("network is missing fixed edges of the search space")
-        for pair in extra:
-            mask |= 1 << index[pair]
-        return mask
 
-
-def full_graph_space(n: int, node_cap: int = DEFAULT_FULL_NODE_CAP) -> SearchSpace:
-    """Every edge set on n nodes; refuses n above the cap (2^C(n,2) networks)."""
-    if n > node_cap:
-        raise CapExceededError(
-            f"full space needs n <= {node_cap} (got n={n}); raise the cap explicitly "
-            f"to enumerate 2^{n * (n - 1) // 2} networks")
+def full_graph_space(n: int) -> SearchSpace:
+    """Every edge set on n nodes (2^C(n,2) networks); the free-pair cap of
+    `compute_tables` admits n <= 7."""
     return SearchSpace(kind=SpaceKind.FULL, n=n, fixed_edges=frozenset(),
                        free_pairs=tuple(all_pairs(n)))
 
@@ -296,31 +279,25 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
     return SpaceScan(space=space, stable=stable, welfare=util.sum(axis=1))
 
 
-def _scan_for(space: SearchSpace, society: Society,
-              free_bits_cap: int, workers: int) -> SpaceScan:
-    tables = compute_tables(space, society.partition, society.params.delta,
-                            free_bits_cap=free_bits_cap, workers=workers)
-    return scan_space(tables, society)
+def _scan_for(space: SearchSpace, society: Society) -> SpaceScan:
+    return scan_space(compute_tables(space, society.partition, society.params.delta),
+                      society)
 
 
-def enumerate_stable(space: SearchSpace, society: Society,
-                     free_bits_cap: int = DEFAULT_FREE_BITS_CAP,
-                     workers: int = 1) -> list[Network]:
+def enumerate_stable(space: SearchSpace, society: Society) -> list[Network]:
     """All pairwise stable networks of the space, in ascending bitmask order.
 
     Stability is judged against every node pair: free pairs by table
     lookups, pinned clique links by the cost bound that makes cutting
     them provably unprofitable.
     """
-    scan = _scan_for(space, society, free_bits_cap, workers)
+    scan = _scan_for(space, society)
     return [space.network_for(int(mask)) for mask in scan.stable_masks()]
 
 
-def price_of_anarchy(space: SearchSpace, society: Society,
-                     free_bits_cap: int = DEFAULT_FREE_BITS_CAP,
-                     workers: int = 1) -> float:
+def price_of_anarchy(space: SearchSpace, society: Society) -> float:
     """Best welfare anywhere in the space over worst stable welfare."""
-    return poa_from_scan(_scan_for(space, society, free_bits_cap, workers))
+    return poa_from_scan(_scan_for(space, society))
 
 
 def poa_from_scan(scan: SpaceScan) -> float:

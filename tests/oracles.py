@@ -1,5 +1,6 @@
 """Brute-force reference computations, kept independent of the library's
-breadth-first-search and table machinery on purpose."""
+breadth-first-search and table machinery on purpose, followed by small
+test-only helpers that read the library's own structures."""
 
 import math
 from fractions import Fraction
@@ -7,7 +8,14 @@ from typing import Sequence
 
 import numpy as np
 
-from groupform.model import GroupPartition, ModelParams, Network
+from groupform.model import (
+    GroupPartition,
+    ModelParams,
+    Network,
+    ValidationError,
+    _hop_distances,
+)
+from groupform.stability import SearchSpace
 
 
 def oracle_distance(network: Network, start: int, goal: int) -> float:
@@ -62,3 +70,30 @@ def exact_payoff(network: Network, i: int, partition: GroupPartition,
             continue
         total += coordination[group[i]][group[k]] * delta ** int(hops)
     return total - network.degree(i) * cost
+
+
+# -- test-only helpers over library structures ---------------------------------
+
+def density(network: Network) -> float:
+    """Observed over possible edges, 2|E| / (n (n-1))."""
+    n = network.n
+    return 2.0 * network.edge_count / (n * (n - 1))
+
+
+def all_pairs_distances(network: Network) -> np.ndarray:
+    """The library BFS's hop-count distance matrix; unreachable pairs hold
+    math.inf, so delta ** d evaluates the benefit discount directly."""
+    masks = network.neighbor_masks
+    return np.array([_hop_distances(masks, s) for s in range(network.n)], dtype=float)
+
+
+def free_mask_of(space: SearchSpace, network: Network) -> int:
+    """Inverse of ``space.network_for``: the bitmask over the free pairs."""
+    index = {pair: t for t, pair in enumerate(space.free_pairs)}
+    extra = network.edges - space.fixed_edges
+    for pair in extra:
+        if pair not in index:
+            raise ValidationError(f"edge {pair} lies outside the search space")
+    if not space.fixed_edges <= network.edges:
+        raise ValidationError("network is missing fixed edges of the search space")
+    return sum(1 << index[pair] for pair in extra)

@@ -1,10 +1,16 @@
 import io
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
+import groupform.cli
+import groupform.thresholds as th
 from groupform.cli import main, parse_scenario
 from groupform.model import Network, ValidationError, parse_edge_list
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SCENARIO_3_5 = """\
 # two groups, bridge/redundant boundary
@@ -187,6 +193,25 @@ class TestSweep:
         assert text.splitlines()[1:] == ["0.0727272727,0..1,1,nan,nan,nan",
                                          "0.8,10..100,,nan,nan,nan"]
 
+    def test_rows_at_or_above_clique_bound_are_empty(self, tmp_path):
+        # delta 0.5 puts the clique-formation bound at cost 0.25
+        scenario = write(tmp_path, "s.scn", SCENARIO_3_5.replace("F = 0.4", "F = 0.3"))
+        code, text = run_cli(["sweep", "--scenario", scenario, "--parameter", "cost",
+                              "--from", "0.2", "--to", "0.3", "--step", "0.05"])
+        assert code == 0
+        assert text.splitlines()[1:] == ["0.2,1,2,9.2,9.325,1.01358695652",
+                                         "0.25,,,nan,nan,nan",
+                                         "0.3,,,nan,nan,nan"]
+
+    def test_stable_cell_reads_the_enumeration(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(th, "classify_two_group_stable", lambda *args: (
+            th.RegimePrediction(th.RegimeKind.MAXIMAL, 0.8, 1.0)))
+        scenario = write(tmp_path, "s.scn", SCENARIO_3_5)
+        code, text = run_cli(["sweep", "--scenario", scenario, "--parameter", "F12",
+                              "--from", "0.3", "--to", "0.3", "--step", "0.1"])
+        assert code == 0
+        assert text.splitlines()[1].startswith("0.3,1,")
+
     def test_three_groups_rejected(self, tmp_path, capsys):
         scenario = write(tmp_path, "s.scn",
                          "group_sizes = 3, 3, 3\nF = 0.2, 0.2, 0.2\n"
@@ -348,3 +373,26 @@ class TestInputErrors:
         code, _ = run_cli(["classify", "--scenario", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestScripts:
+    @pytest.mark.parametrize("script, script_args", [("two_group_sweep.py", []),
+                                                     ("size_split_sweep.py", []),
+                                                     ("formation_trace.py", ["1"])])
+    def test_outputs_match_checked_in_files(self, tmp_path, monkeypatch,
+                                            script, script_args):
+        # capture the script's argument set, then rerun it writing to tmp_path
+        calls = []
+        monkeypatch.setattr(groupform.cli, "main", lambda argv: calls.append(argv) or 0)
+        monkeypatch.setattr(sys, "argv", [script, *script_args])
+        with pytest.raises(SystemExit):
+            runpy.run_path(str(ROOT / "scripts" / script), run_name="__main__")
+        (argv,) = calls
+        out_dir = ROOT / "out"
+        written = [Path(arg).name for arg in argv if Path(arg).parent == out_dir]
+        assert written
+        local = [str(tmp_path / Path(arg).name) if Path(arg).parent == out_dir else arg
+                 for arg in argv]
+        assert main(local, out=io.StringIO()) == 0
+        for name in written:
+            assert (tmp_path / name).read_bytes() == (out_dir / name).read_bytes(), name

@@ -13,8 +13,6 @@ from groupform.model import (
     Society,
     ValidationError,
     all_pairs,
-    all_pairs_distances,
-    density,
     edge_index,
     expand_matrix,
     format_edge_list,
@@ -24,7 +22,7 @@ from groupform.model import (
     payoffs,
     welfare,
 )
-from oracles import oracle_distance, oracle_payoff
+from oracles import all_pairs_distances, density, oracle_distance, oracle_payoff
 
 from conftest import random_network, random_society
 

@@ -34,6 +34,7 @@ from groupform.stability import (
 from groupform.thresholds import RegimeKind, classify_two_group_stable
 
 from conftest import random_network, random_society
+from oracles import free_mask_of
 
 PARAMS = ModelParams(0.5, 0.2)
 
@@ -171,18 +172,20 @@ class TestEnumerateStable:
         society = society_3_5(0.3)
         space = interconnection_space(society.partition)
         nets = enumerate_stable(space, society)
-        masks = [space.free_mask_of(net) for net in nets]
+        masks = [free_mask_of(space, net) for net in nets]
         assert masks == sorted(masks)
 
     def test_full_space_cap(self):
+        # C(8, 2) = 28 free pairs exceed the 22-pair table cap
         with pytest.raises(CapExceededError):
-            full_graph_space(8)
+            enumerate_stable(full_graph_space(8), society_3_5(0.3))
 
     def test_free_bits_cap(self):
         society = society_3_5(0.3)
         space = interconnection_space(society.partition)
         with pytest.raises(CapExceededError):
-            enumerate_stable(space, society, free_bits_cap=10)
+            compute_tables(space, society.partition, society.params.delta,
+                           free_bits_cap=10)
 
     def test_interconnection_space_needs_low_cost(self):
         society = society_3_3(0.3, ModelParams(0.5, 0.26))
@@ -329,11 +332,11 @@ class TestSearchSpaceEncoding:
         partition = GroupPartition.from_sizes([3, 4])
         space = interconnection_space(partition)
         for mask in (0, 1, 5, space.size - 1):
-            assert space.free_mask_of(space.network_for(mask)) == mask
+            assert free_mask_of(space, space.network_for(mask)) == mask
 
     def test_network_outside_space_rejected(self):
         partition = GroupPartition.from_sizes([3, 4])
         space = interconnection_space(partition)
         broken = Network.disjoint_cliques(partition).without_edge(0, 1)
         with pytest.raises(ValidationError):
-            space.free_mask_of(broken)
+            free_mask_of(space, broken)
