@@ -237,6 +237,8 @@ def _society_at(society: Society, parameter: str, value: float) -> Society:
     if parameter == "F12":
         return replace(society, coordination=CoordinationMatrix.uniform(2, value))
     if parameter == "s1":
+        if not float(value).is_integer():
+            raise ValidationError(f"s1={_fmt(value)} is not a whole group size")
         sizes = (int(value), society.partition.n - int(value))
         if min(sizes) < 3:
             raise ValidationError(f"s1={int(value)} leaves a group below 3 members")

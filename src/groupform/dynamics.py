@@ -112,18 +112,28 @@ class DynamicsTrace:
 
 
 def step(network: Network, pair: tuple[int, int], weights: np.ndarray,
-         params: ModelParams) -> tuple[Network, Action]:
+         params: ModelParams, *, memo: Optional[dict[int, float]] = None
+         ) -> tuple[Network, Action]:
     """Resolve one activated pair against the current network.
 
     A missing link is added when one side strictly gains and the other at
     worst stays indifferent; it is refused when either side strictly loses
     or both are indifferent.  An existing link is cut as soon as one side
     strictly gains from cutting it.
+
+    ``memo`` maps nodes to their payoffs in ``network``: a payoff missing
+    from it is computed and stored.  A caller that keeps one memo while the
+    network stays the same, and empties it when the network changes, skips
+    recomputing the current payoffs.
     """
     i, j = normalize_edge(*pair)
+    if memo is None:
+        memo = {}
+    for node in (i, j):
+        if node not in memo:
+            memo[node] = payoff(network, node, weights, params)
     present = network.has_edge(i, j)
-    toggled, du_i, du_j = _toggle(network, i, j, payoff(network, i, weights, params),
-                                  payoff(network, j, weights, params), weights, params)
+    toggled, du_i, du_j = _toggle(network, i, j, memo[i], memo[j], weights, params)
     if not _pair_changes(present, du_i, du_j, params.epsilon):
         return network, Action.NO_CHANGE
     return toggled, Action.REMOVED if present else Action.ADDED
@@ -155,6 +165,7 @@ def run(start: Network, selector: PairSelector, society: Society,
     quiet = 0
     last_change = 0
     converged = False
+    memo: dict[int, float] = {}  # payoffs in the current network, by node
 
     activations = selector.pairs(start.n)
     for period in range(1, max_steps + 1):
@@ -162,8 +173,9 @@ def run(start: Network, selector: PairSelector, society: Society,
             pair = next(activations)
         except StopIteration:
             break
-        network, action = step(network, pair, weights, params)
+        network, action = step(network, pair, weights, params, memo=memo)
         if action is not Action.NO_CHANGE:
+            memo.clear()
             crossing = partition.membership[pair[0]] != partition.membership[pair[1]]
             delta = 1 if action is Action.ADDED else -1
             if crossing:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -177,83 +177,136 @@ class ModelParams:
             raise ValidationError(f"epsilon must be non-negative, got {self.epsilon}")
 
 
-@dataclass(frozen=True)
 class Network:
     """Labeled undirected simple graph on nodes 0..n-1.
 
-    Any network maps to a bitmask over the canonical lexicographic pair
-    order, which makes whole-space enumeration and hashing cheap.
+    The state is one neighbor bitmask per node: bit j of
+    ``neighbor_masks[i]`` is set when i and j are linked.  Adding or
+    removing a link flips two bits in a copied tuple.  ``edges`` is the
+    set a network was built from, or, for a network made from masks (by a
+    toggle, `from_mask` or `SearchSpace.network_for`), a set derived from
+    the masks on first use.  Any network also maps to a bitmask over the
+    canonical lexicographic pair order (`to_mask`), which makes whole-space
+    enumeration cheap.  Instances are treated as immutable: equality and
+    hashing read ``n`` and the masks.
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ("n", "neighbor_masks", "_edges")
 
-    def __post_init__(self):
-        for i, j in self.edges:
-            if not (0 <= i < j < self.n):
-                raise ValidationError(f"edge ({i}, {j}) invalid for n={self.n}")
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        edges = frozenset(edges)
+        masks = [0] * n
+        for i, j in edges:
+            if not (0 <= i < j < n):
+                raise ValidationError(f"edge ({i}, {j}) invalid for n={n}")
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        self.n = n
+        self.neighbor_masks = tuple(masks)
+        self._edges = edges
+
+    @classmethod
+    def _from_masks(cls, n: int, masks: tuple[int, ...]) -> "Network":
+        """Unchecked constructor from symmetric masks with no self bits."""
+        network = cls.__new__(cls)
+        network.n = n
+        network.neighbor_masks = masks
+        network._edges = None
+        return network
 
     @classmethod
     def empty(cls, n: int) -> "Network":
-        return cls(n=n, edges=frozenset())
+        return cls._from_masks(n, (0,) * n)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Network":
-        return cls(n=n, edges=frozenset(normalize_edge(i, j) for i, j in edges))
+        return cls(n, (normalize_edge(i, j) for i, j in edges))
 
     @classmethod
     def complete(cls, n: int) -> "Network":
-        return cls(n=n, edges=frozenset(all_pairs(n)))
+        return cls(n, all_pairs(n))
 
     @classmethod
     def disjoint_cliques(cls, partition: GroupPartition) -> "Network":
-        return cls(n=partition.n, edges=frozenset(partition.intra_pairs()))
+        return cls(partition.n, partition.intra_pairs())
 
     @classmethod
     def from_mask(cls, mask: int, n: int) -> "Network":
-        pairs = all_pairs(n)
-        edges = frozenset(pairs[t] for t in range(len(pairs)) if mask >> t & 1)
-        return cls(n=n, edges=edges)
+        masks = [0] * n
+        for t, (i, j) in enumerate(all_pairs(n)):
+            if mask >> t & 1:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+        return cls._from_masks(n, tuple(masks))
+
+    def _pairs(self) -> Iterator[tuple[int, int]]:
+        """Every edge (i, j), i < j, in lexicographic order."""
+        for i, mask in enumerate(self.neighbor_masks):
+            mask >>= i + 1
+            while mask:
+                bit = mask & -mask
+                yield i, i + bit.bit_length()
+                mask ^= bit
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        if self._edges is None:
+            self._edges = frozenset(self._pairs())
+        return self._edges
 
     def to_mask(self) -> int:
         mask = 0
-        for i, j in self.edges:
+        for i, j in self._pairs():
             mask |= 1 << edge_index(i, j, self.n)
         return mask
 
     def has_edge(self, i: int, j: int) -> bool:
-        return normalize_edge(i, j) in self.edges
+        i, j = normalize_edge(i, j)
+        return 0 <= i and j < self.n and self.neighbor_masks[i] >> j & 1 == 1
+
+    def _toggled(self, i: int, j: int) -> "Network":
+        masks = list(self.neighbor_masks)
+        masks[i] ^= 1 << j
+        masks[j] ^= 1 << i
+        return self._from_masks(self.n, tuple(masks))
 
     def with_edge(self, i: int, j: int) -> "Network":
-        return Network(self.n, self.edges | {normalize_edge(i, j)})
+        i, j = normalize_edge(i, j)
+        if not (0 <= i < j < self.n):
+            raise ValidationError(f"edge ({i}, {j}) invalid for n={self.n}")
+        return self if self.neighbor_masks[i] >> j & 1 else self._toggled(i, j)
 
     def without_edge(self, i: int, j: int) -> "Network":
-        return Network(self.n, self.edges - {normalize_edge(i, j)})
+        return self._toggled(*normalize_edge(i, j)) if self.has_edge(i, j) else self
 
     def degree(self, i: int) -> int:
         return int.bit_count(self.neighbor_masks[i])
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.n
-        for i, j in self.edges:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-        return tuple(masks)
+        return sum(map(int.bit_count, self.neighbor_masks)) // 2
 
     def intra_count(self, partition: GroupPartition) -> int:
-        return sum(1 for i, j in self.edges
-                   if partition.membership[i] == partition.membership[j])
+        return self.edge_count - self.inter_count(partition)
 
     def inter_count(self, partition: GroupPartition) -> int:
-        return len(self.edges) - self.intra_count(partition)
+        group_bits, membership = partition.group_bits, partition.membership
+        return sum(int.bit_count(mask & ~group_bits[membership[v]])
+                   for v, mask in enumerate(self.neighbor_masks)) // 2
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return list(self._pairs())
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.neighbor_masks == other.neighbor_masks
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.neighbor_masks))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}(n={self.n}, edges={self.edges!r})"
 
 
 def expand_matrix(coordination: CoordinationMatrix, partition: GroupPartition) -> np.ndarray:
@@ -304,8 +357,8 @@ def _hop_distances(masks, source: int) -> list[float]:
     return dist
 
 
-def _benefit_from(masks, source: int, weight_row: np.ndarray,
-                  delta_powers: list[float]) -> float:
+def _benefit_from(masks, source: int, weight_row: list[float],
+                  delta_powers: tuple[float, ...]) -> float:
     """Discounted coordination benefit collected by one node via shortest paths."""
     total = 0.0
     for level, newly in _bfs_levels(masks, source):
@@ -317,11 +370,12 @@ def _benefit_from(masks, source: int, weight_row: np.ndarray,
     return total
 
 
-def _delta_powers(delta: float, n: int) -> list[float]:
+@lru_cache(maxsize=64)
+def _delta_powers(delta: float, n: int) -> tuple[float, ...]:
     powers = [1.0] * n
     for k in range(1, n):
         powers[k] = powers[k - 1] * delta
-    return powers
+    return tuple(powers)
 
 
 def payoff(network: Network, i: int, weights: np.ndarray, params: ModelParams) -> float:
@@ -330,7 +384,7 @@ def payoff(network: Network, i: int, weights: np.ndarray, params: ModelParams) -
         raise ValidationError(f"node {i} out of range")
     if weights.shape != (network.n, network.n):
         raise ValidationError("weight matrix does not match the network size")
-    benefit = _benefit_from(network.neighbor_masks, i, weights[i],
+    benefit = _benefit_from(network.neighbor_masks, i, weights[i].tolist(),
                             _delta_powers(params.delta, network.n))
     return benefit - network.degree(i) * params.cost
 
@@ -341,7 +395,7 @@ def payoffs(network: Network, weights: np.ndarray, params: ModelParams) -> np.nd
     masks = network.neighbor_masks
     out = np.empty(network.n)
     for i in range(network.n):
-        out[i] = (_benefit_from(masks, i, weights[i], powers)
+        out[i] = (_benefit_from(masks, i, weights[i].tolist(), powers)
                   - int.bit_count(masks[i]) * params.cost)
     return out
 

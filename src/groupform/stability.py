@@ -18,6 +18,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -67,10 +68,17 @@ class SearchSpace:
     def size(self) -> int:
         return 1 << len(self.free_pairs)
 
+    @cached_property
+    def _pinned_masks(self) -> tuple[int, ...]:
+        return Network(self.n, self.fixed_edges).neighbor_masks
+
     def network_for(self, free_mask: int) -> Network:
-        chosen = frozenset(self.free_pairs[t] for t in range(len(self.free_pairs))
-                           if free_mask >> t & 1)
-        return Network(self.n, self.fixed_edges | chosen)
+        masks = list(self._pinned_masks)
+        for t, (i, j) in enumerate(self.free_pairs):
+            if free_mask >> t & 1:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+        return Network._from_masks(self.n, tuple(masks))
 
 
 def full_graph_space(n: int) -> SearchSpace:
@@ -150,21 +158,14 @@ class SpaceTables:
     degree: np.ndarray   # (K, n) uint8
 
 
-def _fixed_neighbor_masks(space: SearchSpace) -> np.ndarray:
-    masks = np.zeros(space.n, dtype=np.uint32)
-    for i, j in space.fixed_edges:
-        masks[i] |= np.uint32(1 << j)
-        masks[j] |= np.uint32(1 << i)
-    return masks
-
-
 def _tables_chunk(space: SearchSpace, partition: GroupPartition, delta: float,
                   start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     n, m = space.n, partition.m
     count = stop - start
     idx = np.arange(start, stop, dtype=np.int64)
 
-    nbr = np.broadcast_to(_fixed_neighbor_masks(space), (count, n)).copy()
+    nbr = np.broadcast_to(np.array(space._pinned_masks, dtype=np.uint32),
+                          (count, n)).copy()
     for t, (i, j) in enumerate(space.free_pairs):
         bit = ((idx >> t) & 1).astype(np.uint32)
         nbr[:, i] |= bit << j

@@ -223,6 +223,8 @@ def redundancy_bounds(s_a: int, s_b: int, params: ModelParams) -> tuple[float, f
 class GroupGraph(Network):
     """Simple undirected graph on group ids, one node per group."""
 
+    __slots__ = ()
+
     @property
     def m(self) -> int:
         return self.n
@@ -234,18 +236,12 @@ class GroupGraph(Network):
     def distances_from(self, source: int,
                        drop: Optional[tuple[int, int]] = None,
                        add: Optional[tuple[int, int]] = None) -> list[float]:
-        """Hop distances on the group graph, optionally toggling one edge."""
-        masks = list(self.neighbor_masks)
-        if drop is not None:
-            a, b = drop
-            masks[a] &= ~(1 << b)
-            masks[b] &= ~(1 << a)
-        if add is not None:
-            a, b = add
-            if a != b:
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
-        return _hop_distances(masks, source)
+        """Hop distances on the group graph with ``drop`` removed and ``add``
+        added; ``add=(a, a)`` adds nothing."""
+        graph = self if drop is None else self.without_edge(*drop)
+        if add is not None and add[0] != add[1]:
+            graph = graph.with_edge(*add)
+        return _hop_distances(graph.neighbor_masks, source)
 
     def is_connected(self) -> bool:
         return all(d < math.inf for d in self.distances_from(0)) if self.m else True

@@ -172,6 +172,16 @@ class TestSweep:
         # n = 20 is far beyond enumeration: welfare columns hold nan
         assert lines[1].split(",")[3] == "nan"
 
+    def test_fractional_s1_grid_point_rejected(self, tmp_path, capsys):
+        # a 3.5 row used to be computed for sizes 3 and 17, like the 3 row
+        scenario = write(tmp_path, "s.scn",
+                         "group_sizes = 10, 10\nF = 0.25\ndelta = 0.5\ncost = 0.2\n")
+        code, text = run_cli(["sweep", "--scenario", scenario, "--parameter", "s1",
+                              "--from", "3", "--to", "4", "--step", "0.5"])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == "error: s1=3.5 is not a whole group size\n"
+
     def test_svg_emission(self, tmp_path):
         scenario = write(tmp_path, "s.scn", SCENARIO_3_5)
         svg = tmp_path / "plot.svg"

@@ -19,6 +19,7 @@ from groupform.model import (
     Network,
     Society,
     ValidationError,
+    payoff,
 )
 from groupform.stability import is_pairwise_stable
 
@@ -178,6 +179,32 @@ class TestTraceMechanics:
             assert s.intra_count == network.intra_count(society.partition)
             assert s.inter_count == network.inter_count(society.partition)
         assert network.edges == trace.final.edges
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_run_matches_a_loop_of_public_steps(self, seed):
+        # run keeps the current payoffs between periods and must drop them
+        # whenever a period changes the network, cross removals included
+        society = two_group_society([4, 4], 0.45)
+        trace = run(Network.empty(8), SeededUniform(seed), society, max_steps=5000)
+        membership = society.partition.membership
+        assert any(s.action is Action.REMOVED and membership[s.pair[0]] != membership[s.pair[1]]
+                   for s in trace.steps)
+        network = Network.empty(8)
+        pairs = SeededUniform(seed).pairs(8)
+        for s in trace.steps:
+            pair = next(pairs)
+            network, action = step(network, pair, society.weights, society.params)
+            assert (s.pair, s.action) == (pair, action), f"period {s.index}"
+        assert network == trace.final
+
+    def test_step_fills_the_memo_with_current_payoffs(self):
+        society = two_group_society([4, 4], 0.45)
+        network = Network.disjoint_cliques(society.partition)
+        memo = {}
+        result = step(network, (5, 1), society.weights, society.params, memo=memo)
+        assert result == step(network, (5, 1), society.weights, society.params)
+        assert memo == {v: payoff(network, v, society.weights, society.params)
+                        for v in (1, 5)}
 
     def test_csv_layout(self):
         society = two_group_society([3, 4], 0.3)

@@ -288,6 +288,97 @@ class TestNetworkEncoding:
                     CoordinationMatrix.uniform(3, 0.5), ModelParams(0.5, 0.2))
 
 
+@st.composite
+def networks_and_toggles(draw):
+    """n <= 9, a starting edge set, a partition of the nodes into groups of
+    3 or more (n >= 3), and a sequence of in-range add/remove operations."""
+    n = draw(st.integers(3, 9))
+    pairs = all_pairs(n)
+    edges = draw(st.sets(st.sampled_from(pairs)))
+    group_count = draw(st.integers(1, n // 3))
+    sizes = [3] * group_count
+    sizes[0] += n - 3 * group_count
+    labels = [g for g, size in enumerate(sizes) for _ in range(size)]
+    membership = tuple(draw(st.permutations(labels)))
+    partition = GroupPartition(n=n, sizes=tuple(sizes), membership=membership)
+    node = st.integers(0, n - 1)
+    ops = draw(st.lists(st.tuples(st.booleans(), node, node).filter(lambda op: op[1] != op[2]),
+                        max_size=25))
+    return n, frozenset(edges), partition, ops
+
+
+def assert_matches_reference(network, n, edges, partition):
+    """Every read of the mask-backed network agrees with the frozenset ``edges``."""
+    assert network.n == n
+    assert network.edges == edges
+    assert network.sorted_edges() == sorted(edges)
+    assert network.edge_count == len(edges)
+    for i in range(n):
+        for j in range(n + 1):
+            if i != j:
+                assert network.has_edge(i, j) == ((min(i, j), max(i, j)) in edges)
+    for v in range(n):
+        assert network.degree(v) == sum(1 for e in edges if v in e)
+    intra = sum(1 for i, j in edges if partition.membership[i] == partition.membership[j])
+    assert network.intra_count(partition) == intra
+    assert network.inter_count(partition) == len(edges) - intra
+    mask = sum(1 << edge_index(i, j, n) for i, j in edges)
+    assert network.to_mask() == mask
+    assert Network.from_mask(mask, n) == network
+    rebuilt = Network(n, edges)
+    assert rebuilt == network and hash(rebuilt) == hash(network)
+
+
+class TestBitmaskNetwork:
+    """The neighbor-mask network against a plain frozenset of edges."""
+
+    @given(networks_and_toggles())
+    def test_toggles_agree_with_a_frozenset_reference(self, case):
+        n, edges, partition, ops = case
+        network = Network(n, edges)
+        assert network.edges is edges  # a network built from edges keeps its set
+        assert_matches_reference(network, n, edges, partition)
+        for add, i, j in ops:
+            pair = (min(i, j), max(i, j))
+            before, before_edges = network, edges
+            if add:
+                network, edges = network.with_edge(i, j), edges | {pair}
+            else:
+                network, edges = network.without_edge(i, j), edges - {pair}
+            assert_matches_reference(network, n, edges, partition)
+            assert (network == before) == (edges == before_edges)
+            assert network != Network(n + 1, edges)
+
+    @given(networks_and_toggles())
+    def test_toggling_back_restores_the_network(self, case):
+        n, edges, _, ops = case
+        network = Network(n, edges)
+        for _, i, j in ops:
+            flipped = (network.without_edge(i, j) if network.has_edge(i, j)
+                       else network.with_edge(i, j))
+            assert flipped != network
+            assert (flipped.without_edge(i, j) if flipped.has_edge(i, j)
+                    else flipped.with_edge(i, j)) == network
+
+    def test_out_of_range_pairs(self):
+        network = Network.complete(4)
+        for i, j in [(0, 4), (4, 0), (-1, 2), (3, 9)]:
+            assert not network.has_edge(i, j)
+            with pytest.raises(ValidationError):
+                network.with_edge(i, j)
+            assert network.without_edge(i, j) == network
+        with pytest.raises(ValidationError):
+            Network(4, [(1, 4)])
+
+    def test_self_loops_rejected(self):
+        network = Network.complete(4)
+        for op in (network.has_edge, network.with_edge, network.without_edge):
+            with pytest.raises(ValidationError):
+                op(2, 2)
+        with pytest.raises(ValidationError):
+            Network(4, [(2, 2)])
+
+
 class TestEdgeListText:
     def test_roundtrip(self):
         network = Network.from_edges(6, [(0, 1), (2, 5), (3, 4)])
