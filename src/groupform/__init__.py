@@ -13,7 +13,6 @@ from .model import (
     Network,
     Society,
     ValidationError,
-    expand_matrix,
     format_edge_list,
     in_invariant_set,
     parse_edge_list,

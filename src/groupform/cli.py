@@ -145,7 +145,7 @@ def cmd_eval(scenario: Scenario, args: argparse.Namespace, out) -> int:
     society = scenario.society
     text = Path(args.network).read_text(encoding="ascii")
     network = parse_edge_list(text, society.n)
-    values = payoffs(network, society.weights, society.params)
+    values = payoffs(network, society)
     for node, value in enumerate(values):
         print(f"node {node}: payoff {_fmt(value)}", file=out)
     print(f"welfare: {_fmt(float(values.sum()))}", file=out)
@@ -380,7 +380,7 @@ def _write_networks(networks, partition, society, out_dir: str, prefix: str, out
         (directory / f"{prefix}_{index:04d}.edges").write_text(
             format_edge_list(network), encoding="ascii")
         rows.append(f"{index},{network.edge_count},{network.inter_count(partition)},"
-                    f"{_fmt(welfare(network, society.weights, society.params))}")
+                    f"{_fmt(welfare(network, society))}")
     (directory / "summary.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
     print(f"wrote {len(networks)} networks and summary.csv to {directory}", file=out)
 

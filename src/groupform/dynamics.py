@@ -14,11 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
 from .model import (
-    GroupPartition,
-    ModelParams,
     Network,
     Society,
     ValidationError,
@@ -111,9 +107,8 @@ class DynamicsTrace:
         return "\n".join(lines) + "\n"
 
 
-def step(network: Network, pair: tuple[int, int], weights: np.ndarray,
-         params: ModelParams, *, memo: Optional[dict[int, float]] = None
-         ) -> tuple[Network, Action]:
+def step(network: Network, pair: tuple[int, int], society: Society, *,
+         memo: Optional[dict[int, float]] = None) -> tuple[Network, Action]:
     """Resolve one activated pair against the current network.
 
     A missing link is added when one side strictly gains and the other at
@@ -131,10 +126,10 @@ def step(network: Network, pair: tuple[int, int], weights: np.ndarray,
         memo = {}
     for node in (i, j):
         if node not in memo:
-            memo[node] = payoff(network, node, weights, params)
+            memo[node] = payoff(network, node, society)
     present = network.has_edge(i, j)
-    toggled, du_i, du_j = _toggle(network, i, j, memo[i], memo[j], weights, params)
-    if not _pair_changes(present, du_i, du_j, params.epsilon):
+    toggled, du_i, du_j = _toggle(network, i, j, memo[i], memo[j], society)
+    if not _pair_changes(present, du_i, du_j, society.params.epsilon):
         return network, Action.NO_CHANGE
     return toggled, Action.REMOVED if present else Action.ADDED
 
@@ -152,8 +147,6 @@ def run(start: Network, selector: PairSelector, society: Society,
     if start.n != society.n:
         raise ValidationError("start network does not match the society size")
     partition = society.partition
-    weights = society.weights
-    params = society.params
     window = convergence_window
     if window is None:
         window = len(all_pairs(start.n))
@@ -173,7 +166,7 @@ def run(start: Network, selector: PairSelector, society: Society,
             pair = next(activations)
         except StopIteration:
             break
-        network, action = step(network, pair, weights, params, memo=memo)
+        network, action = step(network, pair, society, memo=memo)
         if action is not Action.NO_CHANGE:
             memo.clear()
             crossing = partition.membership[pair[0]] != partition.membership[pair[1]]
@@ -188,13 +181,13 @@ def run(start: Network, selector: PairSelector, society: Society,
             quiet += 1
         steps.append(TraceStep(period, pair, action, intra, inter))
         if quiet >= window:
-            if is_pairwise_stable(network, weights, params):
+            if is_pairwise_stable(network, society):
                 converged = True
                 break
             quiet = 0  # verified unstable; wait for another quiet stretch
 
     if not converged:
-        converged = is_pairwise_stable(network, weights, params)
+        converged = is_pairwise_stable(network, society)
     return DynamicsTrace(
         steps=tuple(steps),
         final=network,

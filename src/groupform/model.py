@@ -3,8 +3,9 @@
 A society is a set of n individuals partitioned into groups of size >= 3,
 a symmetric unit-diagonal coordination matrix weighting cross-group contact,
 and an undirected simple graph of formed links.  An individual's payoff is
-the coordination-weighted sum of hop-discounted benefits over everyone it
-can reach, minus a per-link maintenance cost.
+a sum over groups: the coordination weight between its own group and group
+g times the hop-discounted count of g's members it can reach, minus a
+per-link maintenance cost.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import index
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -36,6 +38,7 @@ def all_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def normalize_edge(i: int, j: int) -> tuple[int, int]:
+    i, j = index(i), index(j)
     if i == j:
         raise ValidationError(f"self-loop ({i}, {j}) not allowed")
     return (i, j) if i < j else (j, i)
@@ -196,14 +199,17 @@ class Network:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         edges = frozenset(edges)
         masks = [0] * n
-        for i, j in edges:
+        plain = True  # every endpoint an exact int, so the set can be kept
+        for a, b in edges:
+            i, j = index(a), index(b)
             if not (0 <= i < j < n):
                 raise ValidationError(f"edge ({i}, {j}) invalid for n={n}")
             masks[i] |= 1 << j
             masks[j] |= 1 << i
+            plain = plain and type(a) is int and type(b) is int
         self.n = n
         self.neighbor_masks = tuple(masks)
-        self._edges = edges
+        self._edges = edges if plain else None
 
     @classmethod
     def _from_masks(cls, n: int, masks: tuple[int, ...]) -> "Network":
@@ -309,21 +315,6 @@ class Network:
         return f"{self.__class__.__name__}(n={self.n}, edges={self.edges!r})"
 
 
-def expand_matrix(coordination: CoordinationMatrix, partition: GroupPartition) -> np.ndarray:
-    """Spread the group coordination matrix onto individual node pairs.
-
-    Entry [i, j] is the group weight of (group(i), group(j)) for i != j and
-    0 on the diagonal, so intra-group weights are exactly 1.
-    """
-    if coordination.m != partition.m:
-        raise ValidationError(
-            f"coordination matrix has {coordination.m} groups, partition has {partition.m}")
-    group = np.array(partition.membership)
-    entries = coordination.as_array()[np.ix_(group, group)]
-    np.fill_diagonal(entries, 0.0)
-    return entries
-
-
 def _bfs_levels(masks, source: int):
     """Yield (level, bitmask of nodes first reached at that level), level >= 1."""
     visited = 1 << source
@@ -357,16 +348,20 @@ def _hop_distances(masks, source: int) -> list[float]:
     return dist
 
 
-def _benefit_from(masks, source: int, weight_row: list[float],
-                  delta_powers: tuple[float, ...]) -> float:
-    """Discounted coordination benefit collected by one node via shortest paths."""
-    total = 0.0
+def _benefit_from(masks, source: int, group_bits: tuple[int, ...],
+                  weight_row: tuple[float, ...], delta_powers: tuple[float, ...]) -> float:
+    """Discounted coordination benefit collected by one node via shortest paths:
+    per group, delta**level times the members first reached at each level,
+    then weighted by group.  `stability._tables_chunk` and `_utilities` add
+    the same terms in the same order, so both engines agree bitwise."""
+    acc = [0.0] * len(group_bits)
     for level, newly in _bfs_levels(masks, source):
         dp = delta_powers[level]
-        while newly:
-            bit = newly & -newly
-            total += weight_row[bit.bit_length() - 1] * dp
-            newly ^= bit
+        for g, bits in enumerate(group_bits):
+            acc[g] += dp * int.bit_count(newly & bits)
+    total = 0.0
+    for benefit, weight in zip(acc, weight_row):
+        total += benefit * weight
     return total
 
 
@@ -378,31 +373,31 @@ def _delta_powers(delta: float, n: int) -> tuple[float, ...]:
     return tuple(powers)
 
 
-def payoff(network: Network, i: int, weights: np.ndarray, params: ModelParams) -> float:
-    """Benefit sum over reachable nodes minus degree * cost for node i."""
+def _node_payoff(network: Network, i: int, society: Society) -> float:
+    if network.n != society.n:
+        raise ValidationError(f"network has {network.n} nodes, the society has {society.n}")
+    masks, partition, params = network.neighbor_masks, society.partition, society.params
+    benefit = _benefit_from(masks, i, partition.group_bits,
+                            society.coordination.entries[partition.membership[i]],
+                            _delta_powers(params.delta, network.n))
+    return benefit - int.bit_count(masks[i]) * params.cost
+
+
+def payoff(network: Network, i: int, society: Society) -> float:
+    """Group-weighted benefit over reachable nodes minus degree * cost for node i."""
     if not 0 <= i < network.n:
         raise ValidationError(f"node {i} out of range")
-    if weights.shape != (network.n, network.n):
-        raise ValidationError("weight matrix does not match the network size")
-    benefit = _benefit_from(network.neighbor_masks, i, weights[i].tolist(),
-                            _delta_powers(params.delta, network.n))
-    return benefit - network.degree(i) * params.cost
+    return _node_payoff(network, i, society)
 
 
-def payoffs(network: Network, weights: np.ndarray, params: ModelParams) -> np.ndarray:
+def payoffs(network: Network, society: Society) -> np.ndarray:
     """Payoff of every node, as one vector."""
-    powers = _delta_powers(params.delta, network.n)
-    masks = network.neighbor_masks
-    out = np.empty(network.n)
-    for i in range(network.n):
-        out[i] = (_benefit_from(masks, i, weights[i].tolist(), powers)
-                  - int.bit_count(masks[i]) * params.cost)
-    return out
+    return np.array([_node_payoff(network, i, society) for i in range(network.n)])
 
 
-def welfare(network: Network, weights: np.ndarray, params: ModelParams) -> float:
+def welfare(network: Network, society: Society) -> float:
     """Total value of the network: the sum of all individual payoffs."""
-    return float(payoffs(network, weights, params).sum())
+    return float(payoffs(network, society).sum())
 
 
 def in_invariant_set(network: Network, partition: GroupPartition) -> bool:
@@ -421,10 +416,6 @@ class Society:
     def __post_init__(self):
         if self.coordination.m != self.partition.m:
             raise ValidationError("coordination matrix and partition disagree on group count")
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return expand_matrix(self.coordination, self.partition)
 
     @property
     def n(self) -> int:

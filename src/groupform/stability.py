@@ -24,7 +24,6 @@ import numpy as np
 
 from .model import (
     GroupPartition,
-    ModelParams,
     Network,
     Society,
     ValidationError,
@@ -107,36 +106,35 @@ def _pair_changes(present, du_i, du_j, eps):
 
 
 def _toggle(network: Network, i: int, j: int, base_i: float, base_j: float,
-            weights: np.ndarray, params: ModelParams) -> tuple[Network, float, float]:
+            society: Society) -> tuple[Network, float, float]:
     """The network with pair (i, j) toggled, and each endpoint's payoff
     change against the given current payoffs."""
     other = network.without_edge(i, j) if network.has_edge(i, j) else network.with_edge(i, j)
-    return (other, payoff(other, i, weights, params) - base_i,
-            payoff(other, j, weights, params) - base_j)
+    return (other, payoff(other, i, society) - base_i,
+            payoff(other, j, society) - base_j)
 
 
-def is_pairwise_stable(network: Network, weights: np.ndarray,
-                       params: ModelParams) -> bool:
+def is_pairwise_stable(network: Network, society: Society) -> bool:
     """No profitable unilateral cut and no mutually agreeable missing link."""
-    base = payoffs(network, weights, params)
+    base = payoffs(network, society)
+    eps = society.params.epsilon
     for i, j in all_pairs(network.n):
-        _, du_i, du_j = _toggle(network, i, j, base[i], base[j], weights, params)
-        if _pair_changes(network.has_edge(i, j), du_i, du_j, params.epsilon):
+        _, du_i, du_j = _toggle(network, i, j, base[i], base[j], society)
+        if _pair_changes(network.has_edge(i, j), du_i, du_j, eps):
             return False
     return True
 
 
-def defeats(candidate: Network, network: Network,
-            weights: np.ndarray, params: ModelParams) -> bool:
+def defeats(candidate: Network, network: Network, society: Society) -> bool:
     """One-edge-adjacent preference: ``candidate`` defeats ``network`` when
     the pair rule toggles the one pair in which they differ."""
     changed = candidate.edges ^ network.edges
     if len(changed) != 1:
         raise ValidationError("networks must differ in exactly one edge")
     (i, j), = changed
-    _, du_i, du_j = _toggle(network, i, j, payoff(network, i, weights, params),
-                            payoff(network, j, weights, params), weights, params)
-    return bool(_pair_changes(network.has_edge(i, j), du_i, du_j, params.epsilon))
+    _, du_i, du_j = _toggle(network, i, j, payoff(network, i, society),
+                            payoff(network, j, society), society)
+    return bool(_pair_changes(network.has_edge(i, j), du_i, du_j, society.params.epsilon))
 
 
 # -- vectorized space tables ---------------------------------------------------
@@ -245,6 +243,16 @@ class SpaceScan:
         return np.flatnonzero(self.stable)
 
 
+def _utilities(tables: SpaceTables, society: Society) -> np.ndarray:
+    """util[k, v]: node v's payoff in the k-th network of the tables.  The
+    scalar `model.payoff` adds the same terms in the same order."""
+    coord = society.coordination.as_array()
+    node_weights = coord[np.array(tables.partition.membership)]  # (n, m)
+    util = np.einsum("kng,ng->kn", tables.benefit, node_weights)
+    util -= society.params.cost * tables.degree.astype(np.float64)
+    return util
+
+
 def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
     """Evaluate stability and welfare of every network against one society."""
     space, partition = tables.space, tables.partition
@@ -261,12 +269,7 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
             "interconnection spaces require cost below the clique-formation bound "
             f"(cost={params.cost}, bound={shortcut_gain(tables.delta)})")
 
-    coord = society.coordination.as_array()
-    group = np.array(partition.membership)
-    node_weights = coord[group]                       # (n, m): weight of each target group
-    util = np.einsum("kng,ng->kn", tables.benefit, node_weights)
-    util -= params.cost * tables.degree.astype(np.float64)
-
+    util = _utilities(tables, society)
     size = space.size
     eps = params.epsilon
     idx = np.arange(size, dtype=np.int64)

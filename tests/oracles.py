@@ -10,8 +10,8 @@ import numpy as np
 
 from groupform.model import (
     GroupPartition,
-    ModelParams,
     Network,
+    Society,
     ValidationError,
     _hop_distances,
 )
@@ -39,8 +39,19 @@ def oracle_distance(network: Network, start: int, goal: int) -> float:
     return best
 
 
-def oracle_payoff(network: Network, i: int, weights: np.ndarray,
-                  params: ModelParams) -> float:
+def node_weights(society: Society) -> np.ndarray:
+    """The coordination matrix spread onto node pairs: entry [i, k] is the
+    weight of (group(i), group(k)) for i != k, and 0 on the diagonal."""
+    group = society.partition.membership
+    entries = society.coordination.entries
+    weights = np.array([[entries[group[i]][group[k]] for k in range(society.n)]
+                        for i in range(society.n)])
+    np.fill_diagonal(weights, 0.0)
+    return weights
+
+
+def oracle_payoff(network: Network, i: int, society: Society) -> float:
+    weights, params = node_weights(society), society.params
     total = 0.0
     for k in range(network.n):
         if k == i:
@@ -49,9 +60,8 @@ def oracle_payoff(network: Network, i: int, weights: np.ndarray,
     return total - network.degree(i) * params.cost
 
 
-def oracle_welfare(network: Network, weights: np.ndarray,
-                   params: ModelParams) -> float:
-    return sum(oracle_payoff(network, i, weights, params) for i in range(network.n))
+def oracle_welfare(network: Network, society: Society) -> float:
+    return sum(oracle_payoff(network, i, society) for i in range(network.n))
 
 
 def exact_payoff(network: Network, i: int, partition: GroupPartition,

@@ -85,8 +85,7 @@ def test_criterion_01_boundary_scripts_reproduce_link_counts():
     assert intra_first.final.intra_count(partition) == 13
     assert cross_first.converged
     assert not intra_first.converged  # the script ends before the process does
-    assert is_pairwise_stable(cross_first.final, BOUNDARY_SOCIETY.weights,
-                              BOUNDARY_SOCIETY.params)
+    assert is_pairwise_stable(cross_first.final, BOUNDARY_SOCIETY)
     assert elapsed < 1.0
     _report(1, f"scripted finals hold 2 and 1 cross links in {elapsed:.2f}s "
                "(the intra-first script stops before convergence)")
@@ -128,8 +127,8 @@ def test_criterion_01_intra_first_final_is_pairwise_stable():
                       - exact_payoff(stopped, v, partition, coordination, delta, cost)
                       for v in (i, j))
         assert gains == (Fraction(1, 10), 0), (i, j)
-        assert step(stopped, (i, j), society.weights, society.params)[1] is Action.ADDED
-    assert not is_pairwise_stable(stopped, society.weights, society.params)
+        assert step(stopped, (i, j), society)[1] is Action.ADDED
+    assert not is_pairwise_stable(stopped, society)
 
     finished = run(stopped, Scripted.of(all_pairs(partition.n)), society, max_steps=200)
     changes = [(s.index, s.pair, s.action) for s in finished.steps
@@ -139,7 +138,7 @@ def test_criterion_01_intra_first_final_is_pairwise_stable():
     assert changes == [(3, (0, 3), Action.ADDED)]
     assert final.intra_count(partition) == 13
     assert final.inter_count(partition) == 2
-    assert is_pairwise_stable(final, society.weights, society.params)
+    assert is_pairwise_stable(final, society)
     assert final in enumerate_stable(interconnection_space(partition), society)
     _report(1, "intra-first process converges after adding (0, 3) on the exact "
                "(+1/10, 0) tie: 2 cross links, stable in both engines")
@@ -224,9 +223,9 @@ def test_criterion_04_stability_equals_dynamics_fixed_point():
         society = random_society(rng)
         network = random_network(rng, society.n)
         unchanged = all(
-            step(network, pair, society.weights, society.params)[1] is Action.NO_CHANGE
+            step(network, pair, society)[1] is Action.NO_CHANGE
             for pair in all_pairs(society.n))
-        stable = is_pairwise_stable(network, society.weights, society.params)
+        stable = is_pairwise_stable(network, society)
         assert unchanged == stable, (society, network.edges)
         checked += 1
     assert checked == 10_000
@@ -340,8 +339,8 @@ def test_criterion_08_consolidation_never_lowers_welfare():
     for _ in range(1_000):
         network, society = random_forest_instance(rng)
         merged = consolidate_representatives(network, society.partition)
-        before = welfare(network, society.weights, society.params)
-        after = welfare(merged, society.weights, society.params)
+        before = welfare(network, society)
+        after = welfare(merged, society)
         assert after >= before - 1e-9, (society, sorted(network.edges))
         checked += 1
     assert checked == 1_000
@@ -383,7 +382,7 @@ def test_criterion_09_star_and_ring_bistability():
     assert group_edges(ring.final) == {(0, 1), (1, 2), (0, 3), (2, 4), (3, 4)}
     for trace in (star, ring):
         assert trace.converged
-        assert is_pairwise_stable(trace.final, EXAMPLE_TWO_SOCIETY.weights, params)
+        assert is_pairwise_stable(trace.final, EXAMPLE_TWO_SOCIETY)
     _report(9, "identical parameters, different activation orders: star and "
                "ring group structures both reached and both pairwise stable")
 

@@ -55,27 +55,34 @@ class TestStep:
         if not intra_missing:
             return
         pair = rng.choice(intra_missing)
-        _, action = step(network, pair, society.weights, society.params)
+        _, action = step(network, pair, society)
         assert action is Action.ADDED
 
     def test_cross_pair_refused_in_the_disjoint_regime(self):
         society = two_group_society([3, 5], 0.1)
         network = Network.disjoint_cliques(society.partition)
-        _, action = step(network, (0, 3), society.weights, society.params)
+        _, action = step(network, (0, 3), society)
         assert action is Action.NO_CHANGE
 
     def test_second_cross_link_refused_in_the_bridge_regime(self):
         society = two_group_society([3, 5], 0.3)
         network = Network.disjoint_cliques(society.partition).with_edge(0, 3)
-        _, action = step(network, (1, 4), society.weights, society.params)
+        _, action = step(network, (1, 4), society)
         assert action is Action.NO_CHANGE
 
     def test_profitable_cut_removed(self):
         society = two_group_society([3, 3], 0.05)
         network = Network.disjoint_cliques(society.partition).with_edge(0, 3)
-        result, action = step(network, (0, 3), society.weights, society.params)
+        result, action = step(network, (0, 3), society)
         assert action is Action.REMOVED
         assert not result.has_edge(0, 3)
+
+    def test_network_of_another_size_rejected(self):
+        society = two_group_society([4, 4], 0.45)
+        memo = {v: 0.0 for v in range(9)}  # a full memo still checks the size
+        for kwargs in ({}, {"memo": memo}):
+            with pytest.raises(ValidationError, match="network has 9 nodes"):
+                step(Network.empty(9), (0, 8), society, **kwargs)
 
 
 class TestRunExampleOne:
@@ -85,7 +92,7 @@ class TestRunExampleOne:
         trace = run(lines, script, society, max_steps=100)
         assert trace.final.inter_count(society.partition) == 2
         assert trace.converged
-        assert is_pairwise_stable(trace.final, society.weights, society.params)
+        assert is_pairwise_stable(trace.final, society)
         assert trace.final.intra_count(society.partition) == 13
 
     def test_intra_first_keeps_one(self):
@@ -112,7 +119,7 @@ class TestRunExampleTwo:
         trace = run(start, script, self.SOCIETY, max_steps=50)
         assert self.group_edges(trace.final) == {(0, 1), (0, 2), (0, 3), (0, 4)}
         assert trace.converged
-        assert is_pairwise_stable(trace.final, self.SOCIETY.weights, self.SOCIETY.params)
+        assert is_pairwise_stable(trace.final, self.SOCIETY)
 
     def test_spread_order_forms_a_ring(self):
         start = Network.disjoint_cliques(self.SOCIETY.partition)
@@ -121,7 +128,7 @@ class TestRunExampleTwo:
         ring = {(0, 1), (1, 2), (0, 3), (2, 4), (3, 4)}
         assert self.group_edges(trace.final) == ring
         assert trace.converged
-        assert is_pairwise_stable(trace.final, self.SOCIETY.weights, self.SOCIETY.params)
+        assert is_pairwise_stable(trace.final, self.SOCIETY)
 
 
 class TestInvariantSetRuns:
@@ -174,7 +181,7 @@ class TestTraceMechanics:
         trace = run(Network.empty(7), SeededUniform(17), society, max_steps=200)
         network = Network.empty(7)
         for s in trace.steps:
-            network, action = step(network, s.pair, society.weights, society.params)
+            network, action = step(network, s.pair, society)
             assert action is s.action
             assert s.intra_count == network.intra_count(society.partition)
             assert s.inter_count == network.inter_count(society.partition)
@@ -193,7 +200,7 @@ class TestTraceMechanics:
         pairs = SeededUniform(seed).pairs(8)
         for s in trace.steps:
             pair = next(pairs)
-            network, action = step(network, pair, society.weights, society.params)
+            network, action = step(network, pair, society)
             assert (s.pair, s.action) == (pair, action), f"period {s.index}"
         assert network == trace.final
 
@@ -201,10 +208,9 @@ class TestTraceMechanics:
         society = two_group_society([4, 4], 0.45)
         network = Network.disjoint_cliques(society.partition)
         memo = {}
-        result = step(network, (5, 1), society.weights, society.params, memo=memo)
-        assert result == step(network, (5, 1), society.weights, society.params)
-        assert memo == {v: payoff(network, v, society.weights, society.params)
-                        for v in (1, 5)}
+        result = step(network, (5, 1), society, memo=memo)
+        assert result == step(network, (5, 1), society)
+        assert memo == {v: payoff(network, v, society) for v in (1, 5)}
 
     def test_csv_layout(self):
         society = two_group_society([3, 4], 0.3)
@@ -241,7 +247,7 @@ class TestIntraFirstTendency:
     def test_cross_pair_from_empty_is_refused_when_weighted_gain_below_cost(self):
         params = self.SOCIETY.params
         assert self.SOCIETY.coordination[0, 1] * params.delta <= params.cost
-        _, action = step(Network.empty(14), (0, 7), self.SOCIETY.weights, params)
+        _, action = step(Network.empty(14), (0, 7), self.SOCIETY)
         assert action is Action.NO_CHANGE
 
     def test_first_cross_link_waits_for_intra_links_on_both_sides(self):

@@ -118,8 +118,8 @@ class TestConsolidation:
         cross = {e for e in merged.edges
                  if partition.membership[e[0]] != partition.membership[e[1]]}
         assert cross == {(0, 3), (3, 6)}
-        assert welfare(merged, soc.weights, soc.params) > welfare(
-            scattered, soc.weights, soc.params) + 1e-9
+        assert welfare(merged, soc) > welfare(
+            scattered, soc) + 1e-9
 
     def test_group_pair_connectivity_preserved(self):
         partition = GroupPartition.from_sizes([3, 3, 3, 3])
@@ -156,8 +156,8 @@ class TestConsolidation:
         rng = random.Random(seed)
         network, soc = random_forest_instance(rng)
         merged = consolidate_representatives(network, soc.partition)
-        assert welfare(merged, soc.weights, soc.params) >= welfare(
-            network, soc.weights, soc.params) - 1e-9
+        assert welfare(merged, soc) >= welfare(
+            network, soc) - 1e-9
 
     def test_consolidation_can_lower_welfare_on_cyclic_structures(self):
         # With a cycle of linked groups, scattered carriers hold several
@@ -175,5 +175,5 @@ class TestConsolidation:
         for i, j in [(1, 4), (1, 9), (1, 13), (7, 10), (9, 14), (10, 12), (12, 15)]:
             network = network.with_edge(i, j)
         merged = consolidate_representatives(network, partition)
-        assert welfare(merged, soc.weights, soc.params) < welfare(
-            network, soc.weights, soc.params) - 1e-3
+        assert welfare(merged, soc) < welfare(
+            network, soc) - 1e-3

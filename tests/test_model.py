@@ -14,7 +14,6 @@ from groupform.model import (
     ValidationError,
     all_pairs,
     edge_index,
-    expand_matrix,
     format_edge_list,
     in_invariant_set,
     parse_edge_list,
@@ -22,17 +21,29 @@ from groupform.model import (
     payoffs,
     welfare,
 )
-from oracles import all_pairs_distances, density, oracle_distance, oracle_payoff
+from oracles import (
+    all_pairs_distances,
+    density,
+    node_weights,
+    oracle_distance,
+    oracle_payoff,
+)
 
 from conftest import random_network, random_society
 
 
+PARAMS = ModelParams(0.5, 0.2)
+
+
+def society_of(sizes, cross_weight: float, params: ModelParams = PARAMS) -> Society:
+    return Society(GroupPartition.from_sizes(sizes),
+                   CoordinationMatrix.uniform(len(sizes), cross_weight), params)
+
+
 def two_k3_bridge():
-    partition = GroupPartition.from_sizes([3, 3])
-    coordination = CoordinationMatrix.uniform(2, 0.4)
-    weights = expand_matrix(coordination, partition)
-    network = Network.disjoint_cliques(partition).with_edge(0, 3)
-    return partition, weights, network
+    society = society_of([3, 3], 0.4)
+    network = Network.disjoint_cliques(society.partition).with_edge(0, 3)
+    return society, network
 
 
 class TestGroupPartition:
@@ -75,15 +86,16 @@ class TestCoordinationMatrix:
 
 
 class TestExpandMatrix:
+    """The node-pair spreading of the coordination matrix that the oracles
+    weigh payoffs with, and the group-count check that guards it."""
+
     def test_single_group_all_ones_off_diagonal(self):
-        p = GroupPartition.from_sizes([3])
-        w = expand_matrix(CoordinationMatrix.uniform(1, 0.0), p)
+        w = node_weights(society_of([3], 0.0))
         expected = np.ones((3, 3)) - np.eye(3)
         assert np.array_equal(w, expected)
 
     def test_two_group_blocks(self):
-        p = GroupPartition.from_sizes([3, 5])
-        w = expand_matrix(CoordinationMatrix.uniform(2, 0.4), p)
+        w = node_weights(society_of([3, 5], 0.4))
         for i in range(8):
             for j in range(8):
                 if i == j:
@@ -95,15 +107,15 @@ class TestExpandMatrix:
 
     def test_equal_sizes_match_block_construction(self):
         coordination = CoordinationMatrix.from_array([[1.0, 0.7], [0.7, 1.0]])
-        p = GroupPartition.from_sizes([3, 3])
-        w = expand_matrix(coordination, p)
+        w = node_weights(Society(GroupPartition.from_sizes([3, 3]), coordination, PARAMS))
         blocks = np.kron(coordination.as_array(), np.ones((3, 3))) - np.eye(6)
         assert np.allclose(w, blocks, atol=0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            expand_matrix(CoordinationMatrix.uniform(3, 0.2),
-                          GroupPartition.from_sizes([3, 3]))
+        for sizes, m in (([3, 3], 3), ([3, 3, 3], 2)):
+            with pytest.raises(ValidationError, match="disagree on group count"):
+                Society(GroupPartition.from_sizes(sizes), CoordinationMatrix.uniform(m, 0.2),
+                        PARAMS)
 
 
 class TestDistances:
@@ -141,26 +153,21 @@ class TestDistances:
 
 class TestPayoff:
     def test_single_clique_value(self):
-        p = GroupPartition.from_sizes([3])
-        w = expand_matrix(CoordinationMatrix.uniform(1, 0.0), p)
+        society = society_of([3], 0.0)
         net = Network.complete(3)
-        params = ModelParams(0.5, 0.2)
         for i in range(3):
-            assert payoff(net, i, w, params) == pytest.approx(0.6, abs=1e-12)
+            assert payoff(net, i, society) == pytest.approx(0.6, abs=1e-12)
 
     def test_empty_network_pays_nothing(self):
-        p = GroupPartition.from_sizes([3, 3])
-        w = expand_matrix(CoordinationMatrix.uniform(2, 0.9), p)
-        values = payoffs(Network.empty(6), w, ModelParams(0.5, 0.2))
+        values = payoffs(Network.empty(6), society_of([3, 3], 0.9))
         assert np.array_equal(values, np.zeros(6))
 
     def test_bridge_endpoint_value(self):
         # hand total: 2(delta - c) + F (delta + 2 delta^2) - c
-        _, w, net = two_k3_bridge()
-        params = ModelParams(0.5, 0.2)
-        assert payoff(net, 0, w, params) == pytest.approx(0.8, abs=1e-12)
-        assert payoff(net, 0, w, params) == pytest.approx(
-            oracle_payoff(net, 0, w, params), abs=1e-12)
+        society, net = two_k3_bridge()
+        assert payoff(net, 0, society) == pytest.approx(0.8, abs=1e-12)
+        assert payoff(net, 0, society) == pytest.approx(
+            oracle_payoff(net, 0, society), abs=1e-12)
 
     @given(st.integers(0, 2**31))
     def test_matches_path_search_oracle(self, seed):
@@ -168,21 +175,28 @@ class TestPayoff:
         society = random_society(rng)
         network = random_network(rng, society.n)
         node = rng.randrange(society.n)
-        expected = oracle_payoff(network, node, society.weights, society.params)
-        assert payoff(network, node, society.weights, society.params) == (
+        expected = oracle_payoff(network, node, society)
+        assert payoff(network, node, society) == (
             pytest.approx(expected, abs=1e-9))
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda network, society: payoff(network, 0, society),
+        payoffs,
+        welfare,
+    ], ids=["payoff", "payoffs", "welfare"])
+    def test_network_of_another_size_rejected(self, evaluate):
+        society = society_of([3, 3], 0.4)
+        for n in (4, 7):
+            with pytest.raises(ValidationError, match=f"network has {n} nodes"):
+                evaluate(Network.complete(n), society)
 
 
 class TestWelfare:
     def test_empty_is_zero(self):
-        p = GroupPartition.from_sizes([3, 3])
-        w = expand_matrix(CoordinationMatrix.uniform(2, 0.5), p)
-        assert welfare(Network.empty(6), w, ModelParams(0.5, 0.2)) == 0.0
+        assert welfare(Network.empty(6), society_of([3, 3], 0.5)) == 0.0
 
     def test_single_clique_total(self):
-        p = GroupPartition.from_sizes([3])
-        w = expand_matrix(CoordinationMatrix.uniform(1, 0.0), p)
-        assert welfare(Network.complete(3), w, ModelParams(0.5, 0.2)) == (
+        assert welfare(Network.complete(3), society_of([3], 0.0)) == (
             pytest.approx(1.8, abs=1e-12))
 
     @given(st.integers(0, 2**31))
@@ -192,13 +206,13 @@ class TestWelfare:
         society = random_society(rng)
         network = random_network(rng, society.n)
         d = all_pairs_distances(network)
-        params = society.params
+        w, params = node_weights(society), society.params
         total = 0.0
         for i, j in all_pairs(network.n):
             if d[i, j] < math.inf:
-                total += 2.0 * society.weights[i, j] * params.delta ** d[i, j]
+                total += 2.0 * w[i, j] * params.delta ** d[i, j]
         total -= 2.0 * network.edge_count * params.cost
-        assert welfare(network, society.weights, params) == pytest.approx(total, abs=1e-9)
+        assert welfare(network, society) == pytest.approx(total, abs=1e-9)
 
     @given(st.integers(0, 2**31))
     def test_edge_toggle_welfare_equals_summed_payoff_change(self, seed):
@@ -208,10 +222,8 @@ class TestWelfare:
         i, j = rng.sample(range(society.n), 2)
         with_e = network.with_edge(i, j)
         without_e = network.without_edge(i, j)
-        lhs = welfare(with_e, society.weights, society.params) - welfare(
-            without_e, society.weights, society.params)
-        rhs = float(sum(payoffs(with_e, society.weights, society.params)
-                        - payoffs(without_e, society.weights, society.params)))
+        lhs = welfare(with_e, society) - welfare(without_e, society)
+        rhs = float(sum(payoffs(with_e, society) - payoffs(without_e, society)))
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
     @given(st.integers(0, 2**31))
@@ -229,11 +241,10 @@ class TestWelfare:
         relabeled = Network.from_edges(society.n,
                                        [(perm[i], perm[j]) for i, j in network.edges])
         for node in range(society.n):
-            assert payoff(relabeled, perm[node], society.weights, society.params) == (
-                pytest.approx(payoff(network, node, society.weights, society.params),
-                              abs=1e-9))
-        assert welfare(relabeled, society.weights, society.params) == pytest.approx(
-            welfare(network, society.weights, society.params), abs=1e-9)
+            assert payoff(relabeled, perm[node], society) == (
+                pytest.approx(payoff(network, node, society), abs=1e-9))
+        assert welfare(relabeled, society) == pytest.approx(welfare(network, society),
+                                                            abs=1e-9)
 
 
 class TestInvariantSet:
@@ -369,6 +380,20 @@ class TestBitmaskNetwork:
             assert network.without_edge(i, j) == network
         with pytest.raises(ValidationError):
             Network(4, [(1, 4)])
+
+    def test_numpy_integer_endpoints_build_the_int_network(self):
+        edges = [(0, 1), (2, 1)]
+        numpy_edges = [(np.int64(i), np.int64(j)) for i, j in edges]
+        plain = Network.from_edges(3, edges)
+        for network in (Network.from_edges(3, numpy_edges),
+                        Network(3, [(np.int64(0), np.int64(1)), (np.int64(1), np.int64(2))]),
+                        Network.empty(3).with_edge(*numpy_edges[0])
+                        .with_edge(*numpy_edges[1]),
+                        Network.complete(3).without_edge(np.int64(2), np.int64(0))):
+            assert network == plain and hash(network) == hash(plain)
+            assert [network.degree(v) for v in range(3)] == [1, 2, 1]
+            assert all(type(v) is int for pair in network.edges for v in pair)
+            assert all(type(mask) is int for mask in network.neighbor_masks)
 
     def test_self_loops_rejected(self):
         network = Network.complete(4)

@@ -13,14 +13,17 @@ from groupform.model import (
     Society,
     ValidationError,
     all_pairs,
-    expand_matrix,
     payoff,
+    welfare,
 )
 from groupform.stability import (
     CapExceededError,
     _pair_changes,
     PoAUndefinedError,
     SpaceScan,
+    SpaceTables,
+    _tables_chunk,
+    _utilities,
     compute_tables,
     defeats,
     enumerate_stable,
@@ -49,11 +52,14 @@ def society_3_3(f12: float, params: ModelParams = PARAMS) -> Society:
                    CoordinationMatrix.uniform(2, f12), params)
 
 
+def one_clique_society() -> Society:
+    return Society(GroupPartition.from_sizes([3]), CoordinationMatrix.uniform(1, 0.0), PARAMS)
+
+
 def gains_from_edge(network: Network, i: int, j: int, society: Society) -> bool:
     """Strict gain for i of having edge (i, j) versus not having it."""
-    w, params = society.weights, society.params
-    return (payoff(network.with_edge(i, j), i, w, params)
-            - payoff(network.without_edge(i, j), i, w, params)) > params.epsilon
+    return (payoff(network.with_edge(i, j), i, society)
+            - payoff(network.without_edge(i, j), i, society)) > society.params.epsilon
 
 
 class TestBenefitsFromEdge:
@@ -96,40 +102,35 @@ class TestPairRule:
 
 class TestIsPairwiseStable:
     def test_single_clique_stable(self):
-        p = GroupPartition.from_sizes([3])
-        w = expand_matrix(CoordinationMatrix.uniform(1, 0.0), p)
-        assert is_pairwise_stable(Network.complete(3), w, PARAMS)
+        assert is_pairwise_stable(Network.complete(3), one_clique_society())
 
     def test_intra_path_not_stable(self):
-        p = GroupPartition.from_sizes([3])
-        w = expand_matrix(CoordinationMatrix.uniform(1, 0.0), p)
-        assert not is_pairwise_stable(Network.from_edges(3, [(0, 1), (1, 2)]), w, PARAMS)
+        assert not is_pairwise_stable(Network.from_edges(3, [(0, 1), (1, 2)]),
+                                      one_clique_society())
 
     def test_disjoint_cliques_stable_below_first_link_bound(self):
         society = society_3_5(0.1)
         network = Network.disjoint_cliques(society.partition)
-        assert is_pairwise_stable(network, society.weights, society.params)
+        assert is_pairwise_stable(network, society)
+
+    def test_network_of_another_size_rejected(self):
+        with pytest.raises(ValidationError, match="4 nodes"):
+            is_pairwise_stable(Network.complete(4), one_clique_society())
 
 
 class TestDefeats:
     def test_completing_a_clique_defeats_the_path(self):
-        p = GroupPartition.from_sizes([3])
-        w = expand_matrix(CoordinationMatrix.uniform(1, 0.0), p)
         path = Network.from_edges(3, [(0, 1), (1, 2)])
-        assert defeats(path.with_edge(0, 2), path, w, PARAMS)
+        assert defeats(path.with_edge(0, 2), path, one_clique_society())
 
     def test_cutting_a_clique_link_does_not_defeat(self):
-        p = GroupPartition.from_sizes([3])
-        w = expand_matrix(CoordinationMatrix.uniform(1, 0.0), p)
         clique = Network.complete(3)
-        assert not defeats(clique.without_edge(0, 1), clique, w, PARAMS)
+        assert not defeats(clique.without_edge(0, 1), clique, one_clique_society())
 
     def test_identical_networks_rejected(self):
-        p = GroupPartition.from_sizes([3])
-        w = expand_matrix(CoordinationMatrix.uniform(1, 0.0), p)
         clique = Network.complete(3)
         with pytest.raises(ValidationError):
-            defeats(clique, clique, w, PARAMS)
+            defeats(clique, clique, one_clique_society())
 
     @given(st.integers(0, 2**31))
     def test_a_defeated_network_is_never_stable(self, seed):
@@ -139,8 +140,8 @@ class TestDefeats:
         i, j = rng.sample(range(society.n), 2)
         other = (network.without_edge(i, j) if network.has_edge(i, j)
                  else network.with_edge(i, j))
-        if defeats(other, network, society.weights, society.params):
-            assert not is_pairwise_stable(network, society.weights, society.params)
+        if defeats(other, network, society):
+            assert not is_pairwise_stable(network, society)
 
 
 class TestEnumerateStable:
@@ -234,8 +235,7 @@ class TestEngineAgainstDefinition:
         for _ in range(12):
             mask = rng.randrange(space.size)
             network = space.network_for(mask)
-            assert bool(scan.stable[mask]) == is_pairwise_stable(
-                network, society.weights, society.params)
+            assert bool(scan.stable[mask]) == is_pairwise_stable(network, society)
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=30)
@@ -255,13 +255,11 @@ class TestEngineAgainstDefinition:
         for _ in range(12):
             mask = rng.randrange(space.size)
             network = space.network_for(mask)
-            assert bool(scan.stable[mask]) == is_pairwise_stable(
-                network, society.weights, society.params)
+            assert bool(scan.stable[mask]) == is_pairwise_stable(network, society)
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=25)
     def test_scan_welfare_matches_model_welfare(self, seed):
-        from groupform.model import welfare
         rng = random.Random(seed)
         society = random_society(rng)
         if society.partition.n > 6:
@@ -272,8 +270,32 @@ class TestEngineAgainstDefinition:
         for _ in range(10):
             mask = rng.randrange(space.size)
             assert scan.welfare[mask] == pytest.approx(
-                welfare(space.network_for(mask), society.weights, society.params),
-                abs=1e-9)
+                welfare(space.network_for(mask), society), abs=1e-9)
+
+    @pytest.mark.parametrize("delta", [0.5, 0.45])
+    @pytest.mark.parametrize("f12", [0.3, 0.37, 0.71])
+    @pytest.mark.parametrize("sizes", [(3, 3), (3, 4)], ids=["3+3", "3+4"])
+    def test_scalar_payoff_equals_table_util_bitwise(self, sizes, f12, delta):
+        # Both engines add delta**level * (members of g first reached at that
+        # level) per group, then weight the groups: the same doubles in the
+        # same order, so the payoffs agree exactly, not just within 1e-9.
+        partition = GroupPartition.from_sizes(sizes)
+        society = Society(partition, CoordinationMatrix.uniform(2, f12),
+                          ModelParams(delta, 0.2))
+        space = full_graph_space(partition.n)
+        rng = random.Random(f"{sizes}{f12}{delta}")
+        window = 1 << 12  # table rows per window; n = 7 has 2^21 networks
+        mismatches = []
+        for _ in range(4):
+            start = rng.randrange(0, space.size, window)
+            benefit, degree = _tables_chunk(space, partition, delta, start, start + window)
+            util = _utilities(SpaceTables(space, partition, delta, benefit, degree), society)
+            for row in rng.sample(range(window), 250):
+                network = space.network_for(start + row)
+                for v in range(partition.n):
+                    if payoff(network, v, society) != util[row, v]:
+                        mismatches.append((start + row, v))
+        assert mismatches == []
 
     def test_worker_split_changes_nothing(self):
         society = society_3_3(0.4)
@@ -291,9 +313,9 @@ class TestFixpointEquivalence:
         society = random_society(rng)
         network = random_network(rng, society.n)
         unchanged = all(
-            step(network, pair, society.weights, society.params)[1] is Action.NO_CHANGE
+            step(network, pair, society)[1] is Action.NO_CHANGE
             for pair in all_pairs(society.n))
-        assert unchanged == is_pairwise_stable(network, society.weights, society.params)
+        assert unchanged == is_pairwise_stable(network, society)
 
 
 class TestPriceOfAnarchy:
