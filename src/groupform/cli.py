@@ -152,13 +152,20 @@ def cmd_eval(scenario: Scenario, args: argparse.Namespace, out) -> int:
     return 0
 
 
+def _predicted_cell(pred: th.RegimePrediction, s1: int, s2: int) -> str:
+    """The closed-form cross-link count: one number, the redundant range, or
+    empty for a boundary tie."""
+    if pred.kind is th.RegimeKind.REDUNDANT:
+        return f"2..{s1 * s2 - 1}"
+    count = pred.interconnections(s1, s2)
+    return "" if count is None else str(count)
+
+
 def _describe(pred: th.RegimePrediction, s1: int, s2: int) -> str:
     if pred.kind is th.RegimeKind.BOUNDARY_TIE:
         return f"boundary tie at {_fmt(pred.lower)}"
-    count = pred.interconnections(s1, s2)
     label = pred.kind.value if pred.kind is not th.RegimeKind.EXACT_K else f"exact-{pred.k}"
-    count_text = "2..{}".format(s1 * s2 - 1) if count is None else str(count)
-    return (f"{label} ({count_text} interconnections), "
+    return (f"{label} ({_predicted_cell(pred, s1, s2)} interconnections), "
             f"for F12 in [{_fmt(pred.lower)}, {_fmt(pred.upper)}]")
 
 
@@ -256,13 +263,13 @@ def _sweep_row(value: float, society: Society, scan: Optional[stab.SpaceScan]) -
     params = society.params
     f12 = society.coordination[0, 1]
     stable_pred = th.classify_two_group_stable(s1, s2, params, f12)
+    tie = stable_pred.kind is th.RegimeKind.BOUNDARY_TIE
     partition = society.partition
     if scan is not None:
         stable_counts = [scan.space.network_for(int(k)).inter_count(partition)
                          for k in scan.stable_masks()]
         _, argmax = eff.argmax_from_scan(scan, params.epsilon)
-        stable_cell = _count_cell(stable_counts,
-                                  tie=stable_pred.kind is th.RegimeKind.BOUNDARY_TIE)
+        stable_cell = _count_cell(stable_counts, tie=tie)
         eff_cell = _count_cell([net.inter_count(partition) for net in argmax])
         stable_welfares = scan.welfare[scan.stable]
         stable_min = float(stable_welfares.min()) if stable_welfares.size else float("nan")
@@ -275,25 +282,15 @@ def _sweep_row(value: float, society: Society, scan: Optional[stab.SpaceScan]) -
                 f"{_fmt(stable_min)},{_fmt(best)},{_fmt(poa)}")
 
     # Space too large to enumerate: closed-form predictions, welfare columns empty.
-    stable_count = stable_pred.interconnections(s1, s2)
-    if stable_count is None:
-        # Bound k separates k from k + 1 links; the last one separates
-        # min(s1, s2) from s1 * s2.
-        bounds = th.stable_boundaries(s1, s2, params)
-        k = bounds.index(stable_pred.lower)
-        upper = s1 * s2 if k == len(bounds) - 1 else k + 1
-        stable_cell = f"{k}..{upper}"
+    if tie:
+        # Bound k separates k from k + 1 links; the last one, k = min(s1, s2),
+        # separates k from s1 * s2.
+        k = stable_pred.k
+        stable_cell = f"{k}..{s1 * s2 if k == min(s1, s2) else k + 1}"
     else:
-        stable_cell = str(stable_count)
+        stable_cell = _predicted_cell(stable_pred, s1, s2)
     eff_pred = th.classify_two_group_efficient(s1, s2, params, f12)
-    eff_count = eff_pred.interconnections(s1, s2)
-    if eff_pred.kind is th.RegimeKind.REDUNDANT:
-        eff_cell = f"2..{s1 * s2 - 1}"
-    elif eff_count is None:
-        eff_cell = ""
-    else:
-        eff_cell = str(eff_count)
-    return f"{_fmt(value)},{stable_cell},{eff_cell},nan,nan,nan"
+    return f"{_fmt(value)},{stable_cell},{_predicted_cell(eff_pred, s1, s2)},nan,nan,nan"
 
 
 def cmd_sweep(scenario: Scenario, args: argparse.Namespace, out) -> int:

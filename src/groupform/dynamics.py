@@ -24,7 +24,7 @@ from .model import (
     payoff,
 )
 from .stability import _pair_changes, _toggle, is_pairwise_stable
-from .thresholds import below_clique_bound, clique_link_gain
+from .thresholds import below_clique_bound, stable_boundaries
 
 
 class Action(enum.Enum):
@@ -135,21 +135,19 @@ def step(network: Network, pair: tuple[int, int], society: Society, *,
 
 
 def run(start: Network, selector: PairSelector, society: Society,
-        max_steps: int, convergence_window: Optional[int] = None) -> DynamicsTrace:
+        max_steps: int) -> DynamicsTrace:
     """Drive the dynamics from ``start`` until stable, script end, or the cap.
 
-    The full stability verification runs after ``convergence_window``
-    consecutive unchanged periods (defaulting to the pair count; 0 verifies
-    every period) and once more when the run stops for any other reason.
+    The full stability verification runs after as many consecutive
+    unchanged periods as there are node pairs, and once more when the run
+    stops for any other reason.
     """
     if max_steps < 1:
         raise ValidationError("max_steps must be at least 1")
     if start.n != society.n:
         raise ValidationError("start network does not match the society size")
     partition = society.partition
-    window = convergence_window
-    if window is None:
-        window = len(all_pairs(start.n))
+    window = len(all_pairs(start.n))
 
     network = start
     intra = network.intra_count(partition)
@@ -205,15 +203,14 @@ def _no_cross_incentive_bounds(society: Society) -> bool:
     coord = society.coordination
     for a in range(len(sizes)):
         for b in range(a + 1, len(sizes)):
-            bound = params.cost / clique_link_gain(min(sizes[a], sizes[b]), params.delta)
+            bound = stable_boundaries(sizes[a], sizes[b], params)[0]
             if not coord[a, b] < bound - params.epsilon:
                 return False
     return True
 
 
 def in_invariant_set_run(start: Network, selector: PairSelector, society: Society,
-                         max_steps: int,
-                         convergence_window: Optional[int] = None) -> DynamicsTrace:
+                         max_steps: int) -> DynamicsTrace:
     """Run from a state with no cross-group links, checking it stays that way.
 
     When every cross weight is strictly below the first-link bound (and the
@@ -224,7 +221,7 @@ def in_invariant_set_run(start: Network, selector: PairSelector, society: Societ
     partition = society.partition
     if not in_invariant_set(start, partition):
         raise ValidationError("start network must hold no cross-group links")
-    trace = run(start, selector, society, max_steps, convergence_window)
+    trace = run(start, selector, society, max_steps)
     if _no_cross_incentive_bounds(society):
         full_intra = len(partition.intra_pairs())
         for s in trace.steps:

@@ -25,13 +25,6 @@ class ValidationError(ValueError):
     """Raised when input data breaks a documented invariant."""
 
 
-def edge_index(i: int, j: int, n: int) -> int:
-    """Position of pair (i, j), i < j, in lexicographic order over all pairs."""
-    if not (0 <= i < j < n):
-        raise ValidationError(f"pair ({i}, {j}) out of range for n={n}")
-    return i * n - i * (i + 1) // 2 + (j - i - 1)
-
-
 def all_pairs(n: int) -> list[tuple[int, int]]:
     """All unordered node pairs in lexicographic (canonical bitmask) order."""
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -72,16 +65,16 @@ class GroupPartition:
     @classmethod
     def from_sizes(cls, sizes: Iterable[int]) -> "GroupPartition":
         """Contiguous partition: group 0 gets nodes 0..s0-1, and so on."""
-        sizes = tuple(int(s) for s in sizes)
+        try:
+            sizes = tuple(map(index, sizes))
+        except TypeError as exc:
+            raise ValidationError(f"group sizes must be integers: {exc}") from None
         membership = tuple(g for g, s in enumerate(sizes) for _ in range(s))
         return cls(n=sum(sizes), sizes=sizes, membership=membership)
 
     @property
     def m(self) -> int:
         return len(self.sizes)
-
-    def group_of(self, node: int) -> int:
-        return self.membership[node]
 
     def members(self, group: int) -> list[int]:
         return [v for v in range(self.n) if self.membership[v] == group]
@@ -116,6 +109,10 @@ class CoordinationMatrix:
     def __post_init__(self):
         if len(self.entries) != self.m or any(len(row) != self.m for row in self.entries):
             raise ValidationError(f"coordination matrix must be {self.m}x{self.m}")
+        for row in self.entries:
+            for value in row:
+                if not math.isfinite(value):
+                    raise ValidationError(f"coordination weights must be finite, got {value}")
         for a in range(self.m):
             if self.entries[a][a] != 1.0:
                 raise ValidationError("coordination matrix diagonal must be exactly 1")
@@ -185,31 +182,23 @@ class Network:
 
     The state is one neighbor bitmask per node: bit j of
     ``neighbor_masks[i]`` is set when i and j are linked.  Adding or
-    removing a link flips two bits in a copied tuple.  ``edges`` is the
-    set a network was built from, or, for a network made from masks (by a
-    toggle, `from_mask` or `SearchSpace.network_for`), a set derived from
-    the masks on first use.  Any network also maps to a bitmask over the
-    canonical lexicographic pair order (`to_mask`), which makes whole-space
-    enumeration cheap.  Instances are treated as immutable: equality and
-    hashing read ``n`` and the masks.
+    removing a link flips two bits in a copied tuple, and ``edges`` is
+    derived from the masks on each read.  Instances are treated as
+    immutable: equality and hashing read ``n`` and the masks.
     """
 
-    __slots__ = ("n", "neighbor_masks", "_edges")
+    __slots__ = ("n", "neighbor_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        edges = frozenset(edges)
         masks = [0] * n
-        plain = True  # every endpoint an exact int, so the set can be kept
         for a, b in edges:
             i, j = index(a), index(b)
             if not (0 <= i < j < n):
                 raise ValidationError(f"edge ({i}, {j}) invalid for n={n}")
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-            plain = plain and type(a) is int and type(b) is int
         self.n = n
         self.neighbor_masks = tuple(masks)
-        self._edges = edges if plain else None
 
     @classmethod
     def _from_masks(cls, n: int, masks: tuple[int, ...]) -> "Network":
@@ -217,7 +206,6 @@ class Network:
         network = cls.__new__(cls)
         network.n = n
         network.neighbor_masks = masks
-        network._edges = None
         return network
 
     @classmethod
@@ -236,15 +224,6 @@ class Network:
     def disjoint_cliques(cls, partition: GroupPartition) -> "Network":
         return cls(partition.n, partition.intra_pairs())
 
-    @classmethod
-    def from_mask(cls, mask: int, n: int) -> "Network":
-        masks = [0] * n
-        for t, (i, j) in enumerate(all_pairs(n)):
-            if mask >> t & 1:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-        return cls._from_masks(n, tuple(masks))
-
     def _pairs(self) -> Iterator[tuple[int, int]]:
         """Every edge (i, j), i < j, in lexicographic order."""
         for i, mask in enumerate(self.neighbor_masks):
@@ -256,15 +235,7 @@ class Network:
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        if self._edges is None:
-            self._edges = frozenset(self._pairs())
-        return self._edges
-
-    def to_mask(self) -> int:
-        mask = 0
-        for i, j in self._pairs():
-            mask |= 1 << edge_index(i, j, self.n)
-        return mask
+        return frozenset(self._pairs())
 
     def has_edge(self, i: int, j: int) -> bool:
         i, j = normalize_edge(i, j)

@@ -16,9 +16,10 @@ single-bit-toggled neighbor masks.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -195,7 +196,6 @@ def _tables_chunk(space: SearchSpace, partition: GroupPartition, delta: float,
 
 
 def compute_tables(space: SearchSpace, partition: GroupPartition, delta: float,
-                   free_bits_cap: int = DEFAULT_FREE_BITS_CAP,
                    workers: int = 1) -> SpaceTables:
     """Build the whole-space payoff tables, chunked over the bitmask range.
 
@@ -204,29 +204,25 @@ def compute_tables(space: SearchSpace, partition: GroupPartition, delta: float,
     depends on the worker count.
     """
     bits = len(space.free_pairs)
-    if bits > free_bits_cap:
-        raise CapExceededError(
-            f"space has {bits} free pairs (2^{bits} networks); cap is {free_bits_cap} bits")
+    if bits > DEFAULT_FREE_BITS_CAP:
+        raise CapExceededError(f"space has {bits} free pairs (2^{bits} networks); "
+                               f"cap is {DEFAULT_FREE_BITS_CAP} bits")
     if space.n > 32:
         raise CapExceededError("table BFS packs node sets into 32-bit lanes; n <= 32")
     size = space.size
     benefit = np.empty((size, space.n, partition.m), dtype=np.float64)
     degree = np.empty((size, space.n), dtype=np.uint8)
     chunk = 1 << _CHUNK_BITS
-    starts = list(range(0, size, chunk))
-    if workers > 1 and len(starts) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(s, pool.submit(_tables_chunk, space, partition, delta,
-                                       s, min(s + chunk, size))) for s in starts]
-            for s, fut in futures:
-                b, d = fut.result()
-                benefit[s:s + b.shape[0]] = b
-                degree[s:s + d.shape[0]] = d
-    else:
-        for s in starts:
-            b, d = _tables_chunk(space, partition, delta, s, min(s + chunk, size))
-            benefit[s:s + b.shape[0]] = b
-            degree[s:s + d.shape[0]] = d
+    starts = range(0, size, chunk)
+    stops = [min(start + chunk, size) for start in starts]
+    build = partial(_tables_chunk, space, partition, delta)
+    with ExitStack() as stack:
+        mapper = map
+        if workers > 1 and len(starts) > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for start, stop, (b, d) in zip(starts, stops, mapper(build, starts, stops)):
+            benefit[start:stop] = b
+            degree[start:stop] = d
     return SpaceTables(space=space, partition=partition, delta=delta,
                        benefit=benefit, degree=degree)
 

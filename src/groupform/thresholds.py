@@ -86,7 +86,13 @@ class RegimeKind(enum.Enum):
 
 @dataclass(frozen=True)
 class RegimePrediction:
-    """Predicted structure class with the bounds of the interval it came from."""
+    """Predicted structure class with the bounds of the interval it came from.
+
+    For ``EXACT_K``, ``k`` is the predicted cross-link count.  For
+    ``BOUNDARY_TIE``, ``lower == upper`` is the tied bound and ``k`` its
+    index in the bound list, which is also the fewest cross links on the
+    bound's lower side.
+    """
 
     kind: RegimeKind
     lower: float
@@ -144,54 +150,44 @@ def efficient_boundaries(s1: int, s2: int, params: ModelParams) -> list[float]:
     return [bridge_lb, redundant_lb, maximal_lb]
 
 
-def _near_boundary(value: float, boundaries: list[float], epsilon: float) -> Optional[float]:
-    for b in boundaries:
-        if abs(value - b) <= epsilon:
-            return b
-    return None
+def _classify(f_cross: float, bounds: list[float],
+              regimes: list[tuple[RegimeKind, Optional[int]]],
+              epsilon: float) -> RegimePrediction:
+    """The regime of ``f_cross`` given ascending ``bounds`` and the
+    ``len(bounds) + 1`` regimes (kind, k) between them, in order.
+
+    Exactly on a bound (within epsilon; the first such bound wins) the
+    structure is not unique, so a boundary tie is reported instead of
+    picking a side.
+    """
+    if not 0.0 <= f_cross <= 1.0:
+        raise ValidationError(f"cross-group weight must be in [0, 1], got {f_cross}")
+    for index, bound in enumerate(bounds):
+        if abs(f_cross - bound) <= epsilon:
+            return RegimePrediction(RegimeKind.BOUNDARY_TIE, bound, bound, k=index)
+    ends = [0.0, *bounds, 1.0]
+    index = next((i for i, bound in enumerate(bounds) if f_cross < bound), len(bounds))
+    kind, k = regimes[index]
+    return RegimePrediction(kind, ends[index], ends[index + 1], k=k)
 
 
 def classify_two_group_stable(s1: int, s2: int, params: ModelParams,
                               f_cross: float) -> RegimePrediction:
-    """Stable-structure regime for two groups as a function of the cross weight.
-
-    Exactly on a regime bound (within epsilon) the stable structure is not
-    unique, so a boundary tie is reported instead of picking a side.
-    """
-    if not 0.0 <= f_cross <= 1.0:
-        raise ValidationError(f"cross-group weight must be in [0, 1], got {f_cross}")
-    bounds = stable_boundaries(s1, s2, params)
-    tie = _near_boundary(f_cross, bounds, params.epsilon)
-    if tie is not None:
-        return RegimePrediction(RegimeKind.BOUNDARY_TIE, tie, tie)
-    if f_cross < bounds[0]:
-        return RegimePrediction(RegimeKind.DISJOINT, 0.0, bounds[0])
-    if f_cross < bounds[1]:
-        return RegimePrediction(RegimeKind.BRIDGE, bounds[0], bounds[1])
-    if f_cross > bounds[-1]:
-        return RegimePrediction(RegimeKind.MAXIMAL, bounds[-1], 1.0)
-    for k in range(2, min(s1, s2) + 1):
-        if f_cross < bounds[k]:
-            return RegimePrediction(RegimeKind.EXACT_K, bounds[k - 1], bounds[k], k=k)
-    raise AssertionError("unreachable: boundary scan exhausted")
+    """Stable-structure regime for two groups as a function of the cross weight:
+    disjoint, bridge, exactly k = 2..min(s1, s2) cross links, or maximal."""
+    exact = [(RegimeKind.EXACT_K, k) for k in range(2, min(s1, s2) + 1)]
+    regimes = [(RegimeKind.DISJOINT, None), (RegimeKind.BRIDGE, None), *exact,
+               (RegimeKind.MAXIMAL, None)]
+    return _classify(f_cross, stable_boundaries(s1, s2, params), regimes, params.epsilon)
 
 
 def classify_two_group_efficient(s1: int, s2: int, params: ModelParams,
                                  f_cross: float) -> RegimePrediction:
     """Welfare-maximal structure regime for two groups (four closed intervals)."""
-    if not 0.0 <= f_cross <= 1.0:
-        raise ValidationError(f"cross-group weight must be in [0, 1], got {f_cross}")
-    bounds = efficient_boundaries(s1, s2, params)
-    tie = _near_boundary(f_cross, bounds, params.epsilon)
-    if tie is not None:
-        return RegimePrediction(RegimeKind.BOUNDARY_TIE, tie, tie)
-    if f_cross < bounds[0]:
-        return RegimePrediction(RegimeKind.DISJOINT, 0.0, bounds[0])
-    if f_cross < bounds[1]:
-        return RegimePrediction(RegimeKind.BRIDGE, bounds[0], bounds[1])
-    if f_cross < bounds[2]:
-        return RegimePrediction(RegimeKind.REDUNDANT, bounds[1], bounds[2])
-    return RegimePrediction(RegimeKind.MAXIMAL, bounds[2], 1.0)
+    regimes = [(RegimeKind.DISJOINT, None), (RegimeKind.BRIDGE, None),
+               (RegimeKind.REDUNDANT, None), (RegimeKind.MAXIMAL, None)]
+    return _classify(f_cross, efficient_boundaries(s1, s2, params), regimes,
+                     params.epsilon)
 
 
 def stability_efficiency_overlap(s1: int, s2: int, params: ModelParams,
@@ -212,12 +208,10 @@ def stability_efficiency_overlap(s1: int, s2: int, params: ModelParams,
 
 
 def redundancy_bounds(s_a: int, s_b: int, params: ModelParams) -> tuple[float, float]:
-    """Cross weights above which redundant, then maximal, links form and persist."""
-    _require_low_cost(params)
-    s = min(s_a, s_b)
-    redundant_lb = params.cost / extra_link_gain(s, params.delta)
-    maximal_lb = params.cost / shortcut_gain(params.delta)
-    return redundant_lb, maximal_lb
+    """Cross weights above which redundant, then maximal, links form and persist:
+    entries 1 and -1 of `stable_boundaries`."""
+    bounds = stable_boundaries(s_a, s_b, params)
+    return bounds[1], bounds[-1]
 
 
 class GroupGraph(Network):
@@ -291,7 +285,7 @@ def minimally_connected_sufficient(tree: GroupGraph, coordination: CoordinationM
             gain_a = _bridge_toggle_gain(tree, coordination, sizes, delta, a, b)
             gain_b = _bridge_toggle_gain(tree, coordination, sizes, delta, b, a)
             if tree.has_edge(a, b):
-                redundant_lb = c / extra_link_gain(min(sizes[a], sizes[b]), delta)
+                redundant_lb, _ = redundancy_bounds(sizes[a], sizes[b], params)
                 if not (gain_a > c + eps and gain_b > c + eps):
                     return False
                 if not coordination[a, b] < redundant_lb - eps:

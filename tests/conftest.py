@@ -10,6 +10,7 @@ from groupform.model import (
     Network,
     Society,
 )
+from groupform.stability import full_graph_space
 
 settings.register_profile(
     "default",
@@ -36,7 +37,7 @@ def random_society(rng: random.Random, max_groups: int = 2) -> Society:
 
 def random_network(rng: random.Random, n: int) -> Network:
     pair_count = n * (n - 1) // 2
-    return Network.from_mask(rng.getrandbits(pair_count), n)
+    return full_graph_space(n).network_for(rng.getrandbits(pair_count))
 
 
 @pytest.fixture

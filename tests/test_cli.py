@@ -364,13 +364,15 @@ class TestPoaCommand:
 
 class TestInputErrors:
     @pytest.mark.parametrize("old, new", [("epsilon = 1e-9", "epsilon = nan"),
-                                          ("cost = 0.2", "cost = inf")])
+                                          ("cost = 0.2", "cost = inf"),
+                                          ("F = 0.4", "F = nan")])
     def test_non_finite_parameter_exits_one(self, tmp_path, capsys, old, new):
         scenario = write(tmp_path, "s.scn", SCENARIO_3_5.replace(old, new))
         code, text = run_cli(["dynamics", "--scenario", scenario])
         assert code == 1
         assert text == ""
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite, got" in err
 
     def test_non_ascii_scenario_exits_one(self, tmp_path, capsys):
         path = tmp_path / "s.scn"

@@ -13,7 +13,6 @@ from groupform.model import (
     Society,
     ValidationError,
     all_pairs,
-    edge_index,
     format_edge_list,
     in_invariant_set,
     parse_edge_list,
@@ -21,9 +20,11 @@ from groupform.model import (
     payoffs,
     welfare,
 )
+from groupform.stability import full_graph_space
 from oracles import (
     all_pairs_distances,
     density,
+    free_mask_of,
     node_weights,
     oracle_distance,
     oracle_payoff,
@@ -65,6 +66,13 @@ class TestGroupPartition:
         p = GroupPartition.from_sizes([3, 4])
         assert sorted(p.intra_pairs() + p.cross_pairs()) == all_pairs(7)
 
+    def test_from_sizes_takes_only_whole_sizes(self):
+        assert GroupPartition.from_sizes([np.int64(3), 4]).sizes == (3, 4)
+        assert all(type(s) is int for s in GroupPartition.from_sizes([np.int64(3)]).sizes)
+        for sizes in ([3.9, 3], [3, 3.0], [np.float64(4.0), 3], ["3", 3]):
+            with pytest.raises(ValidationError, match="must be integers"):
+                GroupPartition.from_sizes(sizes)
+
 
 class TestCoordinationMatrix:
     def test_unit_diagonal_enforced(self):
@@ -78,6 +86,11 @@ class TestCoordinationMatrix:
     def test_off_diagonal_range_enforced(self):
         with pytest.raises(ValidationError):
             CoordinationMatrix.uniform(2, 1.2)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_named(self, value):
+        with pytest.raises(ValidationError, match=f"must be finite, got {value}"):
+            CoordinationMatrix.from_upper_triangle(3, [0.2, value, 0.3])
 
     def test_upper_triangle_roundtrip(self):
         c = CoordinationMatrix.from_upper_triangle(3, [0.1, 0.2, 0.3])
@@ -138,7 +151,7 @@ class TestDistances:
 
     @given(st.integers(0, 2**15 - 1))
     def test_matches_exhaustive_path_search(self, mask):
-        network = Network.from_mask(mask, 6)
+        network = full_graph_space(6).network_for(mask)
         d = all_pairs_distances(network)
         for i in range(6):
             for j in range(6):
@@ -146,8 +159,9 @@ class TestDistances:
 
     @given(st.integers(0, 2**15 - 1), st.integers(0, 14))
     def test_adding_an_edge_never_lengthens_paths(self, mask, extra):
-        before = Network.from_mask(mask, 6)
-        after = Network.from_mask(mask | (1 << extra), 6)
+        space = full_graph_space(6)
+        before = space.network_for(mask)
+        after = space.network_for(mask | (1 << extra))
         assert np.all(all_pairs_distances(after) <= all_pairs_distances(before))
 
 
@@ -261,15 +275,6 @@ class TestInvariantSet:
 
 
 class TestNetworkEncoding:
-    def test_edge_index_is_lexicographic(self):
-        pairs = all_pairs(5)
-        for t, (i, j) in enumerate(pairs):
-            assert edge_index(i, j, 5) == t
-
-    @given(st.integers(0, 2**21 - 1))
-    def test_mask_roundtrip(self, mask):
-        assert Network.from_mask(mask, 7).to_mask() == mask
-
     def test_self_loop_rejected(self):
         with pytest.raises(ValidationError):
             Network.from_edges(4, [(2, 2)])
@@ -333,9 +338,10 @@ def assert_matches_reference(network, n, edges, partition):
     intra = sum(1 for i, j in edges if partition.membership[i] == partition.membership[j])
     assert network.intra_count(partition) == intra
     assert network.inter_count(partition) == len(edges) - intra
-    mask = sum(1 << edge_index(i, j, n) for i, j in edges)
-    assert network.to_mask() == mask
-    assert Network.from_mask(mask, n) == network
+    space = full_graph_space(n)
+    mask = sum(1 << t for t, pair in enumerate(all_pairs(n)) if pair in edges)
+    assert free_mask_of(space, network) == mask
+    assert space.network_for(mask) == network
     rebuilt = Network(n, edges)
     assert rebuilt == network and hash(rebuilt) == hash(network)
 
@@ -347,7 +353,6 @@ class TestBitmaskNetwork:
     def test_toggles_agree_with_a_frozenset_reference(self, case):
         n, edges, partition, ops = case
         network = Network(n, edges)
-        assert network.edges is edges  # a network built from edges keeps its set
         assert_matches_reference(network, n, edges, partition)
         for add, i, j in ops:
             pair = (min(i, j), max(i, j))

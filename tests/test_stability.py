@@ -182,11 +182,10 @@ class TestEnumerateStable:
             enumerate_stable(full_graph_space(8), society_3_5(0.3))
 
     def test_free_bits_cap(self):
-        society = society_3_5(0.3)
-        space = interconnection_space(society.partition)
-        with pytest.raises(CapExceededError):
-            compute_tables(space, society.partition, society.params.delta,
-                           free_bits_cap=10)
+        # groups of 5 and 5 have 25 cross pairs, over the 22-pair table cap
+        partition = GroupPartition.from_sizes([5, 5])
+        with pytest.raises(CapExceededError, match="cap is 22 bits"):
+            compute_tables(interconnection_space(partition), partition, 0.5)
 
     def test_interconnection_space_needs_low_cost(self):
         society = society_3_3(0.3, ModelParams(0.5, 0.26))
@@ -355,6 +354,16 @@ class TestSearchSpaceEncoding:
         space = interconnection_space(partition)
         for mask in (0, 1, 5, space.size - 1):
             assert free_mask_of(space, space.network_for(mask)) == mask
+
+    @given(st.integers(0, 2**21 - 1))
+    def test_full_space_roundtrip(self, mask):
+        space = full_graph_space(7)
+        assert free_mask_of(space, space.network_for(mask)) == mask
+
+    def test_full_space_bits_follow_lexicographic_pair_order(self):
+        space = full_graph_space(5)
+        for t, pair in enumerate(all_pairs(5)):
+            assert space.network_for(1 << t).edges == {pair}
 
     def test_network_outside_space_rejected(self):
         partition = GroupPartition.from_sizes([3, 4])

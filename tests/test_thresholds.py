@@ -94,6 +94,7 @@ class TestClassifyStable:
         pred = classify_two_group_stable(3, 5, PARAMS, 0.4)
         assert pred.kind is RegimeKind.BOUNDARY_TIE
         assert pred.lower == pytest.approx(0.4, abs=1e-12)
+        assert pred.k == 1  # one cross link below 0.4, two above
 
     def test_maximal_example(self):
         pred = classify_two_group_stable(3, 5, PARAMS, 0.85)
@@ -173,6 +174,49 @@ class TestClassifyEfficient:
                 params = ModelParams(delta, 0.5 * shortcut_gain(delta))
                 upper = efficient_boundaries(s1, s2, params)[1]
                 assert upper < params.cost / extra_link_gain(max(s1, s2), delta)
+
+
+def _stable_regimes(s1, s2):
+    exact = [(RegimeKind.EXACT_K, k) for k in range(2, min(s1, s2) + 1)]
+    return [(RegimeKind.DISJOINT, None), (RegimeKind.BRIDGE, None), *exact,
+            (RegimeKind.MAXIMAL, None)]
+
+
+def _efficient_regimes(s1, s2):
+    return [(RegimeKind.DISJOINT, None), (RegimeKind.BRIDGE, None),
+            (RegimeKind.REDUNDANT, None), (RegimeKind.MAXIMAL, None)]
+
+
+class TestRegimeWalk:
+    """Both classifiers against their bound lists and regime tables."""
+
+    @given(sizes_st, sizes_st, delta_st, st.floats(0.01, 0.99), st.data())
+    def test_prediction_sits_in_its_interval(self, s1, s2, delta, cost_share, data):
+        params = ModelParams(delta, cost_share * shortcut_gain(delta))
+        eps = params.epsilon
+        stable = stable_boundaries(s1, s2, params)
+        assert redundancy_bounds(s1, s2, params) == (stable[1], stable[-1])
+        for classify, boundaries, regimes in (
+                (classify_two_group_stable, stable_boundaries, _stable_regimes),
+                (classify_two_group_efficient, efficient_boundaries, _efficient_regimes)):
+            bounds = boundaries(s1, s2, params)
+            assert bounds == sorted(bounds)
+            near_bound = st.builds(lambda b, d: min(max(b + d, 0.0), 1.0),
+                                   st.sampled_from(bounds), st.floats(-2 * eps, 2 * eps))
+            f = data.draw(st.floats(0.0, 1.0) | near_bound)
+            pred = classify(s1, s2, params, f)
+            ends = [0.0, *bounds, 1.0]
+            if pred.kind is RegimeKind.BOUNDARY_TIE:
+                assert bounds[pred.k] == pred.lower == pred.upper
+                assert abs(f - pred.lower) <= eps
+                assert all(abs(f - b) > eps for b in bounds[:pred.k])
+                continue
+            assert all(abs(f - b) > eps for b in bounds)
+            i = ends.index(pred.lower)
+            assert pred.upper == ends[i + 1]
+            assert (pred.lower < f or f == pred.lower == 0.0)
+            assert (f < pred.upper or f == pred.upper == 1.0)
+            assert (pred.kind, pred.k) == regimes(s1, s2)[i]
 
 
 class TestOverlap:
