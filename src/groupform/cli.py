@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation error, 2 search-space cap exceeded.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -217,6 +218,8 @@ SWEEP_HEADER = ("value,stable_interconnections,efficient_interconnections,"
 
 
 def _grid(start: float, stop: float, step: float) -> list[float]:
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValidationError("sweep --from, --to and --step must be finite")
     if step <= 0:
         raise ValidationError("sweep step must be positive")
     values = []

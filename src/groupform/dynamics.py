@@ -21,9 +21,8 @@ from .model import (
     all_pairs,
     in_invariant_set,
     normalize_edge,
-    payoff,
 )
-from .stability import _pair_changes, _toggle, is_pairwise_stable
+from .stability import _resolve, is_pairwise_stable
 from .thresholds import below_clique_bound, stable_boundaries
 
 
@@ -122,16 +121,10 @@ def step(network: Network, pair: tuple[int, int], society: Society, *,
     recomputing the current payoffs.
     """
     i, j = normalize_edge(*pair)
-    if memo is None:
-        memo = {}
-    for node in (i, j):
-        if node not in memo:
-            memo[node] = payoff(network, node, society)
-    present = network.has_edge(i, j)
-    toggled, du_i, du_j = _toggle(network, i, j, memo[i], memo[j], society)
-    if not _pair_changes(present, du_i, du_j, society.params.epsilon):
+    resolved = _resolve(network, i, j, society, {} if memo is None else memo)
+    if resolved is network:
         return network, Action.NO_CHANGE
-    return toggled, Action.REMOVED if present else Action.ADDED
+    return resolved, Action.ADDED if resolved.has_edge(i, j) else Action.REMOVED
 
 
 def run(start: Network, selector: PairSelector, society: Society,

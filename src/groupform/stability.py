@@ -30,7 +30,6 @@ from .model import (
     ValidationError,
     all_pairs,
     payoff,
-    payoffs,
 )
 from .thresholds import below_clique_bound, shortcut_gain
 
@@ -106,36 +105,43 @@ def _pair_changes(present, du_i, du_j, eps):
     return ((du_i > eps) | (du_j > eps)) & (present | ((du_i >= -eps) & (du_j >= -eps)))
 
 
-def _toggle(network: Network, i: int, j: int, base_i: float, base_j: float,
-            society: Society) -> tuple[Network, float, float]:
-    """The network with pair (i, j) toggled, and each endpoint's payoff
-    change against the given current payoffs."""
-    other = network.without_edge(i, j) if network.has_edge(i, j) else network.with_edge(i, j)
-    return (other, payoff(other, i, society) - base_i,
-            payoff(other, j, society) - base_j)
+def _resolve(network: Network, i: int, j: int, society: Society,
+             memo: dict[int, float]) -> Network:
+    """The network after pair (i, j), i < j, is activated: toggled when the
+    pair rule changes it, ``network`` itself otherwise.
+
+    ``memo`` maps nodes to their payoffs in ``network``; the endpoints'
+    payoffs are computed and stored when missing.
+    """
+    for node in (i, j):
+        if node not in memo:
+            memo[node] = payoff(network, node, society)
+    present = network.has_edge(i, j)
+    toggled = network.without_edge(i, j) if present else network.with_edge(i, j)
+    du_i = payoff(toggled, i, society) - memo[i]
+    du_j = payoff(toggled, j, society) - memo[j]
+    return toggled if _pair_changes(present, du_i, du_j, society.params.epsilon) else network
 
 
 def is_pairwise_stable(network: Network, society: Society) -> bool:
     """No profitable unilateral cut and no mutually agreeable missing link."""
-    base = payoffs(network, society)
-    eps = society.params.epsilon
-    for i, j in all_pairs(network.n):
-        _, du_i, du_j = _toggle(network, i, j, base[i], base[j], society)
-        if _pair_changes(network.has_edge(i, j), du_i, du_j, eps):
-            return False
-    return True
+    if network.n != society.n:
+        raise ValidationError(f"network has {network.n} nodes, the society has {society.n}")
+    memo: dict[int, float] = {}
+    return all(_resolve(network, i, j, society, memo) is network
+               for i, j in all_pairs(network.n))
 
 
 def defeats(candidate: Network, network: Network, society: Society) -> bool:
     """One-edge-adjacent preference: ``candidate`` defeats ``network`` when
     the pair rule toggles the one pair in which they differ."""
+    if candidate.n != network.n:
+        raise ValidationError(f"candidate has {candidate.n} nodes, the network has {network.n}")
     changed = candidate.edges ^ network.edges
     if len(changed) != 1:
         raise ValidationError("networks must differ in exactly one edge")
     (i, j), = changed
-    _, du_i, du_j = _toggle(network, i, j, payoff(network, i, society),
-                            payoff(network, j, society), society)
-    return bool(_pair_changes(network.has_edge(i, j), du_i, du_j, society.params.epsilon))
+    return _resolve(network, i, j, society, {}) is not network
 
 
 # -- vectorized space tables ---------------------------------------------------

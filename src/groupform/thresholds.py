@@ -227,15 +227,9 @@ class GroupGraph(Network):
     def star(cls, m: int, center: int = 0) -> "GroupGraph":
         return cls.from_edges(m, [(center, g) for g in range(m) if g != center])
 
-    def distances_from(self, source: int,
-                       drop: Optional[tuple[int, int]] = None,
-                       add: Optional[tuple[int, int]] = None) -> list[float]:
-        """Hop distances on the group graph with ``drop`` removed and ``add``
-        added; ``add=(a, a)`` adds nothing."""
-        graph = self if drop is None else self.without_edge(*drop)
-        if add is not None and add[0] != add[1]:
-            graph = graph.with_edge(*add)
-        return _hop_distances(graph.neighbor_masks, source)
+    def distances_from(self, source: int) -> list[float]:
+        """Hop distances from ``source`` on the group graph."""
+        return _hop_distances(self.neighbor_masks, source)
 
     def is_connected(self) -> bool:
         return all(d < math.inf for d in self.distances_from(0)) if self.m else True
@@ -250,8 +244,8 @@ def _bridge_toggle_gain(tree: GroupGraph, coordination: CoordinationMatrix,
     Distances are group-graph hops with the toggled edge added resp. removed;
     an unreachable group contributes no benefit.
     """
-    with_edge = tree.distances_from(group, add=(group, other))
-    without_edge = tree.distances_from(group, drop=(group, other))
+    with_edge = tree.with_edge(group, other).distances_from(group)
+    without_edge = tree.without_edge(group, other).distances_from(group)
     total = 0.0
     for lam in range(tree.m):
         if lam == group:

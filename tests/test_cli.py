@@ -182,6 +182,22 @@ class TestSweep:
         assert text == ""
         assert capsys.readouterr().err == "error: s1=3.5 is not a whole group size\n"
 
+    @pytest.mark.parametrize("bounds", [("0", "1", "nan"), ("0", "inf", "0.1"),
+                                        ("nan", "1", "0.1")])
+    def test_non_finite_grid_rejected(self, tmp_path, capsys, bounds):
+        # such a grid used to loop forever, appending points without bound
+        scenario = write(tmp_path, "s.scn", SCENARIO_3_5)
+        start, stop, step = bounds
+        csv = tmp_path / "x.csv"
+        code, text = run_cli(["sweep", "--scenario", scenario, "--parameter", "F12",
+                              "--from", start, "--to", stop, "--step", step,
+                              "--out", str(csv)])
+        assert code == 1
+        assert text == ""
+        assert not csv.exists()
+        assert capsys.readouterr().err == (
+            "error: sweep --from, --to and --step must be finite\n")
+
     def test_svg_emission(self, tmp_path):
         scenario = write(tmp_path, "s.scn", SCENARIO_3_5)
         svg = tmp_path / "plot.svg"

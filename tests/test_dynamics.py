@@ -84,6 +84,15 @@ class TestStep:
             with pytest.raises(ValidationError, match="network has 9 nodes"):
                 step(Network.empty(9), (0, 8), society, **kwargs)
 
+    @pytest.mark.parametrize("pair", [(0, 8), (8, 0), (-1, 0)])
+    def test_out_of_range_pair_rejected(self, pair):
+        society = two_group_society([4, 4], 0.45)
+        network = Network.disjoint_cliques(society.partition)
+        memo = {v: 0.0 for v in range(-1, 9)}  # a full memo still checks the pair
+        for kwargs in ({}, {"memo": memo}):
+            with pytest.raises(ValidationError):
+                step(network, pair, society, **kwargs)
+
 
 class TestRunExampleOne:
     def test_cross_links_first_keeps_two(self):

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from groupform.model import (
     Network,
     Society,
     ValidationError,
+    _hop_distances,
     all_pairs,
     payoff,
     welfare,
@@ -117,6 +120,11 @@ class TestIsPairwiseStable:
         with pytest.raises(ValidationError, match="4 nodes"):
             is_pairwise_stable(Network.complete(4), one_clique_society())
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_pairless_network_of_another_size_rejected(self, n):
+        with pytest.raises(ValidationError, match=f"network has {n} nodes"):
+            is_pairwise_stable(Network.empty(n), one_clique_society())
+
 
 class TestDefeats:
     def test_completing_a_clique_defeats_the_path(self):
@@ -131,6 +139,18 @@ class TestDefeats:
         clique = Network.complete(3)
         with pytest.raises(ValidationError):
             defeats(clique, clique, one_clique_society())
+
+    def test_candidate_of_another_size_rejected(self):
+        society = society_3_3(0.3)
+        cliques = Network.disjoint_cliques(society.partition)
+        candidate = Network(7, cliques.edges | {(0, 3)})
+        with pytest.raises(ValidationError, match="candidate has 7 nodes"):
+            defeats(candidate, cliques, society)
+
+    def test_network_of_another_size_rejected(self):
+        path = Network.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValidationError, match="network has 4 nodes"):
+            defeats(path.with_edge(0, 2), path, one_clique_society())
 
     @given(st.integers(0, 2**31))
     def test_a_defeated_network_is_never_stable(self, seed):
@@ -315,6 +335,72 @@ class TestFixpointEquivalence:
             step(network, pair, society)[1] is Action.NO_CHANGE
             for pair in all_pairs(society.n))
         assert unchanged == is_pairwise_stable(network, society)
+
+
+class TestEpsilonBandAudit:
+    """Every payoff change the table engine puts inside the epsilon band is
+    an exact tie in rational arithmetic, so epsilon absorbs float noise and
+    never hides a real preference.  Sizes 3 and 5 on the interconnection
+    space, delta 1/2 and cost 1/5: the band is met at the stable bounds 0.2,
+    0.4 and 0.8, and at 0.32, which is no regime boundary."""
+
+    DELTA, COST = Fraction(1, 2), Fraction(1, 5)
+
+    @pytest.fixture(scope="class")
+    def tables(self) -> SpaceTables:
+        partition = GroupPartition.from_sizes([3, 5])
+        return compute_tables(interconnection_space(partition), partition, PARAMS.delta)
+
+    @staticmethod
+    def band(tables: SpaceTables, f12_text: str) -> tuple[np.ndarray, int]:
+        """Rows (network index, free-pair index, endpoint) of every toggle
+        whose payoff change at that endpoint is within epsilon, and the
+        number of (network, pair) decisions with such an endpoint."""
+        society = Society(tables.partition, CoordinationMatrix.uniform(2, float(f12_text)),
+                          PARAMS)
+        util = _utilities(tables, society)
+        idx = np.arange(tables.space.size)
+        rows, decisions = [], 0
+        for t, pair in enumerate(tables.space.free_pairs):
+            partner = idx ^ (1 << t)
+            in_band = [np.abs(util[partner, v] - util[:, v]) <= society.params.epsilon
+                       for v in pair]
+            decisions += int(np.count_nonzero(in_band[0] | in_band[1]))
+            for v, hit in zip(pair, in_band):
+                k = np.flatnonzero(hit)
+                rows.append(np.column_stack([k, np.full_like(k, t), np.full_like(k, v)]))
+        return np.concatenate(rows), decisions
+
+    def assert_exact_ties(self, tables: SpaceTables, f12_text: str, rows) -> None:
+        f12 = Fraction(f12_text)
+        weights = [[Fraction(1), f12], [f12, Fraction(1)]]
+        group = tables.partition.membership
+        exact: dict[tuple[int, int], Fraction] = {}
+
+        def util(mask: int, v: int) -> Fraction:
+            if (mask, v) not in exact:
+                network = tables.space.network_for(mask)
+                hops = _hop_distances(network.neighbor_masks, v)
+                benefit = sum(weights[group[v]][group[w]] * self.DELTA ** int(d)
+                              for w, d in enumerate(hops) if w != v and d < math.inf)
+                exact[mask, v] = benefit - network.degree(v) * self.COST
+            return exact[mask, v]
+
+        for k, t, v in rows.tolist():
+            assert util(k ^ (1 << t), v) - util(k, v) == 0, (f12_text, k, t, v)
+
+    @pytest.mark.parametrize("f12_text, decisions", [("0.2", 30), ("0.32", 2_700),
+                                                     ("0.4", 9_210)])
+    def test_every_band_change_is_an_exact_tie(self, tables, f12_text, decisions):
+        rows, found = self.band(tables, f12_text)
+        assert found == decisions
+        self.assert_exact_ties(tables, f12_text, rows)
+
+    def test_sampled_band_changes_at_the_maximal_bound_are_exact_ties(self, tables):
+        rows, _ = self.band(tables, "0.8")
+        assert len(rows) == 937_980
+        sample = np.random.default_rng(2024).choice(len(rows), 2_000, replace=False)
+        self.assert_exact_ties(tables, "0.8", rows[sample])
 
 
 class TestPriceOfAnarchy:

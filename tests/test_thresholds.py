@@ -273,13 +273,9 @@ class TestGroupGraph:
     def test_distances_with_toggles(self):
         ring = GroupGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         assert ring.distances_from(0)[2] == 2
-        assert ring.distances_from(0, drop=(0, 1))[1] == 3
-        assert ring.distances_from(0, add=(0, 2))[2] == 1
-
-    def test_self_pair_add_is_a_no_op(self):
-        ring = GroupGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        assert ring.distances_from(1, add=(1, 1)) == ring.distances_from(1) == [1, 0, 1, 2]
-        assert ring.distances_from(0, drop=(0, 1), add=(2, 2))[1] == 3
+        assert ring.without_edge(0, 1).distances_from(0)[1] == 3
+        assert ring.with_edge(0, 2).distances_from(0)[2] == 1
+        assert isinstance(ring.with_edge(0, 2), GroupGraph)
 
 
 class TestBridgeSufficiency:
