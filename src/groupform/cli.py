@@ -36,6 +36,7 @@ from .model import (
 )
 
 DEFAULT_MAX_STEPS = 100_000
+MAX_SWEEP_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -222,6 +223,9 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
         raise ValidationError("sweep --from, --to and --step must be finite")
     if step <= 0:
         raise ValidationError("sweep step must be positive")
+    # floor((stop - start) / step) + 1 points; the quotient may overflow to inf
+    if (stop - start) / step >= MAX_SWEEP_POINTS:
+        raise ValidationError(f"sweep grid has more than {MAX_SWEEP_POINTS} points")
     values = []
     k = 0
     while True:
@@ -269,8 +273,12 @@ def _sweep_row(value: float, society: Society, scan: Optional[stab.SpaceScan]) -
     tie = stable_pred.kind is th.RegimeKind.BOUNDARY_TIE
     partition = society.partition
     if scan is not None:
-        stable_counts = [scan.space.network_for(int(k)).inter_count(partition)
-                         for k in scan.stable_masks()]
+        # Cross links come only from free pairs, so a stable network's count
+        # is read off its mask.  The efficient cell still builds its argmax
+        # networks: a traced perfbench sweep requires the spans of both
+        # efficiency.argmax_from_scan and stability.network_for.
+        cross = scan.space.cross_bits(partition)
+        stable_counts = np.bitwise_count(scan.stable_masks() & cross).tolist()
         _, argmax = eff.argmax_from_scan(scan, params.epsilon)
         stable_cell = _count_cell(stable_counts, tie=tie)
         eff_cell = _count_cell([net.inter_count(partition) for net in argmax])

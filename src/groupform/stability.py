@@ -34,7 +34,7 @@ from .model import (
 from .thresholds import below_clique_bound, shortcut_gain
 
 DEFAULT_FREE_BITS_CAP = 22
-_CHUNK_BITS = 18
+_CHUNK_BITS = 16
 
 
 class CapExceededError(RuntimeError):
@@ -70,6 +70,11 @@ class SearchSpace:
     @cached_property
     def _pinned_masks(self) -> tuple[int, ...]:
         return Network(self.n, self.fixed_edges).neighbor_masks
+
+    def cross_bits(self, partition: GroupPartition) -> int:
+        """Bitmask of the free pairs that join two groups of ``partition``."""
+        group = partition.membership
+        return sum(1 << t for t, (i, j) in enumerate(self.free_pairs) if group[i] != group[j])
 
     def network_for(self, free_mask: int) -> Network:
         masks = list(self._pinned_masks)
@@ -165,40 +170,56 @@ class SpaceTables:
 
 def _tables_chunk(space: SearchSpace, partition: GroupPartition, delta: float,
                   start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Benefit and degree rows for networks ``start`` to ``stop`` of the space.
+
+    Lanes are node-major: ``nbr[v]`` holds node v's neighbor mask in every
+    network of the chunk, contiguously, and the batched BFS works in place
+    on whole lanes.  Each benefit entry adds ``discount * counts`` level by
+    level, the terms and order of the scalar `model.payoff`.
+    """
     n, m = space.n, partition.m
     count = stop - start
-    idx = np.arange(start, stop, dtype=np.int64)
+    idx = np.arange(start, stop, dtype=np.uint32)
+    lane = np.empty(count, dtype=np.uint32)  # scratch for one lane-wide term
 
-    nbr = np.broadcast_to(np.array(space._pinned_masks, dtype=np.uint32),
-                          (count, n)).copy()
+    nbr = np.empty((n, count), dtype=np.uint32)
+    nbr[:] = np.array(space._pinned_masks, dtype=np.uint32)[:, None]
+    bit = np.empty(count, dtype=np.uint32)
     for t, (i, j) in enumerate(space.free_pairs):
-        bit = ((idx >> t) & 1).astype(np.uint32)
-        nbr[:, i] |= bit << j
-        nbr[:, j] |= bit << i
+        np.bitwise_and(np.right_shift(idx, t, out=bit), 1, out=bit)
+        nbr[i] |= np.left_shift(bit, j, out=lane)
+        nbr[j] |= np.left_shift(bit, i, out=lane)
 
-    degree = np.bitwise_count(nbr).astype(np.uint8)
-    group_bits = np.array(partition.group_bits, dtype=np.uint32)
-    benefit = np.zeros((count, n, m), dtype=np.float64)
+    degree = np.bitwise_count(nbr)
+    benefit = np.zeros((n, m, count), dtype=np.float64)
+    unvisited, frontier, newly, reached = (np.empty(count, dtype=np.uint32) for _ in range(4))
+    counts = np.empty(count, dtype=np.uint8)
+    term = np.empty(count, dtype=np.float64)
 
     for source in range(n):
-        visited = np.full(count, np.uint32(1 << source))
-        frontier = visited.copy()
+        unvisited.fill(0xFFFFFFFF ^ (1 << source))
+        frontier.fill(1 << source)
         discount = 1.0
         for _ in range(n - 1):
             discount *= delta
-            reached = np.zeros(count, dtype=np.uint32)
+            reached.fill(0)
+            on_frontier = int(np.bitwise_or.reduce(frontier))
             for v in range(n):
-                sel = ((frontier >> np.uint32(v)) & 1).astype(np.uint32)
-                reached |= nbr[:, v] * sel
-            newly = reached & ~visited
+                if not on_frontier >> v & 1:  # v is on no network's frontier
+                    continue
+                # all-ones where v is on the frontier, so the AND keeps nbr[v]
+                np.negative(np.bitwise_and(np.right_shift(frontier, v, out=lane), 1, out=lane),
+                            out=lane)
+                reached |= np.bitwise_and(lane, nbr[v], out=lane)
+            np.bitwise_and(reached, unvisited, out=newly)
             if not newly.any():
                 break
-            for g in range(m):
-                counts = np.bitwise_count(newly & group_bits[g])
-                benefit[:, source, g] += discount * counts
-            visited |= newly
-            frontier = newly
-    return benefit, degree
+            for g, bits in enumerate(partition.group_bits):
+                np.bitwise_count(np.bitwise_and(newly, bits, out=lane), out=counts)
+                benefit[source, g] += np.multiply(counts, discount, out=term)
+            unvisited ^= newly
+            frontier, newly = newly, frontier
+    return benefit.transpose(2, 0, 1), degree.T
 
 
 def compute_tables(space: SearchSpace, partition: GroupPartition, delta: float,
@@ -272,17 +293,26 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
             f"(cost={params.cost}, bound={shortcut_gain(tables.delta)})")
 
     util = _utilities(tables, society)
+    welfare = util.sum(axis=1)
+    # A node-major copy, so each pair reads two contiguous columns rather
+    # than two strided ones; the row-major util is dropped once copied.
+    columns = np.ascontiguousarray(util.T)
+    del util
     size = space.size
     eps = params.epsilon
-    idx = np.arange(size, dtype=np.int64)
     stable = np.ones(size, dtype=bool)
     for t, (i, j) in enumerate(space.free_pairs):
-        partner = idx ^ (1 << t)
-        du_i = util[partner, i] - util[:, i]
-        du_j = util[partner, j] - util[:, j]
-        present = (idx >> t & 1).astype(bool)
-        stable &= ~_pair_changes(present, du_i, du_j, eps)
-    return SpaceScan(space=space, stable=stable, welfare=util.sum(axis=1))
+        # Network k and its partner k ^ (1 << t) sit at [:, 0] and [:, 1]
+        # of these views: the pair is absent on side 0 and present on side 1.
+        shape = (size >> (t + 1), 2, 1 << t)
+        u_i, u_j = columns[i].reshape(shape), columns[j].reshape(shape)
+        side = stable.reshape(shape)
+        d_i = u_i[:, 1] - u_i[:, 0]
+        d_j = u_j[:, 1] - u_j[:, 0]
+        # the cut side's change is exactly -d: fl(a - b) == -fl(b - a)
+        side[:, 0] &= ~_pair_changes(False, d_i, d_j, eps)
+        side[:, 1] &= ~_pair_changes(True, -d_i, -d_j, eps)
+    return SpaceScan(space=space, stable=stable, welfare=welfare)
 
 
 def _scan_for(space: SearchSpace, society: Society) -> SpaceScan:

@@ -1,5 +1,6 @@
 """Brute-force reference computations, kept independent of the library's
-breadth-first-search and table machinery on purpose, followed by small
+breadth-first-search and table machinery on purpose; the previous table
+engine, kept as the exact reference for the current one; and small
 test-only helpers that read the library's own structures."""
 
 import math
@@ -15,7 +16,12 @@ from groupform.model import (
     ValidationError,
     _hop_distances,
 )
-from groupform.stability import SearchSpace
+from groupform.stability import (
+    SearchSpace,
+    SpaceTables,
+    _pair_changes,
+    _utilities,
+)
 
 
 def oracle_distance(network: Network, start: int, goal: int) -> float:
@@ -80,6 +86,66 @@ def exact_payoff(network: Network, i: int, partition: GroupPartition,
             continue
         total += coordination[group[i]][group[k]] * delta ** int(hops)
     return total - network.degree(i) * cost
+
+
+# -- reference table engine ----------------------------------------------------
+# The row-major table build and gather-based scan that the node-major,
+# in-place engine in `groupform.stability` replaced.  Both add the same
+# doubles in the same order, so tests compare them for exact equality.
+
+def reference_tables_chunk(space: SearchSpace, partition: GroupPartition, delta: float,
+                           start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """benefit (count, n, m) and degree (count, n) for networks start..stop."""
+    n, m = space.n, partition.m
+    count = stop - start
+    idx = np.arange(start, stop, dtype=np.int64)
+
+    nbr = np.broadcast_to(np.array(space._pinned_masks, dtype=np.uint32),
+                          (count, n)).copy()
+    for t, (i, j) in enumerate(space.free_pairs):
+        bit = ((idx >> t) & 1).astype(np.uint32)
+        nbr[:, i] |= bit << j
+        nbr[:, j] |= bit << i
+
+    degree = np.bitwise_count(nbr).astype(np.uint8)
+    group_bits = np.array(partition.group_bits, dtype=np.uint32)
+    benefit = np.zeros((count, n, m), dtype=np.float64)
+
+    for source in range(n):
+        visited = np.full(count, np.uint32(1 << source))
+        frontier = visited.copy()
+        discount = 1.0
+        for _ in range(n - 1):
+            discount *= delta
+            reached = np.zeros(count, dtype=np.uint32)
+            for v in range(n):
+                sel = ((frontier >> np.uint32(v)) & 1).astype(np.uint32)
+                reached |= nbr[:, v] * sel
+            newly = reached & ~visited
+            if not newly.any():
+                break
+            for g in range(m):
+                counts = np.bitwise_count(newly & group_bits[g])
+                benefit[:, source, g] += discount * counts
+            visited |= newly
+            frontier = newly
+    return benefit, degree
+
+
+def reference_stable(tables: SpaceTables, society: Society) -> np.ndarray:
+    """Pairwise stability of every network in the tables, each free pair's
+    partner network reached by an explicit index gather."""
+    util = _utilities(tables, society)
+    size = tables.space.size
+    idx = np.arange(size, dtype=np.int64)
+    stable = np.ones(size, dtype=bool)
+    for t, (i, j) in enumerate(tables.space.free_pairs):
+        partner = idx ^ (1 << t)
+        du_i = util[partner, i] - util[:, i]
+        du_j = util[partner, j] - util[:, j]
+        present = (idx >> t & 1).astype(bool)
+        stable &= ~_pair_changes(present, du_i, du_j, society.params.epsilon)
+    return stable
 
 
 # -- test-only helpers over library structures ---------------------------------

@@ -198,6 +198,37 @@ class TestSweep:
         assert capsys.readouterr().err == (
             "error: sweep --from, --to and --step must be finite\n")
 
+    def test_oversized_grid_rejected(self, tmp_path, capsys):
+        # such a grid used to be built whole before the first row, without bound
+        scenario = write(tmp_path, "s.scn", SCENARIO_3_5)
+        csv = tmp_path / "x.csv"
+        code, text = run_cli(["sweep", "--scenario", scenario, "--parameter", "F12",
+                              "--from", "0", "--to", "1", "--step", "1e-12",
+                              "--out", str(csv)])
+        assert code == 1
+        assert text == ""
+        assert not csv.exists()
+        assert capsys.readouterr().err == (
+            f"error: sweep grid has more than {groupform.cli.MAX_SWEEP_POINTS} points\n")
+
+    def test_full_space_stable_cells_match_the_stable_command(self, tmp_path):
+        # 0.1 to 0.9 on sizes 3 and 3 meets every stable regime: disjoint,
+        # bridge, exact-k (2 and 3 links), maximal, and ties at 0.2, 0.4, 0.8;
+        # the full space frees intra pairs too, which the cell must not count
+        scenario = SCENARIO_3_5.replace("3, 5", "3, 3").replace("space = inter", "space = full")
+        code, text = run_cli(["sweep", "--scenario", write(tmp_path, "s.scn", scenario),
+                              "--parameter", "F12", "--from", "0.1", "--to", "0.9",
+                              "--step", "0.1"])
+        assert code == 0
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert len(rows) == 9
+        for value, cell, *_ in rows:
+            point = write(tmp_path, "p.scn", scenario.replace("F = 0.4", f"F = {value}"))
+            code, report = run_cli(["stable", "--scenario", point])
+            assert code == 0
+            lo, _, hi = cell.partition("..")
+            assert f"interconnection counts: {lo}..{hi or lo}" in report.splitlines(), value
+
     def test_svg_emission(self, tmp_path):
         scenario = write(tmp_path, "s.scn", SCENARIO_3_5)
         svg = tmp_path / "plot.svg"

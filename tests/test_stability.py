@@ -37,10 +37,10 @@ from groupform.stability import (
     price_of_anarchy,
     scan_space,
 )
-from groupform.thresholds import RegimeKind, classify_two_group_stable
+from groupform.thresholds import RegimeKind, classify_two_group_stable, stable_boundaries
 
 from conftest import random_network, random_society
-from oracles import free_mask_of
+from oracles import free_mask_of, reference_stable, reference_tables_chunk
 
 PARAMS = ModelParams(0.5, 0.2)
 
@@ -316,13 +316,56 @@ class TestEngineAgainstDefinition:
                         mismatches.append((start + row, v))
         assert mismatches == []
 
-    def test_worker_split_changes_nothing(self):
+    def test_worker_split_changes_nothing(self, monkeypatch):
+        # 2^15 networks in chunks of 2^10: 32 chunk boundaries, and the
+        # worker pool runs, which it never does for a single chunk
+        monkeypatch.setattr("groupform.stability._CHUNK_BITS", 10)
         society = society_3_3(0.4)
         space = full_graph_space(6)
-        serial = compute_tables(space, society.partition, 0.5, workers=1)
-        parallel = compute_tables(space, society.partition, 0.5, workers=2)
-        assert np.array_equal(serial.benefit, parallel.benefit)
-        assert np.array_equal(serial.degree, parallel.degree)
+        benefit, degree = _tables_chunk(space, society.partition, 0.5, 0, space.size)
+        for workers in (1, 2):
+            tables = compute_tables(space, society.partition, 0.5, workers=workers)
+            assert np.array_equal(tables.benefit, benefit)
+            assert np.array_equal(tables.degree, degree)
+
+
+class TestEngineAgainstReference:
+    """The node-major table build and the XOR-partner scan reproduce the
+    row-major build and the gather-based scan of `oracles` exactly."""
+
+    @staticmethod
+    def assert_identical(tables: SpaceTables, society: Society) -> None:
+        space, partition, delta = tables.space, tables.partition, tables.delta
+        benefit, degree = reference_tables_chunk(space, partition, delta, 0, space.size)
+        assert tables.benefit.shape == benefit.shape and tables.benefit.dtype == np.float64
+        assert tables.degree.shape == degree.shape and tables.degree.dtype == np.uint8
+        assert np.array_equal(tables.benefit, benefit)
+        assert np.array_equal(tables.degree, degree)
+        reference = SpaceTables(space, partition, delta, benefit, degree)
+        scan = scan_space(tables, society)
+        assert np.array_equal(scan.stable, reference_stable(reference, society))
+        assert np.array_equal(scan.welfare, _utilities(reference, society).sum(axis=1))
+
+    @pytest.mark.parametrize("space_of, sizes", [(lambda p: full_graph_space(p.n), (3, 3)),
+                                                 (interconnection_space, (3, 4)),
+                                                 (interconnection_space, (3, 5))],
+                             ids=["full-3+3", "inter-3+4", "inter-3+5"])
+    def test_tables_and_scan_match_the_reference(self, space_of, sizes):
+        partition = GroupPartition.from_sizes(sizes)
+        society = Society(partition, CoordinationMatrix.uniform(2, 0.45), PARAMS)
+        self.assert_identical(compute_tables(space_of(partition), partition, PARAMS.delta),
+                              society)
+
+    @pytest.fixture(scope="class")
+    def tables_3_5(self) -> SpaceTables:
+        partition = GroupPartition.from_sizes([3, 5])
+        return compute_tables(interconnection_space(partition), partition, PARAMS.delta)
+
+    # the four stable bounds (0.2, 0.4, 8/15, 0.8), 0.32 with its real ties,
+    # and an interior point of the 3-link regime
+    @pytest.mark.parametrize("f12", [*stable_boundaries(3, 5, PARAMS), 0.32, 0.6])
+    def test_scan_matches_the_reference_at_the_bounds(self, tables_3_5, f12):
+        self.assert_identical(tables_3_5, society_3_5(f12))
 
 
 class TestFixpointEquivalence:
