@@ -39,26 +39,32 @@ DEFAULT_MAX_STEPS = 100_000
 MAX_SWEEP_POINTS = 100_000
 
 
+# Search-space builders by the name a scenario or --space gives.  Each looks
+# its builder up at call time, so a wrapped (traced) builder is the one run.
+SPACES = {"full": lambda partition: stab.full_graph_space(partition.n),
+          "inter": lambda partition: stab.interconnection_space(partition)}
+
+# Run settings a flag of the same name replaces.
+OVERRIDES = ("seed", "space", "max_steps")
+
+_REQUIRED = object()
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Parsed scenario file: the society plus run configuration."""
 
     society: Society
     seed: Optional[int]
-    space: str                       # "full" | "inter"
+    space: str                       # a key of SPACES
     max_steps: int
 
     @property
     def partition(self) -> GroupPartition:
         return self.society.partition
 
-    def build_space(self, override: Optional[str] = None) -> stab.SearchSpace:
-        kind = override or self.space
-        if kind == "full":
-            return stab.full_graph_space(self.partition.n)
-        if kind == "inter":
-            return stab.interconnection_space(self.partition)
-        raise ValidationError(f"unknown space kind {kind!r} (use 'full' or 'inter')")
+    def build_space(self) -> stab.SearchSpace:
+        return SPACES[self.space](self.partition)
 
 
 _SCENARIO_KEYS = {"group_sizes", "F", "delta", "cost", "epsilon", "seed",
@@ -81,60 +87,39 @@ def parse_scenario(text: str) -> Scenario:
             raise ValidationError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = (lineno, value)
 
-    def take(key: str, default=None):
-        return raw.pop(key, (0, default))[1]
-
-    def must_take(key: str):
+    def read(key: str, cast=float, default=_REQUIRED, problem="must be a number"):
+        """The key's value through ``cast``, or ``default`` when it is absent."""
         if key not in raw:
-            raise ValidationError(f"scenario is missing required key {key!r}")
-        return raw.pop(key)
+            if default is _REQUIRED:
+                raise ValidationError(f"scenario is missing required key {key!r}")
+            return default
+        lineno, value = raw[key]
+        try:
+            return cast(value)
+        except ValueError:
+            raise ValidationError(f"line {lineno}: {key} {problem}") from None
 
-    lineno, sizes_text = must_take("group_sizes")
-    try:
-        sizes = [int(s) for s in sizes_text.split(",")]
-    except ValueError:
-        raise ValidationError(f"line {lineno}: group_sizes must be integers") from None
+    sizes = read("group_sizes", lambda text: [int(s) for s in text.split(",")],
+                 problem="must be integers")
     partition = GroupPartition.from_sizes(sizes)
-
-    lineno, f_text = must_take("F")
-    try:
-        cross = [float(v) for v in f_text.split(",")] if f_text.strip() else []
-    except ValueError:
-        raise ValidationError(f"line {lineno}: F entries must be numbers") from None
+    cross = read("F", lambda text: [float(v) for v in text.split(",")] if text else [],
+                 problem="entries must be numbers")
     coordination = CoordinationMatrix.from_upper_triangle(partition.m, cross)
-
-    def number(key: str, default=None, cast=float):
-        if key in raw:
-            lineno, value = raw.pop(key)
-            try:
-                return cast(value)
-            except ValueError:
-                raise ValidationError(f"line {lineno}: {key} must be a number") from None
-        if default is None:
-            raise ValidationError(f"scenario is missing required key {key!r}")
-        return default
-
-    delta = number("delta")
-    cost = number("cost")
-    epsilon = number("epsilon", DEFAULT_EPSILON)
-    seed = number("seed", 0, cast=int) if "seed" in raw else None
-    max_steps = number("max_steps", DEFAULT_MAX_STEPS, cast=int)
-    space = take("space", "inter")
-    if space not in ("full", "inter"):
+    delta = read("delta")
+    cost = read("cost")
+    epsilon = read("epsilon", default=DEFAULT_EPSILON)
+    seed = read("seed", int, default=None)
+    max_steps = read("max_steps", int, default=DEFAULT_MAX_STEPS)
+    space = read("space", str, default="inter")
+    if space not in SPACES:
         raise ValidationError(f"space must be 'full' or 'inter', got {space!r}")
 
     society = Society(partition, coordination, ModelParams(delta, cost, epsilon))
     return Scenario(society=society, seed=seed, space=space, max_steps=max_steps)
 
 
-def load_scenario(path: str, epsilon_override: Optional[float] = None) -> Scenario:
-    text = Path(path).read_text(encoding="ascii")
-    scenario = parse_scenario(text)
-    if epsilon_override is not None:
-        society = scenario.society
-        params = replace(society.params, epsilon=epsilon_override)
-        scenario = replace(scenario, society=replace(society, params=params))
-    return scenario
+def load_scenario(path: str) -> Scenario:
+    return parse_scenario(Path(path).read_text(encoding="ascii"))
 
 
 def _fmt(x: float) -> str:
@@ -315,7 +300,7 @@ def cmd_sweep(scenario: Scenario, args: argparse.Namespace, out) -> int:
 
     def scan_at(society: Society) -> Optional[stab.SpaceScan]:
         try:
-            space = replace(scenario, society=society).build_space(args.space)
+            space = SPACES[scenario.space](society.partition)
             return stab.scan_space(tables(space, society.partition, society.params.delta),
                                    society)
         except stab.CapExceededError:
@@ -347,18 +332,16 @@ def cmd_dynamics(scenario: Scenario, args: argparse.Namespace, out) -> int:
         selector: dyn.PairSelector = dyn.Scripted.of(
             [(i, j) for _, i, j in _parse_pairs(text)])
     else:
-        run_seed = args.seed if args.seed is not None else scenario.seed
-        if run_seed is None:
+        if scenario.seed is None:
             raise ValidationError("seeded dynamics need a seed (scenario key or --seed)")
-        selector = dyn.SeededUniform(run_seed)
+        selector = dyn.SeededUniform(scenario.seed)
 
     if args.start is not None:
         start = parse_edge_list(Path(args.start).read_text(encoding="ascii"), society.n)
     else:
         start = Network.empty(society.n)
 
-    steps = args.max_steps if args.max_steps is not None else scenario.max_steps
-    trace = dyn.run(start, selector, society, max_steps=steps)
+    trace = dyn.run(start, selector, society, max_steps=scenario.max_steps)
     csv_text = trace.to_csv()
     if args.out:
         Path(args.out).write_text(csv_text, encoding="ascii")
@@ -395,7 +378,7 @@ def _write_networks(networks, partition, society, out_dir: str, prefix: str, out
 
 def cmd_stable(scenario: Scenario, args: argparse.Namespace, out) -> int:
     society = scenario.society
-    space = scenario.build_space(args.space)
+    space = scenario.build_space()
     networks = stab.enumerate_stable(space, society)
     print(f"space: {space.kind.value} ({space.size} networks); "
           f"{len(networks)} pairwise stable", file=out)
@@ -409,7 +392,7 @@ def cmd_stable(scenario: Scenario, args: argparse.Namespace, out) -> int:
 
 def cmd_efficient(scenario: Scenario, args: argparse.Namespace, out) -> int:
     society = scenario.society
-    space = scenario.build_space(args.space)
+    space = scenario.build_space()
     best, argmax = eff.efficient_search(space, society)
     print(f"space: {space.kind.value} ({space.size} networks); "
           f"best welfare {_fmt(best)} attained by {len(argmax)} networks", file=out)
@@ -420,7 +403,7 @@ def cmd_efficient(scenario: Scenario, args: argparse.Namespace, out) -> int:
 
 def cmd_poa(scenario: Scenario, args: argparse.Namespace, out) -> int:
     society = scenario.society
-    space = scenario.build_space(args.space)
+    space = scenario.build_space()
     value = stab.price_of_anarchy(space, society)
     print(f"space: {space.kind.value} ({space.size} networks)", file=out)
     print(f"price of anarchy: {_fmt(value)}", file=out)
@@ -512,9 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
         p.add_argument("--scenario", required=True, help="scenario file path")
-        p.add_argument("--epsilon", type=float, default=None,
-                       help="override the indifference tolerance")
         return p
+
+    def space_option(p):
+        p.add_argument("--space", choices=SPACES, default=None)
 
     p = command("eval", cmd_eval, "per-node payoffs and welfare of a network")
     p.add_argument("--network", required=True, help="edge-list file")
@@ -526,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
-    p.add_argument("--space", choices=["full", "inter"], default=None)
+    space_option(p)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.add_argument("--svg", default=None, help="optional SVG plot path")
 
@@ -544,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("efficient", cmd_efficient, "enumerate welfare-maximal networks"),
             ("poa", cmd_poa, "price of anarchy over the declared space")):
         p = command(name, run, help_text)
-        p.add_argument("--space", choices=["full", "inter"], default=None)
+        space_option(p)
         if run is not cmd_poa:
             p.add_argument("--out", default=None,
                            help="directory for edge lists + summary.csv")
@@ -555,7 +539,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        return args.run(load_scenario(args.scenario, args.epsilon), args, out)
+        given = {key: getattr(args, key) for key in OVERRIDES
+                 if getattr(args, key, None) is not None}
+        return args.run(replace(load_scenario(args.scenario), **given), args, out)
     except stab.CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ by a quiet-period heuristic alone.
 from __future__ import annotations
 
 import enum
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -60,7 +61,14 @@ class Scripted:
 
     @classmethod
     def of(cls, pairs: Sequence[tuple[int, int]]) -> "Scripted":
-        return cls(tuple((int(i), int(j)) for i, j in pairs))
+        sequence = []
+        for entry, (i, j) in enumerate(pairs):
+            try:
+                sequence.append((operator.index(i), operator.index(j)))
+            except TypeError:
+                raise ValidationError(
+                    f"script entry {entry}: pair ({i}, {j}) is not two integers") from None
+        return cls(tuple(sequence))
 
     def pairs(self, n: int) -> Iterator[tuple[int, int]]:
         for index, (i, j) in enumerate(self.sequence):

@@ -143,9 +143,10 @@ def efficient_boundaries(s1: int, s2: int, params: ModelParams) -> list[float]:
     c, delta = params.cost, params.delta
     y1a = clique_link_gain(s1, delta)
     y1b = clique_link_gain(s2, delta)
-    bridge_lb = c * delta / (y1a * y1b)
     redundant_lb = 2.0 * c / (extra_link_gain(s1, delta) + extra_link_gain(s2, delta)
                               + (s1 + s2 - 4) * delta * shortcut_gain(delta))
+    # Exactly, bridge < redundant; at tiny delta rounding can swap them.
+    bridge_lb = min(c * delta / (y1a * y1b), redundant_lb)
     maximal_lb = c / shortcut_gain(delta)
     return [bridge_lb, redundant_lb, maximal_lb]
 

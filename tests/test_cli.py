@@ -1,5 +1,7 @@
 import io
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -55,6 +57,25 @@ class TestScenarioParsing:
     def test_wrong_cross_entry_count(self):
         with pytest.raises(ValidationError, match="cross-group"):
             parse_scenario("group_sizes = 3, 3, 3\nF = 0.5\ndelta = 0.5\ncost = 0.2\n")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("group_sizes = 3, 5", "group_sizes = 3, x", "line 2: group_sizes must be integers"),
+        ("F = 0.4", "F = abc", "line 3: F entries must be numbers"),
+        ("delta = 0.5", "delta = half", "line 4: delta must be a number"),
+        ("seed = 7", "seed = 7.5", "line 7: seed must be a number"),
+        ("space = inter", "max_steps = many", "line 8: max_steps must be a number"),
+        ("space = inter", "space = huge", "space must be 'full' or 'inter', got 'huge'"),
+    ])
+    def test_unreadable_value_names_key_and_line(self, old, new, message):
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(SCENARIO_3_5.replace(old, new))
+        assert str(info.value) == message
+
+    def test_optional_keys_default(self):
+        scenario = parse_scenario("group_sizes = 3, 3\nF = 0.5\ndelta = 0.5\ncost = 0.2\n")
+        assert scenario.seed is None
+        assert scenario.space == "inter"
+        assert scenario.max_steps == groupform.cli.DEFAULT_MAX_STEPS
 
     def test_model_invariants_revalidated_on_load(self):
         with pytest.raises(ValidationError, match=">= 3"):
@@ -327,6 +348,44 @@ class TestDynamicsCommand:
         assert "seed" in capsys.readouterr().err
 
 
+class TestFlagOverrides:
+    """--seed, --space and --max-steps replace the scenario key of that name."""
+
+    def test_max_steps_flag_bounds_the_trace(self, tmp_path):
+        scenario = write(tmp_path, "s.scn", SCENARIO_3_5 + "max_steps = 3\n")
+        code, text = run_cli(["dynamics", "--scenario", scenario, "--max-steps", "7"])
+        assert code == 0
+        lines = text.splitlines()
+        assert [line.split(",")[0] for line in lines[1:9]] == [
+            "1", "2", "3", "4", "5", "6", "7", "converged: no"]
+
+    def test_seed_flag_reproduces_the_scenario_seed(self, tmp_path):
+        seven = write(tmp_path, "seven.scn", SCENARIO_3_5)
+        three = write(tmp_path, "three.scn", SCENARIO_3_5.replace("seed = 7", "seed = 3"))
+        code_a, from_key = run_cli(["dynamics", "--scenario", seven])
+        code_b, from_flag = run_cli(["dynamics", "--scenario", three, "--seed", "7"])
+        code_c, unflagged = run_cli(["dynamics", "--scenario", three])
+        assert code_a == code_b == code_c == 0
+        assert from_flag == from_key
+        assert unflagged != from_key
+
+    def test_space_flag_replaces_the_scenario_space(self, tmp_path):
+        # the full space on 8 nodes is past the cap, so only the flag lets it run
+        scenario = write(tmp_path, "s.scn",
+                         SCENARIO_3_5.replace("space = inter", "space = full"))
+        assert run_cli(["poa", "--scenario", scenario])[0] == 2
+        code, text = run_cli(["poa", "--scenario", scenario, "--space", "inter"])
+        assert code == 0
+        assert text.startswith("space: interconnection (32768 networks)\n")
+
+    def test_epsilon_flag_is_refused(self, tmp_path, capsys):
+        scenario = write(tmp_path, "s.scn", SCENARIO_3_5)
+        with pytest.raises(SystemExit) as info:
+            main(["classify", "--scenario", scenario, "--epsilon", "0.1"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --epsilon 0.1" in capsys.readouterr().err
+
+
 class TestStableAndEfficientCommands:
     def test_stable_writes_roundtrippable_files(self, tmp_path):
         scenario = write(tmp_path, "s.scn", SCENARIO_3_5.replace("F = 0.4", "F = 0.3"))
@@ -432,6 +491,18 @@ class TestInputErrors:
         code, _ = run_cli(["classify", "--scenario", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestModuleEntryPoint:
+    def test_python_m_matches_main(self):
+        scenario = "scenarios/two_groups_boundary.scn"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-m", "groupform", "classify", "--scenario", scenario],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == run_cli(["classify", "--scenario", str(ROOT / scenario)])[1]
 
 
 class TestScripts:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -241,6 +242,12 @@ class TestTraceMechanics:
         society = two_group_society([3, 4], 0.3)
         with pytest.raises(ValidationError, match="entry 1"):
             run(Network.empty(7), Scripted.of([(0, 1), (0, 9)]), society, max_steps=10)
+
+    def test_script_entries_must_be_integers(self):
+        assert Scripted.of([(np.int64(1), np.int64(3))]).sequence == ((1, 3),)
+        for pairs in ([(1.9, 3)], [(0, 1), (0, np.float64(0.7))]):
+            with pytest.raises(ValidationError, match=f"script entry {len(pairs) - 1}"):
+                Scripted.of(pairs)
 
     def test_max_steps_truncation_reports_honestly(self):
         society = two_group_society([3, 5], 0.3)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from groupform.cli import _sweep_row
 from groupform.dynamics import Action, step
 from groupform.model import (
     CoordinationMatrix,
@@ -444,6 +445,49 @@ class TestEpsilonBandAudit:
         assert len(rows) == 937_980
         sample = np.random.default_rng(2024).choice(len(rows), 2_000, replace=False)
         self.assert_exact_ties(tables, "0.8", rows[sample])
+
+
+class TestEnginesAgreeAtTheStableBounds:
+    """At and just off each stable bound of sizes 3 and 5 (interconnection
+    space, delta 1/2, cost 1/5) the closed form, the table scan and the
+    scalar check decide alike.  Off a bound, every enumerated stable count is
+    the classifier's count; on it, the classifier reports the tie and every
+    enumerated count lies in the tie range the sweep prints."""
+
+    OFFSET = 1e-7
+    TIE_CELLS = ["0..1", "1..2", "2..3", "3..15"]
+
+    @pytest.fixture(scope="class")
+    def tables(self) -> SpaceTables:
+        partition = GroupPartition.from_sizes([3, 5])
+        return compute_tables(interconnection_space(partition), partition, PARAMS.delta)
+
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    @pytest.mark.parametrize("index", range(4))
+    def test_classifier_scan_and_scalar_agree(self, tables, index, side):
+        f12 = stable_boundaries(3, 5, PARAMS)[index] + side * self.OFFSET
+        society = society_3_5(f12)
+        scan = scan_space(tables, society)
+        stable = [tables.space.network_for(int(k)) for k in scan.stable_masks()]
+        counts = {network.inter_count(society.partition) for network in stable}
+        prediction = classify_two_group_stable(3, 5, PARAMS, f12)
+        if side:
+            assert counts == {prediction.interconnections(3, 5)}
+        else:
+            assert (prediction.kind, prediction.k) == (RegimeKind.BOUNDARY_TIE, index)
+            cell = _sweep_row(f12, society, None).split(",")[1]
+            assert cell == self.TIE_CELLS[index]
+            lo, hi = map(int, cell.split(".."))
+            assert counts and counts <= set(range(lo, hi + 1))
+
+        # the maximal-bound tie has 30,517 stable networks; 1,000 of them
+        # keep the scalar check to about half a second
+        rng = np.random.default_rng(2024)
+        if len(stable) > 1_000:
+            stable = [stable[k] for k in rng.choice(len(stable), 1_000, replace=False)]
+        assert all(is_pairwise_stable(network, society) for network in stable)
+        for k in rng.choice(np.flatnonzero(~scan.stable), 200, replace=False):
+            assert not is_pairwise_stable(tables.space.network_for(int(k)), society), k
 
 
 class TestPriceOfAnarchy:

@@ -176,6 +176,20 @@ class TestClassifyEfficient:
                 assert upper < params.cost / extra_link_gain(max(s1, s2), delta)
 
 
+class TestBoundsAscend:
+    def test_both_bound_lists_ascend_down_to_tiny_delta(self):
+        # at delta 1e-17 and sizes 12, 13 the efficient bridge bound used to
+        # round above the redundant bound
+        for exponent in range(-17, -1):
+            delta = 10.0 ** exponent
+            params = ModelParams(delta, delta / 2, 0.0)
+            for s1 in range(3, 14):
+                for s2 in range(s1, 14):
+                    for bounds in (stable_boundaries(s1, s2, params),
+                                   efficient_boundaries(s1, s2, params)):
+                        assert bounds == sorted(bounds), (delta, s1, s2)
+
+
 def _stable_regimes(s1, s2):
     exact = [(RegimeKind.EXACT_K, k) for k in range(2, min(s1, s2) + 1)]
     return [(RegimeKind.DISJOINT, None), (RegimeKind.BRIDGE, None), *exact,
