@@ -41,7 +41,6 @@ from .stability import (
     CapExceededError,
     PoAUndefinedError,
     SearchSpace,
-    SpaceKind,
     defeats,
     enumerate_stable,
     full_graph_space,

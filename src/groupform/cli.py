@@ -112,7 +112,8 @@ def parse_scenario(text: str) -> Scenario:
     max_steps = read("max_steps", int, default=DEFAULT_MAX_STEPS)
     space = read("space", str, default="inter")
     if space not in SPACES:
-        raise ValidationError(f"space must be 'full' or 'inter', got {space!r}")
+        names = " or ".join(map(repr, SPACES))
+        raise ValidationError(f"space must be {names}, got {space!r}")
 
     society = Society(partition, coordination, ModelParams(delta, cost, epsilon))
     return Scenario(society=society, seed=seed, space=space, max_steps=max_steps)
@@ -363,14 +364,14 @@ def cmd_dynamics(scenario: Scenario, args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _write_networks(networks, partition, society, out_dir: str, prefix: str, out) -> None:
+def _write_networks(networks, society, out_dir: str, prefix: str, out) -> None:
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     rows = ["index,edges,interconnections,welfare"]
     for index, network in enumerate(networks):
         (directory / f"{prefix}_{index:04d}.edges").write_text(
             format_edge_list(network), encoding="ascii")
-        rows.append(f"{index},{network.edge_count},{network.inter_count(partition)},"
+        rows.append(f"{index},{network.edge_count},{network.inter_count(society.partition)},"
                     f"{_fmt(welfare(network, society))}")
     (directory / "summary.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
     print(f"wrote {len(networks)} networks and summary.csv to {directory}", file=out)
@@ -380,13 +381,13 @@ def cmd_stable(scenario: Scenario, args: argparse.Namespace, out) -> int:
     society = scenario.society
     space = scenario.build_space()
     networks = stab.enumerate_stable(space, society)
-    print(f"space: {space.kind.value} ({space.size} networks); "
+    print(f"space: {space.kind} ({space.size} networks); "
           f"{len(networks)} pairwise stable", file=out)
     counts = sorted({net.inter_count(society.partition) for net in networks})
     if counts:
         print(f"interconnection counts: {counts[0]}..{counts[-1]}", file=out)
     if args.out:
-        _write_networks(networks, society.partition, society, args.out, "stable", out)
+        _write_networks(networks, society, args.out, "stable", out)
     return 0
 
 
@@ -394,10 +395,10 @@ def cmd_efficient(scenario: Scenario, args: argparse.Namespace, out) -> int:
     society = scenario.society
     space = scenario.build_space()
     best, argmax = eff.efficient_search(space, society)
-    print(f"space: {space.kind.value} ({space.size} networks); "
+    print(f"space: {space.kind} ({space.size} networks); "
           f"best welfare {_fmt(best)} attained by {len(argmax)} networks", file=out)
     if args.out:
-        _write_networks(argmax, society.partition, society, args.out, "efficient", out)
+        _write_networks(argmax, society, args.out, "efficient", out)
     return 0
 
 
@@ -405,7 +406,7 @@ def cmd_poa(scenario: Scenario, args: argparse.Namespace, out) -> int:
     society = scenario.society
     space = scenario.build_space()
     value = stab.price_of_anarchy(space, society)
-    print(f"space: {space.kind.value} ({space.size} networks)", file=out)
+    print(f"space: {space.kind} ({space.size} networks)", file=out)
     print(f"price of anarchy: {_fmt(value)}", file=out)
     return 0
 

@@ -45,6 +45,17 @@ class SeededUniform:
 
     seed: int
 
+    def __post_init__(self):
+        # random.Random takes a negative seed's absolute value, so -3 and 3
+        # would replay one stream; refuse it rather than alias it.
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ValidationError(f"seed must be an integer, got {self.seed!r}") from None
+        if seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {seed}")
+        object.__setattr__(self, "seed", seed)
+
     def pairs(self, n: int) -> Iterator[tuple[int, int]]:
         pool = all_pairs(n)
         count = len(pool)

@@ -319,23 +319,6 @@ def _hop_distances(masks, source: int) -> list[float]:
     return dist
 
 
-def _benefit_from(masks, source: int, group_bits: tuple[int, ...],
-                  weight_row: tuple[float, ...], delta_powers: tuple[float, ...]) -> float:
-    """Discounted coordination benefit collected by one node via shortest paths:
-    per group, delta**level times the members first reached at each level,
-    then weighted by group.  `stability._tables_chunk` and `_utilities` add
-    the same terms in the same order, so both engines agree bitwise."""
-    acc = [0.0] * len(group_bits)
-    for level, newly in _bfs_levels(masks, source):
-        dp = delta_powers[level]
-        for g, bits in enumerate(group_bits):
-            acc[g] += dp * int.bit_count(newly & bits)
-    total = 0.0
-    for benefit, weight in zip(acc, weight_row):
-        total += benefit * weight
-    return total
-
-
 @lru_cache(maxsize=64)
 def _delta_powers(delta: float, n: int) -> tuple[float, ...]:
     powers = [1.0] * n
@@ -344,26 +327,36 @@ def _delta_powers(delta: float, n: int) -> tuple[float, ...]:
     return tuple(powers)
 
 
-def _node_payoff(network: Network, i: int, society: Society) -> float:
+def payoff(network: Network, i: int, society: Society) -> float:
+    """Group-weighted benefit over reachable nodes minus degree * cost for node i.
+
+    Per group, delta**level times the members first reached at each BFS
+    level, then weighted by i's coordination row.  `stability._tables_chunk`
+    and `_utilities` add the same terms in the same order, so both engines
+    agree bitwise.
+    """
+    if not 0 <= i < network.n:
+        raise ValidationError(f"node {i} out of range")
     if network.n != society.n:
         raise ValidationError(f"network has {network.n} nodes, the society has {society.n}")
     masks, partition, params = network.neighbor_masks, society.partition, society.params
-    benefit = _benefit_from(masks, i, partition.group_bits,
-                            society.coordination.entries[partition.membership[i]],
-                            _delta_powers(params.delta, network.n))
+    delta_powers = _delta_powers(params.delta, network.n)
+    group_bits = partition.group_bits
+    acc = [0.0] * len(group_bits)
+    for level, newly in _bfs_levels(masks, i):
+        dp = delta_powers[level]
+        for g, bits in enumerate(group_bits):
+            acc[g] += dp * int.bit_count(newly & bits)
+    weights = society.coordination.entries[partition.membership[i]]
+    benefit = 0.0
+    for group_benefit, weight in zip(acc, weights):
+        benefit += group_benefit * weight
     return benefit - int.bit_count(masks[i]) * params.cost
-
-
-def payoff(network: Network, i: int, society: Society) -> float:
-    """Group-weighted benefit over reachable nodes minus degree * cost for node i."""
-    if not 0 <= i < network.n:
-        raise ValidationError(f"node {i} out of range")
-    return _node_payoff(network, i, society)
 
 
 def payoffs(network: Network, society: Society) -> np.ndarray:
     """Payoff of every node, as one vector."""
-    return np.array([_node_payoff(network, i, society) for i in range(network.n)])
+    return np.array([payoff(network, i, society) for i in range(network.n)])
 
 
 def welfare(network: Network, society: Society) -> float:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property, partial
 
 import numpy as np
@@ -33,7 +32,7 @@ from .model import (
 )
 from .thresholds import below_clique_bound, shortcut_gain
 
-DEFAULT_FREE_BITS_CAP = 22
+FREE_BITS_CAP = 22
 _CHUNK_BITS = 16
 
 
@@ -45,11 +44,6 @@ class PoAUndefinedError(ValueError):
     """No stable network, or a non-positive minimum stable welfare."""
 
 
-class SpaceKind(Enum):
-    FULL = "full"
-    INTERCONNECTION = "interconnection"
-
-
 @dataclass(frozen=True)
 class SearchSpace:
     """A family of networks indexed by bitmasks over the free pair list.
@@ -58,7 +52,7 @@ class SearchSpace:
     intra-group pair present and frees only cross-group pairs.
     """
 
-    kind: SpaceKind
+    kind: str  # "full" or "interconnection", as reports print it
     n: int
     fixed_edges: frozenset[tuple[int, int]]
     free_pairs: tuple[tuple[int, int], ...]
@@ -88,13 +82,13 @@ class SearchSpace:
 def full_graph_space(n: int) -> SearchSpace:
     """Every edge set on n nodes (2^C(n,2) networks); the free-pair cap of
     `compute_tables` admits n <= 7."""
-    return SearchSpace(kind=SpaceKind.FULL, n=n, fixed_edges=frozenset(),
+    return SearchSpace(kind="full", n=n, fixed_edges=frozenset(),
                        free_pairs=tuple(all_pairs(n)))
 
 
 def interconnection_space(partition: GroupPartition) -> SearchSpace:
     """Intra-group cliques pinned present; only cross-group pairs vary."""
-    return SearchSpace(kind=SpaceKind.INTERCONNECTION, n=partition.n,
+    return SearchSpace(kind="interconnection", n=partition.n,
                        fixed_edges=frozenset(partition.intra_pairs()),
                        free_pairs=tuple(partition.cross_pairs()))
 
@@ -231,9 +225,9 @@ def compute_tables(space: SearchSpace, partition: GroupPartition, delta: float,
     depends on the worker count.
     """
     bits = len(space.free_pairs)
-    if bits > DEFAULT_FREE_BITS_CAP:
+    if bits > FREE_BITS_CAP:
         raise CapExceededError(f"space has {bits} free pairs (2^{bits} networks); "
-                               f"cap is {DEFAULT_FREE_BITS_CAP} bits")
+                               f"cap is {FREE_BITS_CAP} bits")
     if space.n > 32:
         raise CapExceededError("table BFS packs node sets into 32-bit lanes; n <= 32")
     size = space.size

@@ -480,6 +480,40 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be finite, got" in err
 
+    @pytest.mark.parametrize("scenario_text, args, message", [
+        pytest.param("group_sizes = 3, 5\nF 0.4\n", ["classify"],
+                     "line 2: expected 'key = value', got 'F 0.4'", id="no-equals"),
+        pytest.param("group_sizes = 3, 5\ngroup_sizes = 3, 5\n", ["classify"],
+                     "line 2: duplicate key 'group_sizes'", id="duplicate-key"),
+        pytest.param(SCENARIO_3_5, ["sweep", "--parameter", "F12", "--from", "0", "--to", "1",
+                                    "--step", "0"],
+                     "sweep step must be positive", id="zero-step"),
+        pytest.param(SCENARIO_3_5, ["sweep", "--parameter", "F12", "--from", "1", "--to", "0",
+                                    "--step", "0.1"],
+                     "sweep grid is empty", id="empty-grid"),
+        pytest.param((ROOT / "scenarios" / "size_split.scn").read_text(encoding="ascii"),
+                     ["sweep", "--parameter", "s1", "--from", "2", "--to", "4", "--step", "1"],
+                     "s1=2 leaves a group below 3 members", id="small-group"),
+        pytest.param(SCENARIO_3_5 + "max_steps = 0\n", ["dynamics"],
+                     "max_steps must be at least 1", id="zero-max-steps"),
+        pytest.param(SCENARIO_3_5.replace("seed = 7", "seed = -3"), ["dynamics"],
+                     "seed must be non-negative, got -3", id="negative-seed-key"),
+        pytest.param(SCENARIO_3_5, ["dynamics", "--seed", "-3"],
+                     "seed must be non-negative, got -3", id="negative-seed-flag"),
+    ])
+    def test_rejected_input_exits_one(self, tmp_path, capsys, scenario_text, args, message):
+        scenario = write(tmp_path, "s.scn", scenario_text)
+        code, text = run_cli([args[0], "--scenario", scenario, *args[1:]])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_seed_zero_runs(self, tmp_path):
+        scenario = write(tmp_path, "s.scn", SCENARIO_3_5)
+        code, text = run_cli(["dynamics", "--scenario", scenario, "--seed", "0"])
+        assert code == 0
+        assert "converged: yes" in text
+
     def test_non_ascii_scenario_exits_one(self, tmp_path, capsys):
         path = tmp_path / "s.scn"
         path.write_bytes(SCENARIO_3_5.encode("ascii") + "# caf\u00e9\n".encode("utf-8"))

@@ -249,6 +249,13 @@ class TestTraceMechanics:
             with pytest.raises(ValidationError, match=f"script entry {len(pairs) - 1}"):
                 Scripted.of(pairs)
 
+    def test_seed_must_be_a_non_negative_integer(self):
+        assert SeededUniform(np.int64(3)).seed == 3
+        for seed, message in ((-3, "non-negative, got -3"), (3.0, "an integer, got 3.0"),
+                              ("3", "an integer, got '3'")):
+            with pytest.raises(ValidationError, match=message):
+                SeededUniform(seed)
+
     def test_max_steps_truncation_reports_honestly(self):
         society = two_group_society([3, 5], 0.3)
         trace = run(Network.empty(8), SeededUniform(8), society, max_steps=3)
