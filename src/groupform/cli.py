@@ -21,7 +21,6 @@ from . import efficiency as eff
 from . import stability as stab
 from . import thresholds as th
 from .model import (
-    DEFAULT_EPSILON,
     CoordinationMatrix,
     GroupPartition,
     ModelParams,
@@ -67,8 +66,7 @@ class Scenario:
         return SPACES[self.space](self.partition)
 
 
-_SCENARIO_KEYS = {"group_sizes", "F", "delta", "cost", "epsilon", "seed",
-                  "space", "max_steps"}
+_SCENARIO_KEYS = {"group_sizes", "F", "delta", "cost", "seed", "space", "max_steps"}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -107,7 +105,6 @@ def parse_scenario(text: str) -> Scenario:
     coordination = CoordinationMatrix.from_upper_triangle(partition.m, cross)
     delta = read("delta")
     cost = read("cost")
-    epsilon = read("epsilon", default=DEFAULT_EPSILON)
     seed = read("seed", int, default=None)
     max_steps = read("max_steps", int, default=DEFAULT_MAX_STEPS)
     space = read("space", str, default="inter")
@@ -115,7 +112,7 @@ def parse_scenario(text: str) -> Scenario:
         names = " or ".join(map(repr, SPACES))
         raise ValidationError(f"space must be {names}, got {space!r}")
 
-    society = Society(partition, coordination, ModelParams(delta, cost, epsilon))
+    society = Society(partition, coordination, ModelParams(delta, cost))
     return Scenario(society=society, seed=seed, space=space, max_steps=max_steps)
 
 
@@ -265,7 +262,7 @@ def _sweep_row(value: float, society: Society, scan: Optional[stab.SpaceScan]) -
         # efficiency.argmax_from_scan and stability.network_for.
         cross = scan.space.cross_bits(partition)
         stable_counts = np.bitwise_count(scan.stable_masks() & cross).tolist()
-        _, argmax = eff.argmax_from_scan(scan, params.epsilon)
+        _, argmax = eff.argmax_from_scan(scan)
         stable_cell = _count_cell(stable_counts, tie=tie)
         eff_cell = _count_cell([net.inter_count(partition) for net in argmax])
         stable_welfares = scan.welfare[scan.stable]
@@ -413,9 +410,8 @@ def cmd_poa(scenario: Scenario, args: argparse.Namespace, out) -> int:
 
 # -- SVG emission (CSV columns drawn as polylines; no interactivity) ------------
 
-def _svg_document(series: list[tuple[str, list[float], list[float]]],
-                  width: int = 640, height: int = 400) -> str:
-    pad = 48
+def _svg_document(series: list[tuple[str, list[float], list[float]]]) -> str:
+    width, height, pad = 640, 400, 48
     xs = [x for _, sx, _ in series for x in sx]
     ys = [y for _, _, sy in series for y in sy if not np.isnan(y)]
     if not xs or not ys:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .model import (
+    EPSILON,
     Network,
     Society,
     ValidationError,
@@ -216,7 +217,7 @@ def _no_cross_incentive_bounds(society: Society) -> bool:
     for a in range(len(sizes)):
         for b in range(a + 1, len(sizes)):
             bound = stable_boundaries(sizes[a], sizes[b], params)[0]
-            if not coord[a, b] < bound - params.epsilon:
+            if not coord[a, b] < bound - EPSILON:
                 return False
     return True
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import GroupPartition, Network, Society, ValidationError
+from .model import EPSILON, GroupPartition, Network, Society, ValidationError
 from .stability import SearchSpace, SpaceScan, _scan_for
 
 
@@ -22,16 +22,16 @@ class ConsolidationCollisionError(ValidationError):
 def efficient_search(space: SearchSpace, society: Society) -> tuple[float, list[Network]]:
     """Maximal welfare over the space and every network attaining it.
 
-    Maximizers within epsilon of the best are all returned (bitmask order);
+    Maximizers within EPSILON of the best are all returned (bitmask order);
     regime boundaries genuinely produce such ties.
     """
     scan = _scan_for(space, society)
-    return argmax_from_scan(scan, society.params.epsilon)
+    return argmax_from_scan(scan)
 
 
-def argmax_from_scan(scan: SpaceScan, epsilon: float) -> tuple[float, list[Network]]:
+def argmax_from_scan(scan: SpaceScan) -> tuple[float, list[Network]]:
     best = float(scan.welfare.max())
-    masks = np.flatnonzero(scan.welfare >= best - epsilon)
+    masks = np.flatnonzero(scan.welfare >= best - EPSILON)
     return best, [scan.space.network_for(int(m)) for m in masks]
 
 

@@ -18,7 +18,10 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-DEFAULT_EPSILON = 1e-9
+# The one tolerance of every payoff comparison.  The consent rule is exact;
+# EPSILON only absorbs float rounding, and every decision it settles is an
+# exact tie in rational arithmetic.
+EPSILON = 1e-9
 
 
 class ValidationError(ValueError):
@@ -159,22 +162,19 @@ class CoordinationMatrix:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """One-hop benefit, per-link cost, and the indifference tolerance."""
+    """One-hop benefit and per-link cost."""
 
     delta: float
     cost: float
-    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        for name in ("delta", "cost", "epsilon"):
+        for name in ("delta", "cost"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.delta < 1.0:
             raise ValidationError(f"delta must be in (0, 1), got {self.delta}")
         if not self.cost > 0.0:
             raise ValidationError(f"cost must be positive, got {self.cost}")
-        if self.epsilon < 0.0:
-            raise ValidationError(f"epsilon must be non-negative, got {self.epsilon}")
 
 
 class Network:
@@ -410,7 +410,7 @@ def _parse_pairs(text: str) -> Iterator[tuple[int, int, int]]:
 
 
 def parse_edge_list(text: str, n: int) -> Network:
-    edges = []
+    edges: set[tuple[int, int]] = set()
     for lineno, i, j in _parse_pairs(text):
         if i == j:
             raise ValidationError(f"line {lineno}: self-loop ({i}, {j})")
@@ -419,5 +419,5 @@ def parse_edge_list(text: str, n: int) -> Network:
         edge = normalize_edge(i, j)
         if edge in edges:
             raise ValidationError(f"line {lineno}: duplicate edge ({i}, {j})")
-        edges.append(edge)
-    return Network.from_edges(n, edges)
+        edges.add(edge)
+    return Network(n, edges)

@@ -4,8 +4,8 @@ price of anarchy.
 A network is pairwise stable when no linked pair contains a member who
 strictly gains by cutting the link, and no unlinked pair would form it
 under mutual consent (one strict gain with the other at worst indifferent).
-All strictness is epsilon-aware so the check is the exact fixed-point
-condition of the formation dynamics.
+Strictness is judged against `model.EPSILON`, so the check is the exact
+fixed-point condition of the formation dynamics.
 
 Enumeration walks a declared search space as a bitmask range.  Payoff
 tables for the whole space are built once with vectorized batched BFS,
@@ -23,6 +23,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .model import (
+    EPSILON,
     GroupPartition,
     Network,
     Society,
@@ -95,13 +96,14 @@ def interconnection_space(partition: GroupPartition) -> SearchSpace:
 
 # -- scalar definitions -------------------------------------------------------
 
-def _pair_changes(present, du_i, du_j, eps):
+def _pair_changes(present, du_i, du_j):
     """Pairwise-stability rule for one pair, given each endpoint's payoff
     change from toggling the pair: a present link is cut when one side
     strictly gains; a missing link forms when one side strictly gains and
     neither strictly loses.  Broadcasts over numpy arrays.
     """
-    return ((du_i > eps) | (du_j > eps)) & (present | ((du_i >= -eps) & (du_j >= -eps)))
+    return (((du_i > EPSILON) | (du_j > EPSILON))
+            & (present | ((du_i >= -EPSILON) & (du_j >= -EPSILON))))
 
 
 def _resolve(network: Network, i: int, j: int, society: Society,
@@ -119,7 +121,7 @@ def _resolve(network: Network, i: int, j: int, society: Society,
     toggled = network.without_edge(i, j) if present else network.with_edge(i, j)
     du_i = payoff(toggled, i, society) - memo[i]
     du_j = payoff(toggled, j, society) - memo[j]
-    return toggled if _pair_changes(present, du_i, du_j, society.params.epsilon) else network
+    return toggled if _pair_changes(present, du_i, du_j) else network
 
 
 def is_pairwise_stable(network: Network, society: Society) -> bool:
@@ -293,7 +295,6 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
     columns = np.ascontiguousarray(util.T)
     del util
     size = space.size
-    eps = params.epsilon
     stable = np.ones(size, dtype=bool)
     for t, (i, j) in enumerate(space.free_pairs):
         # Network k and its partner k ^ (1 << t) sit at [:, 0] and [:, 1]
@@ -304,8 +305,8 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
         d_i = u_i[:, 1] - u_i[:, 0]
         d_j = u_j[:, 1] - u_j[:, 0]
         # the cut side's change is exactly -d: fl(a - b) == -fl(b - a)
-        side[:, 0] &= ~_pair_changes(False, d_i, d_j, eps)
-        side[:, 1] &= ~_pair_changes(True, -d_i, -d_j, eps)
+        side[:, 0] &= ~_pair_changes(False, d_i, d_j)
+        side[:, 1] &= ~_pair_changes(True, -d_i, -d_j)
     return SpaceScan(space=space, stable=stable, welfare=welfare)
 
 

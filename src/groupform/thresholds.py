@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
+    EPSILON,
     CoordinationMatrix,
     GroupPartition,
     ModelParams,
@@ -65,7 +66,7 @@ def below_clique_bound(params: ModelParams) -> bool:
     Only then does every intra-group link pay, so groups form cliques and
     cutting a clique link never pays.
     """
-    return params.cost < shortcut_gain(params.delta) - params.epsilon
+    return params.cost < shortcut_gain(params.delta) - EPSILON
 
 
 def _require_low_cost(params: ModelParams) -> None:
@@ -143,28 +144,26 @@ def efficient_boundaries(s1: int, s2: int, params: ModelParams) -> list[float]:
     c, delta = params.cost, params.delta
     y1a = clique_link_gain(s1, delta)
     y1b = clique_link_gain(s2, delta)
+    bridge_lb = c * delta / (y1a * y1b)
     redundant_lb = 2.0 * c / (extra_link_gain(s1, delta) + extra_link_gain(s2, delta)
                               + (s1 + s2 - 4) * delta * shortcut_gain(delta))
-    # Exactly, bridge < redundant; at tiny delta rounding can swap them.
-    bridge_lb = min(c * delta / (y1a * y1b), redundant_lb)
     maximal_lb = c / shortcut_gain(delta)
     return [bridge_lb, redundant_lb, maximal_lb]
 
 
 def _classify(f_cross: float, bounds: list[float],
-              regimes: list[tuple[RegimeKind, Optional[int]]],
-              epsilon: float) -> RegimePrediction:
+              regimes: list[tuple[RegimeKind, Optional[int]]]) -> RegimePrediction:
     """The regime of ``f_cross`` given ascending ``bounds`` and the
     ``len(bounds) + 1`` regimes (kind, k) between them, in order.
 
-    Exactly on a bound (within epsilon; the first such bound wins) the
+    Exactly on a bound (within EPSILON; the first such bound wins) the
     structure is not unique, so a boundary tie is reported instead of
     picking a side.
     """
     if not 0.0 <= f_cross <= 1.0:
         raise ValidationError(f"cross-group weight must be in [0, 1], got {f_cross}")
     for index, bound in enumerate(bounds):
-        if abs(f_cross - bound) <= epsilon:
+        if abs(f_cross - bound) <= EPSILON:
             return RegimePrediction(RegimeKind.BOUNDARY_TIE, bound, bound, k=index)
     ends = [0.0, *bounds, 1.0]
     index = next((i for i, bound in enumerate(bounds) if f_cross < bound), len(bounds))
@@ -179,7 +178,7 @@ def classify_two_group_stable(s1: int, s2: int, params: ModelParams,
     exact = [(RegimeKind.EXACT_K, k) for k in range(2, min(s1, s2) + 1)]
     regimes = [(RegimeKind.DISJOINT, None), (RegimeKind.BRIDGE, None), *exact,
                (RegimeKind.MAXIMAL, None)]
-    return _classify(f_cross, stable_boundaries(s1, s2, params), regimes, params.epsilon)
+    return _classify(f_cross, stable_boundaries(s1, s2, params), regimes)
 
 
 def classify_two_group_efficient(s1: int, s2: int, params: ModelParams,
@@ -187,8 +186,7 @@ def classify_two_group_efficient(s1: int, s2: int, params: ModelParams,
     """Welfare-maximal structure regime for two groups (four closed intervals)."""
     regimes = [(RegimeKind.DISJOINT, None), (RegimeKind.BRIDGE, None),
                (RegimeKind.REDUNDANT, None), (RegimeKind.MAXIMAL, None)]
-    return _classify(f_cross, efficient_boundaries(s1, s2, params), regimes,
-                     params.epsilon)
+    return _classify(f_cross, efficient_boundaries(s1, s2, params), regimes)
 
 
 def stability_efficiency_overlap(s1: int, s2: int, params: ModelParams,
@@ -200,12 +198,11 @@ def stability_efficiency_overlap(s1: int, s2: int, params: ModelParams,
     """
     eff = efficient_boundaries(s1, s2, params)
     stab = stable_boundaries(s1, s2, params)
-    eps = params.epsilon
     n = s1 + s2
     intervals = [(0.0, eff[0]), (eff[2], 1.0)]
     if params.delta >= max(s1 - 3, s2 - 3) / (n - 3):
         intervals.append((stab[0], eff[1]))
-    return any(lo - eps <= f_cross <= hi + eps for lo, hi in intervals)
+    return any(lo - EPSILON <= f_cross <= hi + EPSILON for lo, hi in intervals)
 
 
 def redundancy_bounds(s_a: int, s_b: int, params: ModelParams) -> tuple[float, float]:
@@ -274,18 +271,18 @@ def minimally_connected_sufficient(tree: GroupGraph, coordination: CoordinationM
     if not tree.is_connected():
         raise ValidationError("group graph must be connected")
     sizes = partition.sizes
-    c, delta, eps = params.cost, params.delta, params.epsilon
+    c, delta = params.cost, params.delta
     for a in range(tree.m):
         for b in range(a + 1, tree.m):
             gain_a = _bridge_toggle_gain(tree, coordination, sizes, delta, a, b)
             gain_b = _bridge_toggle_gain(tree, coordination, sizes, delta, b, a)
             if tree.has_edge(a, b):
                 redundant_lb, _ = redundancy_bounds(sizes[a], sizes[b], params)
-                if not (gain_a > c + eps and gain_b > c + eps):
+                if not (gain_a > c + EPSILON and gain_b > c + EPSILON):
                     return False
-                if not coordination[a, b] < redundant_lb - eps:
+                if not coordination[a, b] < redundant_lb - EPSILON:
                     return False
             else:
-                if not (gain_a < c - eps or gain_b < c - eps):
+                if not (gain_a < c - EPSILON or gain_b < c - EPSILON):
                     return False
     return True

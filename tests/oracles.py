@@ -144,7 +144,7 @@ def reference_stable(tables: SpaceTables, society: Society) -> np.ndarray:
         du_i = util[partner, i] - util[:, i]
         du_j = util[partner, j] - util[:, j]
         present = (idx >> t & 1).astype(bool)
-        stable &= ~_pair_changes(present, du_i, du_j, society.params.epsilon)
+        stable &= ~_pair_changes(present, du_i, du_j)
     return stable
 
 

@@ -196,7 +196,7 @@ def test_criterion_03_full_space_enumeration_matches_classifiers():
         eff_pred = classify_two_group_efficient(3, 4, params, f12)
         assert eff_pred.kind is not RegimeKind.BOUNDARY_TIE
         efficient_kinds.add(eff_pred.kind)
-        _, argmax = argmax_from_scan(scan, params.epsilon)
+        _, argmax = argmax_from_scan(scan)
         eff_counts = {net.inter_count(partition) for net in argmax}
         if eff_pred.kind is RegimeKind.REDUNDANT:
             assert all(2 <= c <= 11 for c in eff_counts), f"F12={f12}"

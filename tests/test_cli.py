@@ -20,7 +20,6 @@ group_sizes = 3, 5
 F = 0.4
 delta = 0.5
 cost = 0.2
-epsilon = 1e-9
 seed = 7
 space = inter
 """
@@ -62,8 +61,8 @@ class TestScenarioParsing:
         ("group_sizes = 3, 5", "group_sizes = 3, x", "line 2: group_sizes must be integers"),
         ("F = 0.4", "F = abc", "line 3: F entries must be numbers"),
         ("delta = 0.5", "delta = half", "line 4: delta must be a number"),
-        ("seed = 7", "seed = 7.5", "line 7: seed must be a number"),
-        ("space = inter", "max_steps = many", "line 8: max_steps must be a number"),
+        ("seed = 7", "seed = 7.5", "line 6: seed must be a number"),
+        ("space = inter", "max_steps = many", "line 7: max_steps must be a number"),
         ("space = inter", "space = huge", "space must be 'full' or 'inter', got 'huge'"),
     ])
     def test_unreadable_value_names_key_and_line(self, old, new, message):
@@ -469,8 +468,7 @@ class TestPoaCommand:
 
 
 class TestInputErrors:
-    @pytest.mark.parametrize("old, new", [("epsilon = 1e-9", "epsilon = nan"),
-                                          ("cost = 0.2", "cost = inf"),
+    @pytest.mark.parametrize("old, new", [("cost = 0.2", "cost = inf"),
                                           ("F = 0.4", "F = nan")])
     def test_non_finite_parameter_exits_one(self, tmp_path, capsys, old, new):
         scenario = write(tmp_path, "s.scn", SCENARIO_3_5.replace(old, new))
@@ -500,6 +498,8 @@ class TestInputErrors:
                      "seed must be non-negative, got -3", id="negative-seed-key"),
         pytest.param(SCENARIO_3_5, ["dynamics", "--seed", "-3"],
                      "seed must be non-negative, got -3", id="negative-seed-flag"),
+        pytest.param(SCENARIO_3_5.replace("cost = 0.2\n", "cost = 0.2\nepsilon = 0\n"),
+                     ["stable"], "line 6: unknown key 'epsilon'", id="epsilon-key"),
     ])
     def test_rejected_input_exits_one(self, tmp_path, capsys, scenario_text, args, message):
         scenario = write(tmp_path, "s.scn", scenario_text)
@@ -525,6 +525,15 @@ class TestInputErrors:
         code, _ = run_cli(["classify", "--scenario", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestScenarioFiles:
+    @pytest.mark.parametrize("path", sorted((ROOT / "scenarios").glob("*.scn")),
+                             ids=lambda path: path.name)
+    def test_loads_and_classifies(self, path):
+        code, text = run_cli(["classify", "--scenario", str(path)])
+        assert code == 0
+        assert text
 
 
 class TestModuleEntryPoint:

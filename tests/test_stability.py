@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from groupform.cli import _sweep_row
 from groupform.dynamics import Action, step
 from groupform.model import (
+    EPSILON,
     CoordinationMatrix,
     GroupPartition,
     ModelParams,
@@ -63,7 +64,7 @@ def one_clique_society() -> Society:
 def gains_from_edge(network: Network, i: int, j: int, society: Society) -> bool:
     """Strict gain for i of having edge (i, j) versus not having it."""
     return (payoff(network.with_edge(i, j), i, society)
-            - payoff(network.without_edge(i, j), i, society)) > society.params.epsilon
+            - payoff(network.without_edge(i, j), i, society)) > EPSILON
 
 
 class TestBenefitsFromEdge:
@@ -83,7 +84,7 @@ class TestBenefitsFromEdge:
         assert gains_from_edge(network, 0, 3, society)
 
 
-EPS = 1e-9
+EPS = EPSILON
 
 
 class TestPairRule:
@@ -99,8 +100,8 @@ class TestPairRule:
         (True, EPS, -1.0, False),
     ])
     def test_truth_table_at_the_epsilon_band(self, present, du_i, du_j, changes):
-        assert bool(_pair_changes(present, du_i, du_j, EPS)) is changes
-        vector = _pair_changes(np.array([present]), np.array([du_i]), np.array([du_j]), EPS)
+        assert bool(_pair_changes(present, du_i, du_j)) is changes
+        vector = _pair_changes(np.array([present]), np.array([du_i]), np.array([du_j]))
         assert vector.tolist() == [changes]
 
 
@@ -407,7 +408,7 @@ class TestEpsilonBandAudit:
         rows, decisions = [], 0
         for t, pair in enumerate(tables.space.free_pairs):
             partner = idx ^ (1 << t)
-            in_band = [np.abs(util[partner, v] - util[:, v]) <= society.params.epsilon
+            in_band = [np.abs(util[partner, v] - util[:, v]) <= EPSILON
                        for v in pair]
             decisions += int(np.count_nonzero(in_band[0] | in_band[1]))
             for v, hit in zip(pair, in_band):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from groupform.model import (
+    EPSILON,
     CoordinationMatrix,
     GroupPartition,
     ModelParams,
@@ -178,16 +179,21 @@ class TestClassifyEfficient:
 
 class TestBoundsAscend:
     def test_both_bound_lists_ascend_down_to_tiny_delta(self):
-        # at delta 1e-17 and sizes 12, 13 the efficient bridge bound used to
-        # round above the redundant bound
-        for exponent in range(-17, -1):
+        for exponent in range(-8, -1):
             delta = 10.0 ** exponent
-            params = ModelParams(delta, delta / 2, 0.0)
+            params = ModelParams(delta, delta / 2)
             for s1 in range(3, 14):
                 for s2 in range(s1, 14):
                     for bounds in (stable_boundaries(s1, s2, params),
                                    efficient_boundaries(s1, s2, params)):
                         assert bounds == sorted(bounds), (delta, s1, s2)
+
+    def test_delta_within_the_tolerance_is_refused(self):
+        # here rounding could swap the efficient bridge and redundant bounds
+        # (sizes 12 and 13), but the clique bound is below the tolerance
+        params = ModelParams(1e-17, 5e-18)
+        with pytest.raises(RegimeUndefinedError):
+            efficient_boundaries(12, 13, params)
 
 
 def _stable_regimes(s1, s2):
@@ -207,7 +213,7 @@ class TestRegimeWalk:
     @given(sizes_st, sizes_st, delta_st, st.floats(0.01, 0.99), st.data())
     def test_prediction_sits_in_its_interval(self, s1, s2, delta, cost_share, data):
         params = ModelParams(delta, cost_share * shortcut_gain(delta))
-        eps = params.epsilon
+        eps = EPSILON
         stable = stable_boundaries(s1, s2, params)
         assert redundancy_bounds(s1, s2, params) == (stable[1], stable[-1])
         for classify, boundaries, regimes in (
