@@ -46,6 +46,9 @@ SPACES = {"full": lambda partition: stab.full_graph_space(partition.n),
 # Run settings a flag of the same name replaces.
 OVERRIDES = ("seed", "space", "max_steps")
 
+# The society settings `sweep --parameter` varies.
+SWEEP_PARAMETERS = ("F12", "s1", "delta", "cost")
+
 _REQUIRED = object()
 
 
@@ -230,7 +233,7 @@ def _count_cell(counts: list[int], tie: bool = False) -> str:
 
 
 def _society_at(society: Society, parameter: str, value: float) -> Society:
-    """The society with one sweep parameter set to ``value``."""
+    """The society with one of SWEEP_PARAMETERS set to ``value``."""
     if parameter == "F12":
         return replace(society, coordination=CoordinationMatrix.uniform(2, value))
     if parameter == "s1":
@@ -240,10 +243,7 @@ def _society_at(society: Society, parameter: str, value: float) -> Society:
         if min(sizes) < 3:
             raise ValidationError(f"s1={int(value)} leaves a group below 3 members")
         return replace(society, partition=GroupPartition.from_sizes(sizes))
-    if parameter in ("delta", "cost"):
-        return replace(society, params=replace(society.params, **{parameter: value}))
-    raise ValidationError(f"unknown sweep parameter {parameter!r} "
-                          "(use F12, s1, delta, or cost)")
+    return replace(society, params=replace(society.params, **{parameter: value}))
 
 
 def _sweep_row(value: float, society: Society, scan: Optional[stab.SpaceScan]) -> str:
@@ -361,6 +361,14 @@ def cmd_dynamics(scenario: Scenario, args: argparse.Namespace, out) -> int:
     return 0
 
 
+def _refuse_used_out_dir(out_dir: Optional[str]) -> None:
+    """Refuse an --out directory holding an earlier listing, whose edge files
+    beyond this run's count would otherwise stay beside the new summary."""
+    if out_dir and (Path(out_dir) / "summary.csv").exists():
+        raise ValidationError(f"{out_dir} already holds summary.csv; "
+                              "give --out a new or empty directory")
+
+
 def _write_networks(networks, society, out_dir: str, prefix: str, out) -> None:
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
@@ -375,6 +383,7 @@ def _write_networks(networks, society, out_dir: str, prefix: str, out) -> None:
 
 
 def cmd_stable(scenario: Scenario, args: argparse.Namespace, out) -> int:
+    _refuse_used_out_dir(args.out)
     society = scenario.society
     space = scenario.build_space()
     networks = stab.enumerate_stable(space, society)
@@ -389,6 +398,7 @@ def cmd_stable(scenario: Scenario, args: argparse.Namespace, out) -> int:
 
 
 def cmd_efficient(scenario: Scenario, args: argparse.Namespace, out) -> int:
+    _refuse_used_out_dir(args.out)
     society = scenario.society
     space = scenario.build_space()
     best, argmax = eff.efficient_search(space, society)
@@ -503,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("classify", cmd_classify, "stable/efficient regimes and boundaries")
 
     p = command("sweep", cmd_sweep, "CSV over a parameter grid")
-    p.add_argument("--parameter", required=True, choices=["F12", "s1", "delta", "cost"])
+    p.add_argument("--parameter", required=True, choices=SWEEP_PARAMETERS)
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--step", type=float, required=True)

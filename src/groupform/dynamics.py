@@ -107,16 +107,23 @@ class DynamicsTrace:
     """Period-by-period record of one run.
 
     ``converged`` is true only when the final network passed the full
-    pairwise-stability verification; ``steps_to_convergence`` is then the
-    last period whose activation changed the network (0 when none did).
+    pairwise-stability verification.
     """
 
     steps: tuple[TraceStep, ...]
     final: Network
     converged: bool
-    steps_to_convergence: Optional[int]
 
     CSV_HEADER = "step,i,j,action,intra_count,inter_count"
+
+    @property
+    def steps_to_convergence(self) -> Optional[int]:
+        """The last period whose activation changed the network (0 when none
+        did), or None when the run did not converge."""
+        if not self.converged:
+            return None
+        return next((s.index for s in reversed(self.steps)
+                     if s.action is not Action.NO_CHANGE), 0)
 
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
@@ -167,7 +174,6 @@ def run(start: Network, selector: PairSelector, society: Society,
     inter = network.edge_count - intra
     steps: list[TraceStep] = []
     quiet = 0
-    last_change = 0
     converged = False
     memo: dict[int, float] = {}  # payoffs in the current network, by node
 
@@ -187,7 +193,6 @@ def run(start: Network, selector: PairSelector, society: Society,
             else:
                 intra += delta
             quiet = 0
-            last_change = period
         else:
             quiet += 1
         steps.append(TraceStep(period, pair, action, intra, inter))
@@ -199,12 +204,7 @@ def run(start: Network, selector: PairSelector, society: Society,
 
     if not converged:
         converged = is_pairwise_stable(network, society)
-    return DynamicsTrace(
-        steps=tuple(steps),
-        final=network,
-        converged=converged,
-        steps_to_convergence=last_change if converged else None,
-    )
+    return DynamicsTrace(steps=tuple(steps), final=network, converged=converged)
 
 
 def _no_cross_incentive_bounds(society: Society) -> bool:

@@ -40,30 +40,29 @@ def normalize_edge(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
+def _check_sizes(sizes: tuple[int, ...]) -> None:
+    if any(s < 3 for s in sizes):
+        raise ValidationError(f"every group needs >= 3 members, got sizes {sizes}")
+
+
 @dataclass(frozen=True)
 class GroupPartition:
-    """Partition of nodes 0..n-1 into m groups, each of size >= 3."""
+    """Partition of nodes 0..n-1 into m groups, each of size >= 3.
 
-    n: int
-    sizes: tuple[int, ...]
+    ``membership`` is the one stored fact; the node count ``n``, the group
+    sizes and ``m`` are derived from it.
+    """
+
     membership: tuple[int, ...]  # node id -> group id
 
     def __post_init__(self):
         if self.n < 3:
             raise ValidationError(f"need at least 3 nodes, got {self.n}")
-        if sum(self.sizes) != self.n:
-            raise ValidationError("group sizes must sum to the node count")
-        if any(s < 3 for s in self.sizes):
-            raise ValidationError(f"every group needs >= 3 members, got sizes {self.sizes}")
-        if len(self.membership) != self.n:
-            raise ValidationError("membership must assign every node")
-        counts = [0] * len(self.sizes)
         for node, g in enumerate(self.membership):
-            if not 0 <= g < len(self.sizes):
+            # m groups of >= 3 members need m <= n, so an id >= n is unknown
+            if not 0 <= g < self.n:
                 raise ValidationError(f"node {node} assigned to unknown group {g}")
-            counts[g] += 1
-        if tuple(counts) != self.sizes:
-            raise ValidationError("membership does not match the declared sizes")
+        _check_sizes(self.sizes)  # a gap in the group ids is a size-0 group
 
     @classmethod
     def from_sizes(cls, sizes: Iterable[int]) -> "GroupPartition":
@@ -72,8 +71,20 @@ class GroupPartition:
             sizes = tuple(map(index, sizes))
         except TypeError as exc:
             raise ValidationError(f"group sizes must be integers: {exc}") from None
-        membership = tuple(g for g, s in enumerate(sizes) for _ in range(s))
-        return cls(n=sum(sizes), sizes=sizes, membership=membership)
+        # checked here too: a trailing size <= 0 would give no node at all
+        _check_sizes(sizes)
+        return cls(tuple(g for g, s in enumerate(sizes) for _ in range(s)))
+
+    @cached_property
+    def n(self) -> int:
+        return len(self.membership)
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        counts = [0] * (max(self.membership) + 1)
+        for g in self.membership:
+            counts[g] += 1
+        return tuple(counts)
 
     @property
     def m(self) -> int:
@@ -106,11 +117,14 @@ class CoordinationMatrix:
     Diagonal entries are exactly 1; off-diagonal entries lie in [0, 1].
     """
 
-    m: int
     entries: tuple[tuple[float, ...], ...]
 
+    @property
+    def m(self) -> int:
+        return len(self.entries)
+
     def __post_init__(self):
-        if len(self.entries) != self.m or any(len(row) != self.m for row in self.entries):
+        if any(len(row) != self.m for row in self.entries):
             raise ValidationError(f"coordination matrix must be {self.m}x{self.m}")
         for row in self.entries:
             for value in row:
@@ -128,7 +142,7 @@ class CoordinationMatrix:
     @classmethod
     def from_array(cls, array) -> "CoordinationMatrix":
         arr = np.asarray(array, dtype=float)
-        return cls(m=arr.shape[0], entries=tuple(tuple(float(x) for x in row) for row in arr))
+        return cls(tuple(tuple(float(x) for x in row) for row in arr))
 
     @classmethod
     def uniform(cls, m: int, cross_weight: float) -> "CoordinationMatrix":
@@ -201,16 +215,16 @@ class Network:
         self.neighbor_masks = tuple(masks)
 
     @classmethod
-    def _from_masks(cls, n: int, masks: tuple[int, ...]) -> "Network":
+    def _from_masks(cls, masks: tuple[int, ...]) -> "Network":
         """Unchecked constructor from symmetric masks with no self bits."""
         network = cls.__new__(cls)
-        network.n = n
+        network.n = len(masks)
         network.neighbor_masks = masks
         return network
 
     @classmethod
     def empty(cls, n: int) -> "Network":
-        return cls._from_masks(n, (0,) * n)
+        return cls._from_masks((0,) * n)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Network":
@@ -245,7 +259,7 @@ class Network:
         masks = list(self.neighbor_masks)
         masks[i] ^= 1 << j
         masks[j] ^= 1 << i
-        return self._from_masks(self.n, tuple(masks))
+        return self._from_masks(tuple(masks))
 
     def with_edge(self, i: int, j: int) -> "Network":
         i, j = normalize_edge(i, j)

@@ -15,7 +15,6 @@ single-bit-toggled neighbor masks.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -77,7 +76,7 @@ class SearchSpace:
             if free_mask >> t & 1:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
-        return Network._from_masks(self.n, tuple(masks))
+        return Network._from_masks(tuple(masks))
 
 
 def full_graph_space(n: int) -> SearchSpace:
@@ -242,6 +241,8 @@ def compute_tables(space: SearchSpace, partition: GroupPartition, delta: float,
     with ExitStack() as stack:
         mapper = map
         if workers > 1 and len(starts) > 1:
+            # imported only here: multiprocessing adds ~25 ms to every start
+            from concurrent.futures import ProcessPoolExecutor
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         for start, stop, (b, d) in zip(starts, stops, mapper(build, starts, stops)):
             benefit[start:stop] = b

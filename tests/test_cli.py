@@ -451,6 +451,25 @@ class TestStableAndEfficientCommands:
         assert len(summary) == 16
         assert all(line.split(",")[2] == "1" for line in summary[1:])
 
+    @pytest.mark.parametrize("command", ["stable", "efficient"])
+    def test_out_dir_holding_a_summary_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                   command):
+        out_dir = tmp_path / "listing"
+        first = write(tmp_path, "a.scn", SCENARIO_3_5)
+        code, _ = run_cli([command, "--scenario", first, "--out", str(out_dir)])
+        assert code == 0
+        listing = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+        def enumerate_nothing(*args):
+            raise AssertionError("the refusal must come before the enumeration")
+        monkeypatch.setattr(groupform.cli.stab, "enumerate_stable", enumerate_nothing)
+        monkeypatch.setattr(groupform.cli.eff, "efficient_search", enumerate_nothing)
+        second = write(tmp_path, "b.scn", SCENARIO_3_5.replace("F = 0.4", "F = 0.3"))
+        code, text = run_cli([command, "--scenario", second, "--out", str(out_dir)])
+        assert code == 1 and text == ""
+        assert "already holds summary.csv" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == listing
+
     def test_cap_exceeded_exit_code(self, tmp_path, capsys):
         scenario = write(tmp_path, "s.scn", SCENARIO_3_5)
         code, _ = run_cli(["stable", "--scenario", scenario, "--space", "full"])

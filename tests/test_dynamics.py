@@ -238,6 +238,15 @@ class TestTraceMechanics:
         assert trace.converged
         assert trace.steps_to_convergence == 0
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_steps_to_convergence_is_the_last_changing_period(self, seed):
+        society = two_group_society([3, 4], 0.3)
+        trace = run(Network.empty(7), SeededUniform(seed), society, max_steps=5000)
+        assert trace.converged
+        counts = [(0, 0)] + [(s.intra_count, s.inter_count) for s in trace.steps]
+        changed = [p for p in range(1, len(counts)) if counts[p] != counts[p - 1]]
+        assert changed and trace.steps_to_convergence == changed[-1] < len(trace.steps)
+
     def test_script_out_of_range_rejected(self):
         society = two_group_society([3, 4], 0.3)
         with pytest.raises(ValidationError, match="entry 1"):

@@ -59,9 +59,32 @@ class TestGroupPartition:
         with pytest.raises(ValidationError):
             GroupPartition.from_sizes([3, 2])
 
-    def test_rejects_membership_size_mismatch(self):
+    def test_rejects_membership_with_small_group(self):
         with pytest.raises(ValidationError):
-            GroupPartition(n=6, sizes=(3, 3), membership=(0, 0, 0, 1, 1, 0))
+            GroupPartition((0, 0, 0, 1, 1, 0))
+
+    def test_membership_alone_gives_node_count_and_sizes(self):
+        p = GroupPartition((0, 1, 0, 1, 0, 1))
+        assert p.n == 6 and p.sizes == (3, 3) and p.m == 2
+        assert p.members(1) == [1, 3, 5]
+
+    def test_rejects_gap_in_group_ids(self):
+        with pytest.raises(ValidationError, match=r"got sizes \(3, 0, 3\)"):
+            GroupPartition((0, 0, 0, 2, 2, 2))
+
+    @pytest.mark.parametrize("membership, message", [
+        ((0, 1), "need at least 3 nodes, got 2"),
+        ((0, 0, 0, -1, -1, -1), "node 3 assigned to unknown group -1"),
+        ((0, 0, 0, 6, 6, 6), "node 3 assigned to unknown group 6"),
+    ])
+    def test_rejects_bad_membership(self, membership, message):
+        with pytest.raises(ValidationError, match=message):
+            GroupPartition(membership)
+
+    @pytest.mark.parametrize("sizes", [[3, 3, -3], [3, 3, 0], [3, -1, 3]])
+    def test_from_sizes_refuses_sizes_that_drop_a_group(self, sizes):
+        with pytest.raises(ValidationError, match="every group needs >= 3 members, got sizes"):
+            GroupPartition.from_sizes(sizes)
 
     def test_pair_split_covers_everything(self):
         p = GroupPartition.from_sizes([3, 4])
@@ -92,6 +115,11 @@ class TestCoordinationMatrix:
     def test_non_finite_weight_named(self, value):
         with pytest.raises(ValidationError, match=f"must be finite, got {value}"):
             CoordinationMatrix.from_upper_triangle(3, [0.2, value, 0.3])
+
+    def test_square_shape_enforced(self):
+        assert CoordinationMatrix(((1.0, 0.2), (0.2, 1.0))).m == 2
+        with pytest.raises(ValidationError, match="must be 2x2"):
+            CoordinationMatrix(((1.0, 0.2), (0.2,)))
 
     def test_upper_triangle_roundtrip(self):
         c = CoordinationMatrix.from_upper_triangle(3, [0.1, 0.2, 0.3])
@@ -315,7 +343,7 @@ def networks_and_toggles(draw):
     sizes[0] += n - 3 * group_count
     labels = [g for g, size in enumerate(sizes) for _ in range(size)]
     membership = tuple(draw(st.permutations(labels)))
-    partition = GroupPartition(n=n, sizes=tuple(sizes), membership=membership)
+    partition = GroupPartition(membership)
     node = st.integers(0, n - 1)
     ops = draw(st.lists(st.tuples(st.booleans(), node, node).filter(lambda op: op[1] != op[2]),
                         max_size=25))
