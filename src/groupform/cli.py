@@ -288,6 +288,7 @@ def _sweep_row(value: float, society: Society, scan: Optional[stab.SpaceScan]) -
 
 
 def cmd_sweep(scenario: Scenario, args: argparse.Namespace, out) -> int:
+    _refuse_unwritable_files(args.out, args.svg)
     if scenario.partition.m != 2:
         raise ValidationError("sweeps need exactly two groups")
 
@@ -324,6 +325,7 @@ def cmd_sweep(scenario: Scenario, args: argparse.Namespace, out) -> int:
 
 
 def cmd_dynamics(scenario: Scenario, args: argparse.Namespace, out) -> int:
+    _refuse_unwritable_files(args.out, args.final_out, args.svg)
     society = scenario.society
     if args.script is not None:
         text = Path(args.script).read_text(encoding="ascii")
@@ -361,9 +363,25 @@ def cmd_dynamics(scenario: Scenario, args: argparse.Namespace, out) -> int:
     return 0
 
 
+def _refuse_unwritable_files(*paths: Optional[str]) -> None:
+    """Refuse an output file that is a directory or lies in a missing one,
+    before the run whose result it would hold."""
+    for path in filter(None, paths):
+        target = Path(path)
+        if not target.parent.is_dir():
+            raise ValidationError(f"cannot write {path}: "
+                                  f"directory {target.parent} does not exist")
+        if target.is_dir():
+            raise ValidationError(f"cannot write {path}: it is a directory")
+
+
 def _refuse_used_out_dir(out_dir: Optional[str]) -> None:
-    """Refuse an --out directory holding an earlier listing, whose edge files
-    beyond this run's count would otherwise stay beside the new summary."""
+    """Refuse, before the enumeration, an --out path that is a file, or a
+    directory holding an earlier listing, whose edge files beyond this run's
+    count would otherwise stay beside the new summary."""
+    if out_dir and Path(out_dir).exists() and not Path(out_dir).is_dir():
+        raise ValidationError(f"{out_dir} is not a directory; "
+                              "give --out a new or empty directory")
     if out_dir and (Path(out_dir) / "summary.csv").exists():
         raise ValidationError(f"{out_dir} already holds summary.csv; "
                               "give --out a new or empty directory")

@@ -134,7 +134,8 @@ class DynamicsTrace:
 
 
 def step(network: Network, pair: tuple[int, int], society: Society, *,
-         memo: Optional[dict[int, float]] = None) -> tuple[Network, Action]:
+         memo: Optional[dict[int, tuple[float, tuple[int, ...]]]] = None,
+         ) -> tuple[Network, Action]:
     """Resolve one activated pair against the current network.
 
     A missing link is added when one side strictly gains and the other at
@@ -142,10 +143,13 @@ def step(network: Network, pair: tuple[int, int], society: Society, *,
     or both are indifferent.  An existing link is cut as soon as one side
     strictly gains from cutting it.
 
-    ``memo`` maps nodes to their payoffs in ``network``: a payoff missing
-    from it is computed and stored.  A caller that keeps one memo while the
-    network stays the same, and empties it when the network changes, skips
-    recomputing the current payoffs.
+    ``memo`` maps each node to ``(payoff, balls)`` in ``network``: its
+    payoff, and its cumulative BFS balls, where ``balls[k]`` is the bitmask
+    of nodes within k hops of it (`model._balls`).  An endpoint missing from
+    it is filled by one BFS.  A caller that keeps one memo while the network
+    stays the same, and empties it when the network changes, skips that BFS;
+    the balls also decide a missing link with no BFS on the network with
+    the link.
     """
     i, j = normalize_edge(*pair)
     resolved = _resolve(network, i, j, society, {} if memo is None else memo)
@@ -175,7 +179,7 @@ def run(start: Network, selector: PairSelector, society: Society,
     steps: list[TraceStep] = []
     quiet = 0
     converged = False
-    memo: dict[int, float] = {}  # payoffs in the current network, by node
+    memo: dict = {}  # (payoff, balls) in the current network, by node
 
     activations = selector.pairs(start.n)
     for period in range(1, max_steps + 1):

@@ -300,13 +300,11 @@ class Network:
         return f"{self.__class__.__name__}(n={self.n}, edges={self.edges!r})"
 
 
-def _bfs_levels(masks, source: int):
-    """Yield (level, bitmask of nodes first reached at that level), level >= 1."""
+def _bfs_levels(masks, source: int) -> Iterator[int]:
+    """Yield the bitmask of nodes first reached at each level 1, 2, ..."""
     visited = 1 << source
     frontier = visited
-    level = 0
     while frontier:
-        level += 1
         reached = 0
         f = frontier
         while f:
@@ -316,16 +314,47 @@ def _bfs_levels(masks, source: int):
         newly = reached & ~visited
         if not newly:
             return
-        yield level, newly
+        yield newly
         visited |= newly
         frontier = newly
+
+
+def _balls(masks, source: int) -> tuple[int, ...]:
+    """Cumulative BFS balls: entry k is the bitmask of nodes within k hops of
+    source, up to its eccentricity; later balls equal the last one."""
+    balls = [1 << source]
+    for newly in _bfs_levels(masks, source):
+        balls.append(balls[-1] | newly)
+    return tuple(balls)
+
+
+def _added_levels(balls_i: tuple[int, ...], balls_j: tuple[int, ...]) -> list[int]:
+    """Masks of the nodes first reached at hops 1, 2, ... from i once the
+    link (i, j) is added, from both endpoints' balls before the add.
+
+    Adding a link only shortens paths, through d'_i = min(d_i, 1 + d_j), so
+    i's new balls are ``balls_i[k] | balls_j[k - 1]``: the masks are exactly
+    those a BFS on the network with the link would yield.
+    """
+    last_i, last_j = len(balls_i) - 1, len(balls_j) - 1
+    levels = []
+    reached = balls_i[0]
+    hop = 1
+    while True:
+        ball = balls_i[min(hop, last_i)] | balls_j[min(hop - 1, last_j)]
+        newly = ball ^ reached
+        if not newly:
+            return levels
+        levels.append(newly)
+        reached = ball
+        hop += 1
 
 
 def _hop_distances(masks, source: int) -> list[float]:
     """Hop count from source to every node; math.inf where unreachable."""
     dist = [math.inf] * len(masks)
     dist[source] = 0
-    for level, newly in _bfs_levels(masks, source):
+    for level, newly in enumerate(_bfs_levels(masks, source), 1):
         while newly:
             bit = newly & -newly
             dist[bit.bit_length() - 1] = level
@@ -341,23 +370,20 @@ def _delta_powers(delta: float, n: int) -> tuple[float, ...]:
     return tuple(powers)
 
 
-def payoff(network: Network, i: int, society: Society) -> float:
-    """Group-weighted benefit over reachable nodes minus degree * cost for node i.
+def _level_sum(levels: Iterable[int], i: int, degree: int, society: Society) -> float:
+    """The payoff formula, from the masks of the nodes first reached at hops
+    1, 2, ... from node i and i's degree.
 
-    Per group, delta**level times the members first reached at each BFS
-    level, then weighted by i's coordination row.  `stability._tables_chunk`
-    and `_utilities` add the same terms in the same order, so both engines
-    agree bitwise.
+    Per group, delta**level times the members first reached at each level,
+    then weighted by i's coordination row, minus degree * cost.
+    `stability._tables_chunk` and `_utilities` add the same terms in the
+    same order, so both engines agree bitwise.
     """
-    if not 0 <= i < network.n:
-        raise ValidationError(f"node {i} out of range")
-    if network.n != society.n:
-        raise ValidationError(f"network has {network.n} nodes, the society has {society.n}")
-    masks, partition, params = network.neighbor_masks, society.partition, society.params
-    delta_powers = _delta_powers(params.delta, network.n)
+    partition, params = society.partition, society.params
+    delta_powers = _delta_powers(params.delta, society.n)
     group_bits = partition.group_bits
     acc = [0.0] * len(group_bits)
-    for level, newly in _bfs_levels(masks, i):
+    for level, newly in enumerate(levels, 1):
         dp = delta_powers[level]
         for g, bits in enumerate(group_bits):
             acc[g] += dp * int.bit_count(newly & bits)
@@ -365,7 +391,18 @@ def payoff(network: Network, i: int, society: Society) -> float:
     benefit = 0.0
     for group_benefit, weight in zip(acc, weights):
         benefit += group_benefit * weight
-    return benefit - int.bit_count(masks[i]) * params.cost
+    return benefit - degree * params.cost
+
+
+def payoff(network: Network, i: int, society: Society) -> float:
+    """Group-weighted benefit over reachable nodes minus degree * cost for
+    node i, from one BFS (see `_level_sum`)."""
+    if not 0 <= i < network.n:
+        raise ValidationError(f"node {i} out of range")
+    if network.n != society.n:
+        raise ValidationError(f"network has {network.n} nodes, the society has {society.n}")
+    masks = network.neighbor_masks
+    return _level_sum(_bfs_levels(masks, i), i, int.bit_count(masks[i]), society)
 
 
 def payoffs(network: Network, society: Society) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property, partial
+from operator import xor
 
 import numpy as np
 
@@ -27,6 +28,9 @@ from .model import (
     Network,
     Society,
     ValidationError,
+    _added_levels,
+    _balls,
+    _level_sum,
     all_pairs,
     payoff,
 )
@@ -106,28 +110,45 @@ def _pair_changes(present, du_i, du_j):
 
 
 def _resolve(network: Network, i: int, j: int, society: Society,
-             memo: dict[int, float]) -> Network:
+             memo: dict[int, tuple[float, tuple[int, ...]]]) -> Network:
     """The network after pair (i, j), i < j, is activated: toggled when the
     pair rule changes it, ``network`` itself otherwise.
 
-    ``memo`` maps nodes to their payoffs in ``network``; the endpoints'
-    payoffs are computed and stored when missing.
+    ``memo`` maps nodes to their payoff and BFS balls (`model._balls`) in
+    ``network``; an endpoint missing from it is filled by one BFS.  A
+    present link's endpoints are re-evaluated on the network without it.  A
+    missing link's are read from the merged balls (`model._added_levels`),
+    which give the same double as a BFS on the network with the link.
     """
+    n = network.n
+    if not 0 <= i < j < n:
+        raise ValidationError(f"edge ({i}, {j}) invalid for n={n}")
+    if n != society.n:
+        raise ValidationError(f"network has {n} nodes, the society has {society.n}")
+    masks = network.neighbor_masks
     for node in (i, j):
         if node not in memo:
-            memo[node] = payoff(network, node, society)
-    present = network.has_edge(i, j)
-    toggled = network.without_edge(i, j) if present else network.with_edge(i, j)
-    du_i = payoff(toggled, i, society) - memo[i]
-    du_j = payoff(toggled, j, society) - memo[j]
-    return toggled if _pair_changes(present, du_i, du_j) else network
+            balls = _balls(masks, node)
+            levels = map(xor, balls[1:], balls)
+            memo[node] = (_level_sum(levels, node, int.bit_count(masks[node]), society), balls)
+    (u_i, balls_i), (u_j, balls_j) = memo[i], memo[j]
+    if masks[i] >> j & 1:
+        toggled = network._toggled(i, j)
+        du_i = payoff(toggled, i, society) - u_i
+        du_j = payoff(toggled, j, society) - u_j
+        return toggled if _pair_changes(True, du_i, du_j) else network
+    du_i = _level_sum(_added_levels(balls_i, balls_j), i,
+                      int.bit_count(masks[i]) + 1, society) - u_i
+    du_j = _level_sum(_added_levels(balls_j, balls_i), j,
+                      int.bit_count(masks[j]) + 1, society) - u_j
+    return network._toggled(i, j) if _pair_changes(False, du_i, du_j) else network
 
 
 def is_pairwise_stable(network: Network, society: Society) -> bool:
     """No profitable unilateral cut and no mutually agreeable missing link."""
     if network.n != society.n:
         raise ValidationError(f"network has {network.n} nodes, the society has {society.n}")
-    memo: dict[int, float] = {}
+    memo: dict[int, tuple[float, tuple[int, ...]]] = {}
     return all(_resolve(network, i, j, society, memo) is network
                for i, j in all_pairs(network.n))
 

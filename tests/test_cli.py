@@ -470,6 +470,20 @@ class TestStableAndEfficientCommands:
         assert "already holds summary.csv" in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == listing
 
+    @pytest.mark.parametrize("command", ["stable", "efficient"])
+    def test_out_path_that_is_a_file_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                command):
+        def enumerate_nothing(*args):
+            raise AssertionError("the refusal must come before the enumeration")
+        monkeypatch.setattr(groupform.cli.stab, "enumerate_stable", enumerate_nothing)
+        monkeypatch.setattr(groupform.cli.eff, "efficient_search", enumerate_nothing)
+        scenario = write(tmp_path, "s.scn", SCENARIO_3_5)
+        target = write(tmp_path, "listing", "kept\n")
+        code, text = run_cli([command, "--scenario", scenario, "--out", target])
+        assert code == 1 and text == ""
+        assert "is not a directory" in capsys.readouterr().err
+        assert Path(target).read_text(encoding="ascii") == "kept\n"
+
     def test_cap_exceeded_exit_code(self, tmp_path, capsys):
         scenario = write(tmp_path, "s.scn", SCENARIO_3_5)
         code, _ = run_cli(["stable", "--scenario", scenario, "--space", "full"])
@@ -487,6 +501,28 @@ class TestPoaCommand:
 
 
 class TestInputErrors:
+    @pytest.mark.parametrize("command, option", [
+        ("sweep", "--out"), ("sweep", "--svg"),
+        ("dynamics", "--out"), ("dynamics", "--final-out"), ("dynamics", "--svg")])
+    @pytest.mark.parametrize("target, problem", [
+        ("missing/file", "does not exist"), ("sub", "it is a directory")],
+        ids=["in-a-missing-dir", "a-dir"])
+    def test_unwritable_output_is_refused_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, option, target, problem):
+        def work(*args, **kwargs):
+            raise AssertionError("the refusal must come before any work")
+        monkeypatch.setattr(groupform.cli.stab, "compute_tables", work)
+        monkeypatch.setattr(groupform.cli.dyn, "run", work)
+        scenario = write(tmp_path, "s.scn", SCENARIO_3_5)
+        (tmp_path / "sub").mkdir()
+        grid = ["--parameter", "F12", "--from", "0", "--to", "1", "--step", "0.5"]
+        code, text = run_cli([command, "--scenario", scenario,
+                              *(grid if command == "sweep" else []),
+                              option, str(tmp_path / target)])
+        assert code == 1 and text == ""
+        assert problem in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["s.scn", "sub"]
+
     @pytest.mark.parametrize("old, new", [("cost = 0.2", "cost = inf"),
                                           ("F = 0.4", "F = nan")])
     def test_non_finite_parameter_exits_one(self, tmp_path, capsys, old, new):

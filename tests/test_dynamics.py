@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from groupform import model
 from groupform.dynamics import (
     Action,
     DynamicsTrace,
@@ -77,6 +78,29 @@ class TestStep:
         result, action = step(network, (0, 3), society)
         assert action is Action.REMOVED
         assert not result.has_edge(0, 3)
+
+    @pytest.mark.parametrize("f12, expected", [(0.1, Action.NO_CHANGE), (0.3, Action.ADDED)])
+    def test_missing_link_is_decided_from_the_memo_alone(self, monkeypatch, f12, expected):
+        society = two_group_society([3, 5], f12)
+        network = Network.disjoint_cliques(society.partition)
+        memo = {}
+        step(network, (0, 1), society, memo=memo)
+        step(network, (3, 4), society, memo=memo)
+        built = []
+
+        def no_bfs(*args):
+            raise AssertionError("a missing link needs no BFS once both endpoints are memoised")
+        toggled = Network._toggled
+
+        def counted_toggle(self, i, j):
+            built.append((i, j))
+            return toggled(self, i, j)
+        monkeypatch.setattr(model, "_bfs_levels", no_bfs)
+        monkeypatch.setattr(Network, "_toggled", counted_toggle)
+        _, action = step(network, (0, 3), society, memo=memo)
+        assert action is expected
+        # the network with the link is built only when the link is added
+        assert built == ([(0, 3)] if expected is Action.ADDED else [])
 
     def test_network_of_another_size_rejected(self):
         society = two_group_society([4, 4], 0.45)
@@ -220,7 +244,9 @@ class TestTraceMechanics:
         memo = {}
         result = step(network, (5, 1), society, memo=memo)
         assert result == step(network, (5, 1), society)
-        assert memo == {v: payoff(network, v, society) for v in (1, 5)}
+        # each entry is (payoff, balls); the payoff part is the current payoff
+        assert {v: entry[0] for v, entry in memo.items()} == {
+            v: payoff(network, v, society) for v in (1, 5)}
 
     def test_csv_layout(self):
         society = two_group_society([3, 4], 0.3)

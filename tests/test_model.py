@@ -13,6 +13,9 @@ from groupform.model import (
     Network,
     Society,
     ValidationError,
+    _added_levels,
+    _balls,
+    _level_sum,
     all_pairs,
     format_edge_list,
     in_invariant_set,
@@ -232,6 +235,39 @@ class TestPayoff:
         for n in (4, 7):
             with pytest.raises(ValidationError, match=f"network has {n} nodes"):
                 evaluate(Network.complete(n), society)
+
+
+class TestAddSidePayoff:
+    """`stability._resolve` reads a missing link's payoffs from both
+    endpoints' balls.  Each must be the very double that a BFS on the
+    network with the link gives: the epsilon-band tests decide ties only
+    because both engines compute the same double."""
+
+    @given(st.integers(0, 2**31))
+    def test_merged_balls_give_the_linked_payoff_bitwise(self, seed):
+        rng = random.Random(seed)
+        sizes = [rng.randint(3, 15) for _ in range(rng.randint(1, 4))]  # n <= 60
+        m, n = len(sizes), sum(sizes)
+        society = Society(
+            GroupPartition.from_sizes(sizes),
+            CoordinationMatrix.from_upper_triangle(
+                m, [rng.random() for _ in range(m * (m - 1) // 2)]),
+            ModelParams(rng.uniform(0.05, 0.95), rng.uniform(0.01, 0.6)))
+        # two blocks with no link between them, and one isolated node
+        split, isolated = rng.randrange(1, n), rng.randrange(n)
+        density = rng.choice([0.03, 0.1, 0.3])
+        network = Network(n, [(i, j) for i, j in all_pairs(n)
+                              if (i < split) == (j < split) and isolated not in (i, j)
+                              and rng.random() < density])
+        balls = [_balls(network.neighbor_masks, v) for v in range(n)]
+        for i, j in all_pairs(n):
+            if network.has_edge(i, j):
+                continue
+            linked = network.with_edge(i, j)
+            for a, b in ((i, j), (j, i)):
+                merged = _level_sum(_added_levels(balls[a], balls[b]), a,
+                                    network.degree(a) + 1, society)
+                assert merged == payoff(linked, a, society), (i, j, a)
 
 
 class TestWelfare:
