@@ -108,8 +108,8 @@ def parse_scenario(text: str) -> Scenario:
     coordination = CoordinationMatrix.from_upper_triangle(partition.m, cross)
     delta = read("delta")
     cost = read("cost")
-    seed = read("seed", int, default=None)
-    max_steps = read("max_steps", int, default=DEFAULT_MAX_STEPS)
+    seed = read("seed", int, default=None, problem="must be an integer")
+    max_steps = read("max_steps", int, default=DEFAULT_MAX_STEPS, problem="must be an integer")
     space = read("space", str, default="inter")
     if space not in SPACES:
         names = " or ".join(map(repr, SPACES))
@@ -288,7 +288,7 @@ def _sweep_row(value: float, society: Society, scan: Optional[stab.SpaceScan]) -
 
 
 def cmd_sweep(scenario: Scenario, args: argparse.Namespace, out) -> int:
-    _refuse_unwritable_files(args.out, args.svg)
+    _refuse_unwritable(args.out, args.svg)
     if scenario.partition.m != 2:
         raise ValidationError("sweeps need exactly two groups")
 
@@ -325,7 +325,7 @@ def cmd_sweep(scenario: Scenario, args: argparse.Namespace, out) -> int:
 
 
 def cmd_dynamics(scenario: Scenario, args: argparse.Namespace, out) -> int:
-    _refuse_unwritable_files(args.out, args.final_out, args.svg)
+    _refuse_unwritable(args.out, args.final_out, args.svg)
     society = scenario.society
     if args.script is not None:
         text = Path(args.script).read_text(encoding="ascii")
@@ -363,28 +363,28 @@ def cmd_dynamics(scenario: Scenario, args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _refuse_unwritable_files(*paths: Optional[str]) -> None:
-    """Refuse an output file that is a directory or lies in a missing one,
-    before the run whose result it would hold."""
-    for path in filter(None, paths):
+def _refuse_unwritable(*files: Optional[str], out_dir: Optional[str] = None) -> None:
+    """Refuse, before the run whose results they would hold, an output file
+    that is a directory or lies in a missing one, and an --out directory
+    under a file or holding an earlier listing, whose edge files beyond this
+    run's count would otherwise stay beside the new summary.  A missing
+    --out directory is created when the listing is written."""
+    for path in filter(None, files):
         target = Path(path)
         if not target.parent.is_dir():
             raise ValidationError(f"cannot write {path}: "
                                   f"directory {target.parent} does not exist")
         if target.is_dir():
             raise ValidationError(f"cannot write {path}: it is a directory")
-
-
-def _refuse_used_out_dir(out_dir: Optional[str]) -> None:
-    """Refuse, before the enumeration, an --out path that is a file, or a
-    directory holding an earlier listing, whose edge files beyond this run's
-    count would otherwise stay beside the new summary."""
-    if out_dir and Path(out_dir).exists() and not Path(out_dir).is_dir():
-        raise ValidationError(f"{out_dir} is not a directory; "
-                              "give --out a new or empty directory")
-    if out_dir and (Path(out_dir) / "summary.csv").exists():
-        raise ValidationError(f"{out_dir} already holds summary.csv; "
-                              "give --out a new or empty directory")
+    if out_dir:
+        directory = Path(out_dir)
+        existing = next(p for p in (directory, *directory.parents) if p.exists())
+        if not existing.is_dir():
+            raise ValidationError(f"{existing} is not a directory; "
+                                  "give --out a new or empty directory")
+        if (directory / "summary.csv").exists():
+            raise ValidationError(f"{out_dir} already holds summary.csv; "
+                                  "give --out a new or empty directory")
 
 
 def _write_networks(networks, society, out_dir: str, prefix: str, out) -> None:
@@ -401,7 +401,7 @@ def _write_networks(networks, society, out_dir: str, prefix: str, out) -> None:
 
 
 def cmd_stable(scenario: Scenario, args: argparse.Namespace, out) -> int:
-    _refuse_used_out_dir(args.out)
+    _refuse_unwritable(out_dir=args.out)
     society = scenario.society
     space = scenario.build_space()
     networks = stab.enumerate_stable(space, society)
@@ -416,7 +416,7 @@ def cmd_stable(scenario: Scenario, args: argparse.Namespace, out) -> int:
 
 
 def cmd_efficient(scenario: Scenario, args: argparse.Namespace, out) -> int:
-    _refuse_used_out_dir(args.out)
+    _refuse_unwritable(out_dir=args.out)
     society = scenario.society
     space = scenario.build_space()
     best, argmax = eff.efficient_search(space, society)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import index
+from operator import index, xor
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -300,32 +300,23 @@ class Network:
         return f"{self.__class__.__name__}(n={self.n}, edges={self.edges!r})"
 
 
-def _bfs_levels(masks, source: int) -> Iterator[int]:
-    """Yield the bitmask of nodes first reached at each level 1, 2, ..."""
-    visited = 1 << source
-    frontier = visited
-    while frontier:
-        reached = 0
-        f = frontier
-        while f:
-            bit = f & -f
-            reached |= masks[bit.bit_length() - 1]
-            f ^= bit
-        newly = reached & ~visited
-        if not newly:
-            return
-        yield newly
-        visited |= newly
-        frontier = newly
-
-
 def _balls(masks, source: int) -> tuple[int, ...]:
     """Cumulative BFS balls: entry k is the bitmask of nodes within k hops of
-    source, up to its eccentricity; later balls equal the last one."""
-    balls = [1 << source]
-    for newly in _bfs_levels(masks, source):
-        balls.append(balls[-1] | newly)
-    return tuple(balls)
+    source, up to its eccentricity; later balls equal the last one.  The
+    scalar engine's one BFS."""
+    ball = frontier = 1 << source
+    balls = [ball]
+    while True:
+        reached = 0
+        while frontier:
+            bit = frontier & -frontier
+            reached |= masks[bit.bit_length() - 1]
+            frontier ^= bit
+        frontier = reached & ~ball
+        if not frontier:
+            return tuple(balls)
+        ball |= frontier
+        balls.append(ball)
 
 
 def _added_levels(balls_i: tuple[int, ...], balls_j: tuple[int, ...]) -> list[int]:
@@ -348,18 +339,6 @@ def _added_levels(balls_i: tuple[int, ...], balls_j: tuple[int, ...]) -> list[in
         levels.append(newly)
         reached = ball
         hop += 1
-
-
-def _hop_distances(masks, source: int) -> list[float]:
-    """Hop count from source to every node; math.inf where unreachable."""
-    dist = [math.inf] * len(masks)
-    dist[source] = 0
-    for level, newly in enumerate(_bfs_levels(masks, source), 1):
-        while newly:
-            bit = newly & -newly
-            dist[bit.bit_length() - 1] = level
-            newly ^= bit
-    return dist
 
 
 @lru_cache(maxsize=64)
@@ -394,6 +373,14 @@ def _level_sum(levels: Iterable[int], i: int, degree: int, society: Society) -> 
     return benefit - degree * params.cost
 
 
+def _payoff_and_balls(masks, i: int, society: Society) -> tuple[float, tuple[int, ...]]:
+    """Node i's payoff and its BFS balls (`_balls`) in the network of
+    ``masks``: the levels, ball k minus ball k - 1, go to `_level_sum`."""
+    balls = _balls(masks, i)
+    levels = map(xor, balls[1:], balls)
+    return _level_sum(levels, i, int.bit_count(masks[i]), society), balls
+
+
 def payoff(network: Network, i: int, society: Society) -> float:
     """Group-weighted benefit over reachable nodes minus degree * cost for
     node i, from one BFS (see `_level_sum`)."""
@@ -401,8 +388,7 @@ def payoff(network: Network, i: int, society: Society) -> float:
         raise ValidationError(f"node {i} out of range")
     if network.n != society.n:
         raise ValidationError(f"network has {network.n} nodes, the society has {society.n}")
-    masks = network.neighbor_masks
-    return _level_sum(_bfs_levels(masks, i), i, int.bit_count(masks[i]), society)
+    return _payoff_and_balls(network.neighbor_masks, i, society)[0]
 
 
 def payoffs(network: Network, society: Society) -> np.ndarray:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property, partial
-from operator import xor
 
 import numpy as np
 
@@ -29,8 +28,8 @@ from .model import (
     Society,
     ValidationError,
     _added_levels,
-    _balls,
     _level_sum,
+    _payoff_and_balls,
     all_pairs,
     payoff,
 )
@@ -115,10 +114,11 @@ def _resolve(network: Network, i: int, j: int, society: Society,
     pair rule changes it, ``network`` itself otherwise.
 
     ``memo`` maps nodes to their payoff and BFS balls (`model._balls`) in
-    ``network``; an endpoint missing from it is filled by one BFS.  A
-    present link's endpoints are re-evaluated on the network without it.  A
-    missing link's are read from the merged balls (`model._added_levels`),
-    which give the same double as a BFS on the network with the link.
+    ``network``; an endpoint missing from it is filled by one BFS, on the
+    path `payoff` takes (`model._payoff_and_balls`).  A present link's
+    endpoints are re-evaluated on the network without it.  A missing
+    link's are read from the merged balls (`model._added_levels`), which
+    give the same double as a BFS on the network with the link.
     """
     n = network.n
     if not 0 <= i < j < n:
@@ -128,9 +128,7 @@ def _resolve(network: Network, i: int, j: int, society: Society,
     masks = network.neighbor_masks
     for node in (i, j):
         if node not in memo:
-            balls = _balls(masks, node)
-            levels = map(xor, balls[1:], balls)
-            memo[node] = (_level_sum(levels, node, int.bit_count(masks[node]), society), balls)
+            memo[node] = _payoff_and_balls(masks, node, society)
     (u_i, balls_i), (u_j, balls_j) = memo[i], memo[j]
     if masks[i] >> j & 1:
         toggled = network._toggled(i, j)

@@ -27,7 +27,7 @@ from .model import (
     ModelParams,
     Network,
     ValidationError,
-    _hop_distances,
+    _balls,
 )
 
 
@@ -226,8 +226,11 @@ class GroupGraph(Network):
         return cls.from_edges(m, [(center, g) for g in range(m) if g != center])
 
     def distances_from(self, source: int) -> list[float]:
-        """Hop distances from ``source`` on the group graph."""
-        return _hop_distances(self.neighbor_masks, source)
+        """Hop distances from ``source`` on the group graph: the first ball
+        holding each group, math.inf where none does."""
+        balls = _balls(self.neighbor_masks, source)
+        return [next((hops for hops, ball in enumerate(balls) if ball >> g & 1), math.inf)
+                for g in range(self.m)]
 
     def is_connected(self) -> bool:
         return all(d < math.inf for d in self.distances_from(0)) if self.m else True

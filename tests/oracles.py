@@ -4,6 +4,7 @@ engine, kept as the exact reference for the current one; and small
 test-only helpers that read the library's own structures."""
 
 import math
+from collections import deque
 from fractions import Fraction
 from typing import Sequence
 
@@ -14,7 +15,6 @@ from groupform.model import (
     Network,
     Society,
     ValidationError,
-    _hop_distances,
 )
 from groupform.stability import (
     SearchSpace,
@@ -43,6 +43,25 @@ def oracle_distance(network: Network, start: int, goal: int) -> float:
 
     explore(start, frozenset([start]), 0)
     return best
+
+
+def queue_distances(network: Network, source: int) -> list[float]:
+    """Hop count from source to every node by a queue BFS over the edge
+    list; math.inf where unreachable."""
+    neighbors: list[list[int]] = [[] for _ in range(network.n)]
+    for i, j in network.sorted_edges():
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    dist = [math.inf] * network.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in neighbors[v]:
+            if dist[w] == math.inf:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
 
 
 def node_weights(society: Society) -> np.ndarray:
@@ -157,10 +176,10 @@ def density(network: Network) -> float:
 
 
 def all_pairs_distances(network: Network) -> np.ndarray:
-    """The library BFS's hop-count distance matrix; unreachable pairs hold
-    math.inf, so delta ** d evaluates the benefit discount directly."""
-    masks = network.neighbor_masks
-    return np.array([_hop_distances(masks, s) for s in range(network.n)], dtype=float)
+    """The hop-count distance matrix from `queue_distances`; unreachable
+    pairs hold math.inf, so delta ** d evaluates the benefit discount
+    directly."""
+    return np.array([queue_distances(network, s) for s in range(network.n)], dtype=float)
 
 
 def free_mask_of(space: SearchSpace, network: Network) -> int:

@@ -61,8 +61,9 @@ class TestScenarioParsing:
         ("group_sizes = 3, 5", "group_sizes = 3, x", "line 2: group_sizes must be integers"),
         ("F = 0.4", "F = abc", "line 3: F entries must be numbers"),
         ("delta = 0.5", "delta = half", "line 4: delta must be a number"),
-        ("seed = 7", "seed = 7.5", "line 6: seed must be a number"),
-        ("space = inter", "max_steps = many", "line 7: max_steps must be a number"),
+        ("seed = 7", "seed = 7.5", "line 6: seed must be an integer"),
+        ("space = inter", "max_steps = many", "line 7: max_steps must be an integer"),
+        ("space = inter", "max_steps = 1e3", "line 7: max_steps must be an integer"),
         ("space = inter", "space = huge", "space must be 'full' or 'inter', got 'huge'"),
     ])
     def test_unreadable_value_names_key_and_line(self, old, new, message):
@@ -471,18 +472,27 @@ class TestStableAndEfficientCommands:
         assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == listing
 
     @pytest.mark.parametrize("command", ["stable", "efficient"])
-    def test_out_path_that_is_a_file_is_refused(self, tmp_path, capsys, monkeypatch,
-                                                command):
+    @pytest.mark.parametrize("below", ["", "/sub"], ids=["the-file", "under-it"])
+    def test_out_path_at_or_under_a_file_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                    command, below):
         def enumerate_nothing(*args):
             raise AssertionError("the refusal must come before the enumeration")
         monkeypatch.setattr(groupform.cli.stab, "enumerate_stable", enumerate_nothing)
         monkeypatch.setattr(groupform.cli.eff, "efficient_search", enumerate_nothing)
         scenario = write(tmp_path, "s.scn", SCENARIO_3_5)
         target = write(tmp_path, "listing", "kept\n")
-        code, text = run_cli([command, "--scenario", scenario, "--out", target])
+        code, text = run_cli([command, "--scenario", scenario, "--out", target + below])
         assert code == 1 and text == ""
-        assert "is not a directory" in capsys.readouterr().err
+        assert f"{target} is not a directory" in capsys.readouterr().err
         assert Path(target).read_text(encoding="ascii") == "kept\n"
+
+    @pytest.mark.parametrize("command", ["stable", "efficient"])
+    def test_missing_nested_out_dir_is_created(self, tmp_path, command):
+        scenario = write(tmp_path, "s.scn", SCENARIO_3_5)
+        out_dir = tmp_path / "a" / "b" / "listing"
+        code, _ = run_cli([command, "--scenario", scenario, "--out", str(out_dir)])
+        assert code == 0
+        assert (out_dir / "summary.csv").is_file()
 
     def test_cap_exceeded_exit_code(self, tmp_path, capsys):
         scenario = write(tmp_path, "s.scn", SCENARIO_3_5)

@@ -95,7 +95,7 @@ class TestStep:
         def counted_toggle(self, i, j):
             built.append((i, j))
             return toggled(self, i, j)
-        monkeypatch.setattr(model, "_bfs_levels", no_bfs)
+        monkeypatch.setattr(model, "_balls", no_bfs)
         monkeypatch.setattr(Network, "_toggled", counted_toggle)
         _, action = step(network, (0, 3), society, memo=memo)
         assert action is expected

@@ -25,6 +25,7 @@ from groupform.model import (
     welfare,
 )
 from groupform.stability import full_graph_space
+from groupform.thresholds import GroupGraph
 from oracles import (
     all_pairs_distances,
     density,
@@ -32,6 +33,7 @@ from oracles import (
     node_weights,
     oracle_distance,
     oracle_payoff,
+    queue_distances,
 )
 
 from conftest import random_network, random_society
@@ -188,6 +190,26 @@ class TestDistances:
         for i in range(6):
             for j in range(6):
                 assert d[i, j] == oracle_distance(network, i, j)
+
+    @given(st.integers(0, 2**31))
+    def test_library_bfs_matches_the_queue_bfs(self, seed):
+        # two blocks with no link between them, and one isolated node
+        rng = random.Random(seed)
+        n = rng.randint(1, 40)
+        split, isolated = rng.randrange(n + 1), rng.randrange(n)
+        density = rng.choice([0.05, 0.15, 0.4])
+        graph = GroupGraph(n, [(i, j) for i, j in all_pairs(n)
+                               if (i < split) == (j < split) and isolated not in (i, j)
+                               and rng.random() < density])
+        for source in range(n):
+            expected = queue_distances(graph, source)
+            hops = graph.distances_from(source)
+            assert hops == expected
+            assert [type(d) for d in hops] == [type(d) for d in expected]
+            balls = _balls(graph.neighbor_masks, source)
+            assert len(balls) - 1 == max(d for d in expected if d < math.inf)
+            for k, ball in enumerate(balls):
+                assert ball == sum(1 << v for v, d in enumerate(expected) if d <= k)
 
     @given(st.integers(0, 2**15 - 1), st.integers(0, 14))
     def test_adding_an_edge_never_lengthens_paths(self, mask, extra):

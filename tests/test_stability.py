@@ -16,7 +16,6 @@ from groupform.model import (
     Network,
     Society,
     ValidationError,
-    _hop_distances,
     all_pairs,
     payoff,
     welfare,
@@ -42,7 +41,7 @@ from groupform.stability import (
 from groupform.thresholds import RegimeKind, classify_two_group_stable, stable_boundaries
 
 from conftest import random_network, random_society
-from oracles import free_mask_of, reference_stable, reference_tables_chunk
+from oracles import free_mask_of, queue_distances, reference_stable, reference_tables_chunk
 
 PARAMS = ModelParams(0.5, 0.2)
 
@@ -425,7 +424,7 @@ class TestEpsilonBandAudit:
         def util(mask: int, v: int) -> Fraction:
             if (mask, v) not in exact:
                 network = tables.space.network_for(mask)
-                hops = _hop_distances(network.neighbor_masks, v)
+                hops = queue_distances(network, v)
                 benefit = sum(weights[group[v]][group[w]] * self.DELTA ** int(d)
                               for w, d in enumerate(hops) if w != v and d < math.inf)
                 exact[mask, v] = benefit - network.degree(v) * self.COST
