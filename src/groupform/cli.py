@@ -233,9 +233,8 @@ def _count_cell(counts: list[int], tie: bool = False) -> str:
 
 
 def _society_at(society: Society, parameter: str, value: float) -> Society:
-    """The society with one of SWEEP_PARAMETERS set to ``value``."""
-    if parameter == "F12":
-        return replace(society, coordination=CoordinationMatrix.uniform(2, value))
+    """The society with one of SWEEP_PARAMETERS set to ``value``; a refusal
+    names the grid point, as in ``F12=1.01: ...``."""
     if parameter == "s1":
         if not float(value).is_integer():
             raise ValidationError(f"s1={_fmt(value)} is not a whole group size")
@@ -243,7 +242,12 @@ def _society_at(society: Society, parameter: str, value: float) -> Society:
         if min(sizes) < 3:
             raise ValidationError(f"s1={int(value)} leaves a group below 3 members")
         return replace(society, partition=GroupPartition.from_sizes(sizes))
-    return replace(society, params=replace(society.params, **{parameter: value}))
+    try:
+        if parameter == "F12":
+            return replace(society, coordination=CoordinationMatrix.uniform(2, value))
+        return replace(society, params=replace(society.params, **{parameter: value}))
+    except ValidationError as exc:
+        raise ValidationError(f"{parameter}={_fmt(value)}: {exc}") from None
 
 
 def _sweep_row(value: float, society: Society, scan: Optional[stab.SpaceScan]) -> str:
@@ -305,8 +309,11 @@ def cmd_sweep(scenario: Scenario, args: argparse.Namespace, out) -> int:
         except stab.CapExceededError:
             return None
 
+    grid = _grid(args.start, args.stop, args.step)
+    for value in grid:  # refuse a bad point before the first table is built
+        _society_at(scenario.society, args.parameter, value)
     rows = [SWEEP_HEADER]
-    for value in _grid(args.start, args.stop, args.step):
+    for value in grid:
         society = _society_at(scenario.society, args.parameter, value)
         if th.below_clique_bound(society.params):
             rows.append(_sweep_row(value, society, scan_at(society)))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .model import (
-    EPSILON,
     Network,
     Society,
     ValidationError,
@@ -25,7 +24,7 @@ from .model import (
     normalize_edge,
 )
 from .stability import _resolve, is_pairwise_stable
-from .thresholds import below_clique_bound, stable_boundaries
+from .thresholds import RegimeKind, below_clique_bound, classify_two_group_stable
 
 
 class Action(enum.Enum):
@@ -83,11 +82,13 @@ class Scripted:
         return cls(tuple(sequence))
 
     def pairs(self, n: int) -> Iterator[tuple[int, int]]:
+        """The script's pairs, each checked, even past any step cap, before
+        the first is handed out."""
         for index, (i, j) in enumerate(self.sequence):
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise ValidationError(
                     f"script entry {index}: pair ({i}, {j}) out of range for n={n}")
-            yield normalize_edge(i, j)
+        return (normalize_edge(i, j) for i, j in self.sequence)
 
 
 PairSelector = SeededUniform | Scripted
@@ -212,18 +213,16 @@ def run(start: Network, selector: PairSelector, society: Society,
 
 
 def _no_cross_incentive_bounds(society: Society) -> bool:
-    """True when every cross weight sits strictly below the first-link bound."""
+    """True when every cross weight sits strictly below the first-link bound,
+    so every pair of groups is in the disjoint regime."""
     params = society.params
     if not below_clique_bound(params):
         return False
     sizes = society.partition.sizes
     coord = society.coordination
-    for a in range(len(sizes)):
-        for b in range(a + 1, len(sizes)):
-            bound = stable_boundaries(sizes[a], sizes[b], params)[0]
-            if not coord[a, b] < bound - EPSILON:
-                return False
-    return True
+    return all(classify_two_group_stable(sizes[a], sizes[b], params, coord[a, b]).kind
+               is RegimeKind.DISJOINT
+               for a in range(len(sizes)) for b in range(a + 1, len(sizes)))
 
 
 def in_invariant_set_run(start: Network, selector: PairSelector, society: Society,

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from operator import index, xor
-from typing import Iterable, Iterator
+from functools import cached_property
+from operator import index
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -271,6 +271,8 @@ class Network:
         return self._toggled(*normalize_edge(i, j)) if self.has_edge(i, j) else self
 
     def degree(self, i: int) -> int:
+        if not 0 <= i < self.n:
+            raise ValidationError(f"node {i} out of range")
         return int.bit_count(self.neighbor_masks[i])
 
     @property
@@ -319,66 +321,55 @@ def _balls(masks, source: int) -> tuple[int, ...]:
         balls.append(ball)
 
 
-def _added_levels(balls_i: tuple[int, ...], balls_j: tuple[int, ...]) -> list[int]:
-    """Masks of the nodes first reached at hops 1, 2, ... from i once the
-    link (i, j) is added, from both endpoints' balls before the add.
+def _added_balls(balls_i: tuple[int, ...], balls_j: tuple[int, ...]) -> list[int]:
+    """Node i's BFS balls once the link (i, j) is added, from both
+    endpoints' balls before the add.
 
     Adding a link only shortens paths, through d'_i = min(d_i, 1 + d_j), so
-    i's new balls are ``balls_i[k] | balls_j[k - 1]``: the masks are exactly
-    those a BFS on the network with the link would yield.
+    i's new ball k is ``balls_i[k] | balls_j[k - 1]``: exactly the balls
+    `_balls` would yield on the network with the link.
     """
     last_i, last_j = len(balls_i) - 1, len(balls_j) - 1
-    levels = []
-    reached = balls_i[0]
+    ball = balls_i[0]
+    balls = [ball]
     hop = 1
     while True:
-        ball = balls_i[min(hop, last_i)] | balls_j[min(hop - 1, last_j)]
-        newly = ball ^ reached
-        if not newly:
-            return levels
-        levels.append(newly)
-        reached = ball
+        merged = balls_i[min(hop, last_i)] | balls_j[min(hop - 1, last_j)]
+        if merged == ball:
+            return balls
+        balls.append(merged)
+        ball = merged
         hop += 1
 
 
-@lru_cache(maxsize=64)
-def _delta_powers(delta: float, n: int) -> tuple[float, ...]:
-    powers = [1.0] * n
-    for k in range(1, n):
-        powers[k] = powers[k - 1] * delta
-    return tuple(powers)
+def _level_sum(balls: Sequence[int], i: int, society: Society) -> float:
+    """The payoff formula, from node i's BFS balls (`_balls`).
 
-
-def _level_sum(levels: Iterable[int], i: int, degree: int, society: Society) -> float:
-    """The payoff formula, from the masks of the nodes first reached at hops
-    1, 2, ... from node i and i's degree.
-
-    Per group, delta**level times the members first reached at each level,
-    then weighted by i's coordination row, minus degree * cost.
-    `stability._tables_chunk` and `_utilities` add the same terms in the
-    same order, so both engines agree bitwise.
+    Level k, the nodes first reached at hop k, is ball k minus ball k - 1,
+    and level 1 is i's neighbour set, whose size is i's degree.  Per group,
+    delta**k times the members on each level, then weighted by i's
+    coordination row, minus degree * cost.  delta**k takes one multiply per
+    level, and `stability._tables_chunk` and `_utilities` add the same
+    terms in the same order, so both engines agree bitwise.
     """
     partition, params = society.partition, society.params
-    delta_powers = _delta_powers(params.delta, society.n)
+    delta = params.delta
     group_bits = partition.group_bits
     acc = [0.0] * len(group_bits)
-    for level, newly in enumerate(levels, 1):
-        dp = delta_powers[level]
+    discount = 1.0
+    previous = balls[0]
+    for ball in balls[1:]:
+        discount *= delta
+        newly = ball ^ previous
         for g, bits in enumerate(group_bits):
-            acc[g] += dp * int.bit_count(newly & bits)
+            acc[g] += discount * int.bit_count(newly & bits)
+        previous = ball
     weights = society.coordination.entries[partition.membership[i]]
     benefit = 0.0
     for group_benefit, weight in zip(acc, weights):
         benefit += group_benefit * weight
+    degree = int.bit_count(balls[1]) - 1 if len(balls) > 1 else 0
     return benefit - degree * params.cost
-
-
-def _payoff_and_balls(masks, i: int, society: Society) -> tuple[float, tuple[int, ...]]:
-    """Node i's payoff and its BFS balls (`_balls`) in the network of
-    ``masks``: the levels, ball k minus ball k - 1, go to `_level_sum`."""
-    balls = _balls(masks, i)
-    levels = map(xor, balls[1:], balls)
-    return _level_sum(levels, i, int.bit_count(masks[i]), society), balls
 
 
 def payoff(network: Network, i: int, society: Society) -> float:
@@ -388,7 +379,7 @@ def payoff(network: Network, i: int, society: Society) -> float:
         raise ValidationError(f"node {i} out of range")
     if network.n != society.n:
         raise ValidationError(f"network has {network.n} nodes, the society has {society.n}")
-    return _payoff_and_balls(network.neighbor_masks, i, society)[0]
+    return _level_sum(_balls(network.neighbor_masks, i), i, society)
 
 
 def payoffs(network: Network, society: Society) -> np.ndarray:

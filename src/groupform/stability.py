@@ -27,9 +27,9 @@ from .model import (
     Network,
     Society,
     ValidationError,
-    _added_levels,
+    _added_balls,
+    _balls,
     _level_sum,
-    _payoff_and_balls,
     all_pairs,
     payoff,
 )
@@ -114,11 +114,11 @@ def _resolve(network: Network, i: int, j: int, society: Society,
     pair rule changes it, ``network`` itself otherwise.
 
     ``memo`` maps nodes to their payoff and BFS balls (`model._balls`) in
-    ``network``; an endpoint missing from it is filled by one BFS, on the
-    path `payoff` takes (`model._payoff_and_balls`).  A present link's
-    endpoints are re-evaluated on the network without it.  A missing
-    link's are read from the merged balls (`model._added_levels`), which
-    give the same double as a BFS on the network with the link.
+    ``network``; an endpoint missing from it is filled by one BFS, its
+    payoff read off the balls by `model._level_sum` as `payoff` does.  A
+    present link's endpoints are re-evaluated on the network without it.
+    A missing link's are read off the merged balls (`model._added_balls`),
+    which equal a BFS's on the network with the link.
     """
     n = network.n
     if not 0 <= i < j < n:
@@ -128,17 +128,16 @@ def _resolve(network: Network, i: int, j: int, society: Society,
     masks = network.neighbor_masks
     for node in (i, j):
         if node not in memo:
-            memo[node] = _payoff_and_balls(masks, node, society)
+            balls = _balls(masks, node)
+            memo[node] = _level_sum(balls, node, society), balls
     (u_i, balls_i), (u_j, balls_j) = memo[i], memo[j]
     if masks[i] >> j & 1:
         toggled = network._toggled(i, j)
         du_i = payoff(toggled, i, society) - u_i
         du_j = payoff(toggled, j, society) - u_j
         return toggled if _pair_changes(True, du_i, du_j) else network
-    du_i = _level_sum(_added_levels(balls_i, balls_j), i,
-                      int.bit_count(masks[i]) + 1, society) - u_i
-    du_j = _level_sum(_added_levels(balls_j, balls_i), j,
-                      int.bit_count(masks[j]) + 1, society) - u_j
+    du_i = _level_sum(_added_balls(balls_i, balls_j), i, society) - u_i
+    du_j = _level_sum(_added_balls(balls_j, balls_i), j, society) - u_j
     return network._toggled(i, j) if _pair_changes(False, du_i, du_j) else network
 
 

@@ -203,6 +203,24 @@ class TestSweep:
         assert text == ""
         assert capsys.readouterr().err == "error: s1=3.5 is not a whole group size\n"
 
+    @pytest.mark.parametrize("parameter, start, stop, step, message", [
+        ("F12", "0", "1.01", "0.01",
+         "F12=1.01: off-diagonal coordination weights must be in [0, 1]"),
+        ("delta", "0.5", "1", "0.25", "delta=1: delta must be in (0, 1), got 1.0"),
+    ])
+    def test_bad_last_grid_point_refused_before_any_table(
+            self, tmp_path, capsys, monkeypatch, parameter, start, stop, step, message):
+        # such a grid used to scan every earlier row before it was refused
+        def no_tables(*args):
+            raise AssertionError("a table was built for a grid that is refused")
+        monkeypatch.setattr(groupform.cli.stab, "compute_tables", no_tables)
+        scenario = write(tmp_path, "s.scn", SCENARIO_3_5)
+        code, text = run_cli(["sweep", "--scenario", scenario, "--parameter", parameter,
+                              "--from", start, "--to", stop, "--step", step])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("bounds", [("0", "1", "nan"), ("0", "inf", "0.1"),
                                         ("nan", "1", "0.1")])
     def test_non_finite_grid_rejected(self, tmp_path, capsys, bounds):

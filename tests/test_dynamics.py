@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from groupform import model
+from groupform import dynamics, model, stability
 from groupform.dynamics import (
     Action,
     DynamicsTrace,
     Scripted,
     SeededUniform,
+    _no_cross_incentive_bounds,
     in_invariant_set_run,
     run,
     step,
@@ -96,6 +97,7 @@ class TestStep:
             built.append((i, j))
             return toggled(self, i, j)
         monkeypatch.setattr(model, "_balls", no_bfs)
+        monkeypatch.setattr(stability, "_balls", no_bfs)
         monkeypatch.setattr(Network, "_toggled", counted_toggle)
         _, action = step(network, (0, 3), society, memo=memo)
         assert action is expected
@@ -196,6 +198,19 @@ class TestInvariantSetRuns:
             in_invariant_set_run(start, SeededUniform(1), society, max_steps=10)
 
 
+class TestFirstLinkBound:
+    # sizes 3 and 5 with delta 0.5 and cost 0.2 put the first bound at 0.2;
+    # within EPSILON of it the boundary is a tie, not the disjoint regime
+    @pytest.mark.parametrize("f12, expected", [(0.2, False), (0.2 - 5e-10, False),
+                                               (0.2 - 2e-9, True), (0.1, True)])
+    def test_disjoint_only_strictly_below_the_first_bound(self, f12, expected):
+        assert _no_cross_incentive_bounds(two_group_society([3, 5], f12)) is expected
+
+    def test_false_when_cost_reaches_the_clique_bound(self):
+        params = ModelParams(0.5, 0.25)
+        assert not _no_cross_incentive_bounds(two_group_society([3, 5], 0.0, params))
+
+
 class TestTraceMechanics:
     def test_identical_seeds_give_identical_traces(self):
         society = two_group_society([3, 4], 0.3)
@@ -277,6 +292,19 @@ class TestTraceMechanics:
         society = two_group_society([3, 4], 0.3)
         with pytest.raises(ValidationError, match="entry 1"):
             run(Network.empty(7), Scripted.of([(0, 1), (0, 9)]), society, max_steps=10)
+
+    @pytest.mark.parametrize("max_steps", [5000, 10])
+    def test_script_checked_whole_before_the_first_period(self, monkeypatch, max_steps):
+        # a bad last entry used to be refused only after every earlier period
+        # ran, and one beyond max_steps not at all
+        def no_step(*args, **kwargs):
+            raise AssertionError("a period ran before the script was checked")
+        monkeypatch.setattr(dynamics, "step", no_step)
+        society = two_group_society([3, 5], 0.3)
+        script = Scripted.of([(0, 1)] * 4999 + [(0, 9)])
+        with pytest.raises(ValidationError,
+                           match=r"^script entry 4999: pair \(0, 9\) out of range for n=8$"):
+            run(Network.empty(8), script, society, max_steps=max_steps)
 
     def test_script_entries_must_be_integers(self):
         assert Scripted.of([(np.int64(1), np.int64(3))]).sequence == ((1, 3),)

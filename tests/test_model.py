@@ -13,7 +13,7 @@ from groupform.model import (
     Network,
     Society,
     ValidationError,
-    _added_levels,
+    _added_balls,
     _balls,
     _level_sum,
     all_pairs,
@@ -287,9 +287,9 @@ class TestAddSidePayoff:
                 continue
             linked = network.with_edge(i, j)
             for a, b in ((i, j), (j, i)):
-                merged = _level_sum(_added_levels(balls[a], balls[b]), a,
-                                    network.degree(a) + 1, society)
-                assert merged == payoff(linked, a, society), (i, j, a)
+                merged = _added_balls(balls[a], balls[b])
+                assert tuple(merged) == _balls(linked.neighbor_masks, a), (i, j, a)
+                assert _level_sum(merged, a, society) == payoff(linked, a, society), (i, j, a)
 
 
 class TestWelfare:
@@ -470,6 +470,13 @@ class TestBitmaskNetwork:
             assert network.without_edge(i, j) == network
         with pytest.raises(ValidationError):
             Network(4, [(1, 4)])
+
+    def test_degree_of_out_of_range_node_rejected(self):
+        # -1 used to read node 4's mask, and 5 raised a raw IndexError
+        network = Network.from_edges(5, [(3, 4)])
+        for node in (-1, 5):
+            with pytest.raises(ValidationError, match=f"node {node} out of range"):
+                network.degree(node)
 
     def test_numpy_integer_endpoints_build_the_int_network(self):
         edges = [(0, 1), (2, 1)]
