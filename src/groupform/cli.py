@@ -310,11 +310,10 @@ def cmd_sweep(scenario: Scenario, args: argparse.Namespace, out) -> int:
             return None
 
     grid = _grid(args.start, args.stop, args.step)
-    for value in grid:  # refuse a bad point before the first table is built
-        _society_at(scenario.society, args.parameter, value)
+    # refuse a bad point before the first table is built
+    societies = [_society_at(scenario.society, args.parameter, value) for value in grid]
     rows = [SWEEP_HEADER]
-    for value in grid:
-        society = _society_at(scenario.society, args.parameter, value)
+    for value, society in zip(grid, societies):
         if th.below_clique_bound(society.params):
             rows.append(_sweep_row(value, society, scan_at(society)))
         else:  # the regime table and the pinned cliques both need the bound

@@ -146,10 +146,9 @@ class CoordinationMatrix:
 
     @classmethod
     def uniform(cls, m: int, cross_weight: float) -> "CoordinationMatrix":
-        rows = [[cross_weight] * m for _ in range(m)]
-        for a in range(m):
-            rows[a][a] = 1.0
-        return cls.from_array(rows)
+        cross_weight = float(cross_weight)
+        return cls(tuple(tuple(1.0 if a == b else cross_weight for b in range(m))
+                         for a in range(m)))
 
     @classmethod
     def from_upper_triangle(cls, m: int, values: Iterable[float]) -> "CoordinationMatrix":

@@ -7,6 +7,12 @@ under mutual consent (one strict gain with the other at worst indifferent).
 Strictness is judged against `model.EPSILON`, so the check is the exact
 fixed-point condition of the formation dynamics.
 
+The scalar check (`_resolve`) settles most pairs from part of the rule:
+a present link below its link bound (`thresholds.below_link_bound`) is
+kept with no search, since no endpoint gains from cutting it, and a missing
+link is refused as soon as its first endpoint strictly loses, since
+formation needs both endpoints' consent.  Both exits change no decision.
+
 Enumeration walks a declared search space as a bitmask range.  Payoff
 tables for the whole space are built once with vectorized batched BFS,
 after which each network's stability reduces to table lookups at the
@@ -15,6 +21,7 @@ single-bit-toggled neighbor masks.
 
 from __future__ import annotations
 
+import math
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -33,7 +40,7 @@ from .model import (
     all_pairs,
     payoff,
 )
-from .thresholds import below_clique_bound, shortcut_gain
+from .thresholds import below_clique_bound, below_link_bound, shortcut_gain
 
 FREE_BITS_CAP = 22
 _CHUNK_BITS = 16
@@ -113,12 +120,16 @@ def _resolve(network: Network, i: int, j: int, society: Society,
     """The network after pair (i, j), i < j, is activated: toggled when the
     pair rule changes it, ``network`` itself otherwise.
 
-    ``memo`` maps nodes to their payoff and BFS balls (`model._balls`) in
-    ``network``; an endpoint missing from it is filled by one BFS, its
-    payoff read off the balls by `model._level_sum` as `payoff` does.  A
-    present link's endpoints are re-evaluated on the network without it.
-    A missing link's are read off the merged balls (`model._added_balls`),
-    which equal a BFS's on the network with the link.
+    A present link below its link bound (`thresholds.below_link_bound`) is
+    kept with no search at all: the cut would cost each endpoint more
+    benefit than the link cost it saves.  ``memo`` maps nodes to their payoff and BFS balls
+    (`model._balls`) in ``network``; an endpoint missing from it is filled
+    by one BFS, its payoff read off the balls by `model._level_sum` as
+    `payoff` does.  Any other present link's endpoints are re-evaluated on
+    the network without it.  A missing link's are read off the merged balls
+    (`model._added_balls`), which equal a BFS's on the network with the
+    link; when i strictly loses, the link is refused before j's change is
+    computed, since the consent rule then refuses it whatever j gains.
     """
     n = network.n
     if not 0 <= i < j < n:
@@ -126,17 +137,24 @@ def _resolve(network: Network, i: int, j: int, society: Society,
     if n != society.n:
         raise ValidationError(f"network has {n} nodes, the society has {society.n}")
     masks = network.neighbor_masks
+    present = masks[i] >> j & 1
+    if present:
+        group = society.partition.membership
+        if below_link_bound(society.params, society.coordination[group[i], group[j]]):
+            return network
     for node in (i, j):
         if node not in memo:
             balls = _balls(masks, node)
             memo[node] = _level_sum(balls, node, society), balls
     (u_i, balls_i), (u_j, balls_j) = memo[i], memo[j]
-    if masks[i] >> j & 1:
+    if present:
         toggled = network._toggled(i, j)
         du_i = payoff(toggled, i, society) - u_i
         du_j = payoff(toggled, j, society) - u_j
         return toggled if _pair_changes(True, du_i, du_j) else network
     du_i = _level_sum(_added_balls(balls_i, balls_j), i, society) - u_i
+    if not _pair_changes(False, du_i, math.inf):
+        return network
     du_j = _level_sum(_added_balls(balls_j, balls_i), j, society) - u_j
     return network._toggled(i, j) if _pair_changes(False, du_i, du_j) else network
 

@@ -60,13 +60,27 @@ def shortcut_gain(delta: float) -> float:
     return delta - delta * delta
 
 
+def below_link_bound(params: ModelParams, weight: float) -> bool:
+    """True when the link cost lies strictly below ``weight`` times the
+    shortcut gain, for a link between nodes whose groups weigh each other
+    by ``weight``.
+
+    Cutting such a link moves each endpoint at least one hop further from
+    the other, a benefit loss of at least ``weight * shortcut_gain``, and
+    saves exactly ``cost``; every other distance only grows.  So neither
+    endpoint strictly gains from the cut, and the link is kept.
+    """
+    return params.cost < weight * shortcut_gain(params.delta) - EPSILON
+
+
 def below_clique_bound(params: ModelParams) -> bool:
-    """True when the link cost lies strictly below the clique-formation bound.
+    """True when the link cost lies strictly below the clique-formation bound,
+    the link bound at weight 1.
 
     Only then does every intra-group link pay, so groups form cliques and
     cutting a clique link never pays.
     """
-    return params.cost < shortcut_gain(params.delta) - EPSILON
+    return below_link_bound(params, 1.0)
 
 
 def _require_low_cost(params: ModelParams) -> None:

@@ -99,8 +99,7 @@ def exact_payoff(network: Network, i: int, partition: GroupPartition,
     """
     group = partition.membership
     total = Fraction(0)
-    for k in range(network.n):
-        hops = oracle_distance(network, i, k)
+    for k, hops in enumerate(queue_distances(network, i)):
         if k == i or hops == math.inf:
             continue
         total += coordination[group[i]][group[k]] * delta ** int(hops)

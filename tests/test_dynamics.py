@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from groupform import dynamics, model, stability
+from groupform.cli import DEFAULT_MAX_STEPS
 from groupform.dynamics import (
     Action,
     DynamicsTrace,
@@ -85,8 +87,9 @@ class TestStep:
         society = two_group_society([3, 5], f12)
         network = Network.disjoint_cliques(society.partition)
         memo = {}
-        step(network, (0, 1), society, memo=memo)
-        step(network, (3, 4), society, memo=memo)
+        # missing pairs memoise both endpoints; a kept present link needs no BFS
+        step(network, (0, 4), society, memo=memo)
+        step(network, (1, 3), society, memo=memo)
         built = []
 
         def no_bfs(*args):
@@ -209,6 +212,27 @@ class TestFirstLinkBound:
     def test_false_when_cost_reaches_the_clique_bound(self):
         params = ModelParams(0.5, 0.25)
         assert not _no_cross_incentive_bounds(two_group_society([3, 5], 0.0, params))
+
+
+class TestPinnedStreams:
+    """Four groups of 15 at F = 0.15, delta 0.5, cost 0.2, from the empty
+    network: the sha256 of each seed's trace CSV.  Every period's decision
+    shows in the trace, so a faster pair resolution must keep them."""
+
+    TRACE_SHA256 = {
+        1: "3703717debc581151d6217a5f8fd3b4d7fb4eaba61c734cc71563f652061f811",
+        2: "a76a254f988c0f568c38f6345a54f0ca9696d64030a397780506e775a0fc3e06",
+        3: "5f17cd8754f5a17501cd91af18aa2dcac7b86a63ffe7e85bd5de1e1d71ada87b",
+        4: "47312c382539a073d86f3878b7259fc0aab8224939cd7236138f35fde630dc58",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(TRACE_SHA256))
+    def test_trace_digest(self, seed):
+        society = Society(GroupPartition.from_sizes([15] * 4),
+                          CoordinationMatrix.uniform(4, 0.15), PARAMS)
+        trace = run(Network.empty(60), SeededUniform(seed), society, DEFAULT_MAX_STEPS)
+        assert trace.converged
+        assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == self.TRACE_SHA256[seed]
 
 
 class TestTraceMechanics:

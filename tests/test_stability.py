@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -6,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from groupform import model, stability
 from groupform.cli import _sweep_row
 from groupform.dynamics import Action, step
 from groupform.model import (
@@ -23,6 +23,7 @@ from groupform.model import (
 from groupform.stability import (
     CapExceededError,
     _pair_changes,
+    _resolve,
     PoAUndefinedError,
     SpaceScan,
     SpaceTables,
@@ -41,7 +42,12 @@ from groupform.stability import (
 from groupform.thresholds import RegimeKind, classify_two_group_stable, stable_boundaries
 
 from conftest import random_network, random_society
-from oracles import free_mask_of, queue_distances, reference_stable, reference_tables_chunk
+from oracles import (
+    exact_payoff,
+    free_mask_of,
+    reference_stable,
+    reference_tables_chunk,
+)
 
 PARAMS = ModelParams(0.5, 0.2)
 
@@ -418,16 +424,12 @@ class TestEpsilonBandAudit:
     def assert_exact_ties(self, tables: SpaceTables, f12_text: str, rows) -> None:
         f12 = Fraction(f12_text)
         weights = [[Fraction(1), f12], [f12, Fraction(1)]]
-        group = tables.partition.membership
         exact: dict[tuple[int, int], Fraction] = {}
 
         def util(mask: int, v: int) -> Fraction:
             if (mask, v) not in exact:
-                network = tables.space.network_for(mask)
-                hops = queue_distances(network, v)
-                benefit = sum(weights[group[v]][group[w]] * self.DELTA ** int(d)
-                              for w, d in enumerate(hops) if w != v and d < math.inf)
-                exact[mask, v] = benefit - network.degree(v) * self.COST
+                exact[mask, v] = exact_payoff(tables.space.network_for(mask), v,
+                                              tables.partition, weights, self.DELTA, self.COST)
             return exact[mask, v]
 
         for k, t, v in rows.tolist():
@@ -445,6 +447,126 @@ class TestEpsilonBandAudit:
         assert len(rows) == 937_980
         sample = np.random.default_rng(2024).choice(len(rows), 2_000, replace=False)
         self.assert_exact_ties(tables, "0.8", rows[sample])
+
+
+class TestResolveShortcuts:
+    """`_resolve` settles a kept link with no search, and refuses a missing
+    link once its lower endpoint strictly loses, with no look at the other
+    endpoint's change."""
+
+    @staticmethod
+    def forbid(monkeypatch, *names):
+        def searched(*args):
+            raise AssertionError("a link below its link bound needs no search")
+        for name in names:
+            monkeypatch.setattr(stability, name, searched)
+
+    @pytest.mark.parametrize("pair, f12", [((0, 1), 0.4), ((3, 7), 0.4), ((0, 3), 0.9)])
+    def test_link_below_its_bound_is_kept_without_search(self, monkeypatch, pair, f12):
+        # intra links at weight 1, and at F = 0.9 the cross link too:
+        # 0.9 * shortcut_gain(0.5) = 0.225 lies above the cost 0.2
+        society = society_3_5(f12)
+        network = Network.disjoint_cliques(society.partition).with_edge(0, 3)
+        self.forbid(monkeypatch, "_balls", "payoff")
+        memo = {}
+        assert _resolve(network, *pair, society, memo) is network
+        assert memo == {}
+
+    def test_cross_link_above_its_bound_is_still_searched(self, monkeypatch):
+        # F = 0.8 puts the cost exactly on 0.8 * shortcut_gain(0.5): the
+        # shortcut must not fire, and the full comparison keeps the bridge
+        society = society_3_5(0.8)
+        network = Network.disjoint_cliques(society.partition).with_edge(0, 3)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return payoff(*args)
+        monkeypatch.setattr(stability, "payoff", counting)
+        assert _resolve(network, 0, 3, society, {}) is network
+        assert calls == [0, 3]
+
+    def test_profitable_cross_cut_below_the_clique_bound_is_made(self):
+        # 0.05 * shortcut_gain(0.5) < cost < shortcut_gain(0.5): only the
+        # cross weight tells this link from a kept intra link
+        society = society_3_3(0.05)
+        network = Network.disjoint_cliques(society.partition).with_edge(0, 3)
+        assert _resolve(network, 0, 3, society, {}) == network.without_edge(0, 3)
+
+    def test_strict_loss_of_i_refuses_without_js_change(self, monkeypatch):
+        society = society_3_5(0.1)  # disjoint regime: a cross link loses for both
+        network = Network.disjoint_cliques(society.partition)
+        merged = []
+        added_balls = model._added_balls
+
+        def counting(balls_a, balls_b):
+            merged.append(balls_a)
+            return added_balls(balls_a, balls_b)
+        monkeypatch.setattr(stability, "_added_balls", counting)
+        memo = {}
+        assert _resolve(network, 0, 3, society, memo) is network
+        assert len(merged) == 1
+        # j is still searched: i's merged balls read j's balls
+        assert merged[0] == memo[0][1] and set(memo) == {0, 3}
+
+    def test_tie_for_i_does_not_veto_a_gain_for_j(self):
+        # groups {0, 1, 2} and {3, 4, 5}: adding (0, 4) brings 4 from two
+        # hops to one for node 0, a gain of 0.8 * (1/2 - 1/4) = 1/5, the
+        # cost exactly; node 4 gains 1/5 more than the cost
+        society = society_3_3(0.8)
+        network = Network.from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4)])
+        weights = [[Fraction(1), Fraction(4, 5)], [Fraction(4, 5), Fraction(1)]]
+        gains = [exact_payoff(network.with_edge(0, 4), v, society.partition, weights,
+                              Fraction(1, 2), Fraction(1, 5))
+                 - exact_payoff(network, v, society.partition, weights,
+                                Fraction(1, 2), Fraction(1, 5))
+                 for v in (0, 4)]
+        assert gains == [0, Fraction(1, 5)]
+        assert _resolve(network, 0, 4, society, {}) == network.with_edge(0, 4)
+
+
+class TestExactReferee:
+    """`_resolve` decides every pair of a drawn network as the consent rule
+    does on payoffs in rational arithmetic (`oracles.exact_payoff`).  Delta
+    1/2 or 2/5, cost 1/5 or 1/4 and cross weights in tenths: at delta 1/2
+    and cost 1/5, F = 8/10 puts F * shortcut_gain on the cost exactly, and
+    F = 9/10 puts a cross link below its link bound."""
+
+    @staticmethod
+    def exact_changes(present: bool, du_i: Fraction, du_j: Fraction) -> bool:
+        if present:
+            return du_i > 0 or du_j > 0
+        return (du_i > 0 or du_j > 0) and du_i >= 0 and du_j >= 0
+
+    @given(st.lists(st.integers(3, 5), min_size=2, max_size=4), st.sampled_from(["1/2", "2/5"]),
+           st.sampled_from(["1/5", "1/4"]), st.data(),
+           st.sampled_from([0.15, 0.3, 0.6, 0.9]), st.integers(0, 2**32 - 1))
+    def test_every_pair_is_decided_as_in_exact_arithmetic(self, sizes, delta, cost, data,
+                                                          density, seed):
+        partition = GroupPartition.from_sizes(sizes)
+        tenths = data.draw(st.lists(st.sampled_from([0, 1, 3, 5, 8, 9, 10]),
+                                    min_size=partition.m * (partition.m - 1) // 2,
+                                    max_size=partition.m * (partition.m - 1) // 2))
+        society = Society(partition,
+                          CoordinationMatrix.from_upper_triangle(partition.m,
+                                                                 [t / 10 for t in tenths]),
+                          ModelParams(float(Fraction(delta)), float(Fraction(cost))))
+        weights = [[Fraction(society.coordination[a, b]).limit_denominator(10)
+                    for b in range(partition.m)] for a in range(partition.m)]
+        exact = {"delta": Fraction(delta), "cost": Fraction(cost)}
+        rng = random.Random(seed)
+        network = Network(partition.n, [p for p in all_pairs(partition.n)
+                                        if rng.random() < density])
+        now = [exact_payoff(network, v, partition, weights, **exact)
+               for v in range(partition.n)]
+        memo = {}
+        for i, j in all_pairs(partition.n):
+            present = network.has_edge(i, j)
+            toggled = network.without_edge(i, j) if present else network.with_edge(i, j)
+            du_i, du_j = (exact_payoff(toggled, v, partition, weights, **exact) - now[v]
+                          for v in (i, j))
+            changes = _resolve(network, i, j, society, memo) is not network
+            assert changes == self.exact_changes(present, du_i, du_j), (i, j, du_i, du_j)
 
 
 class TestEnginesAgreeAtTheStableBounds:

@@ -12,6 +12,8 @@ from groupform.thresholds import (
     GroupGraph,
     RegimeKind,
     RegimeUndefinedError,
+    below_clique_bound,
+    below_link_bound,
     classify_two_group_efficient,
     classify_two_group_stable,
     clique_link_gain,
@@ -61,6 +63,23 @@ class TestGainFactors:
             clique_link_gain(2, 0.5)
         with pytest.raises(ValidationError):
             shortcut_gain(1.0)
+
+
+class TestLinkBound:
+    @pytest.mark.parametrize("weight, below", [(0.8, False), (0.9, True), (1.0, True),
+                                               (0.0, False)])
+    def test_strict_at_delta_half_and_cost_one_fifth(self, weight, below):
+        # 0.8 * shortcut_gain(0.5) is the cost exactly: a tie is not below
+        assert below_link_bound(PARAMS, weight) is below
+
+    @given(delta_st, st.floats(1e-3, 0.3), st.floats(0.0, 1.0))
+    def test_clique_bound_is_weight_one(self, delta, cost, weight):
+        params = ModelParams(delta, cost)
+        # the clique bound's own formula before it became the weight-1 case
+        assert below_link_bound(params, 1.0) is (cost < shortcut_gain(delta) - EPSILON)
+        assert below_clique_bound(params) is below_link_bound(params, 1.0)
+        # a lower weight never lies further below the bound
+        assert not below_link_bound(params, weight) or below_clique_bound(params)
 
 
 class TestStableBoundaries:
