@@ -172,42 +172,34 @@ def run(start: Network, selector: PairSelector, society: Society,
     if start.n != society.n:
         raise ValidationError("start network does not match the society size")
     partition = society.partition
-    window = len(all_pairs(start.n))
+    window = start.n * (start.n - 1) // 2  # one quiet period per node pair
 
     network = start
     intra = network.intra_count(partition)
     inter = network.edge_count - intra
     steps: list[TraceStep] = []
     quiet = 0
-    converged = False
     memo: dict = {}  # (payoff, balls) in the current network, by node
 
-    activations = selector.pairs(start.n)
-    for period in range(1, max_steps + 1):
-        try:
-            pair = next(activations)
-        except StopIteration:
-            break
+    for period, pair in zip(range(1, max_steps + 1), selector.pairs(start.n)):
         network, action = step(network, pair, society, memo=memo)
-        if action is not Action.NO_CHANGE:
+        if action is Action.NO_CHANGE:
+            quiet += 1
+        else:
             memo.clear()
-            crossing = partition.membership[pair[0]] != partition.membership[pair[1]]
+            quiet = 0
             delta = 1 if action is Action.ADDED else -1
-            if crossing:
+            if partition.membership[pair[0]] != partition.membership[pair[1]]:
                 inter += delta
             else:
                 intra += delta
-            quiet = 0
-        else:
-            quiet += 1
         steps.append(TraceStep(period, pair, action, intra, inter))
         if quiet >= window:
             if is_pairwise_stable(network, society):
                 converged = True
                 break
             quiet = 0  # verified unstable; wait for another quiet stretch
-
-    if not converged:
+    else:
         converged = is_pairwise_stable(network, society)
     return DynamicsTrace(steps=tuple(steps), final=network, converged=converged)
 

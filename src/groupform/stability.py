@@ -261,6 +261,9 @@ def compute_tables(space: SearchSpace, partition: GroupPartition, delta: float,
     processes and written back in canonical order, so the result never
     depends on the worker count.
     """
+    if space.n != partition.n:
+        raise ValidationError(f"search space has {space.n} nodes, "
+                              f"the partition has {partition.n}")
     bits = len(space.free_pairs)
     if bits > FREE_BITS_CAP:
         raise CapExceededError(f"space has {bits} free pairs (2^{bits} networks); "

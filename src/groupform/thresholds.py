@@ -165,6 +165,11 @@ def efficient_boundaries(s1: int, s2: int, params: ModelParams) -> list[float]:
     return [bridge_lb, redundant_lb, maximal_lb]
 
 
+def _check_weight(f_cross: float) -> None:
+    if not 0.0 <= f_cross <= 1.0:
+        raise ValidationError(f"cross-group weight must be in [0, 1], got {f_cross}")
+
+
 def _classify(f_cross: float, bounds: list[float],
               regimes: list[tuple[RegimeKind, Optional[int]]]) -> RegimePrediction:
     """The regime of ``f_cross`` given ascending ``bounds`` and the
@@ -174,8 +179,7 @@ def _classify(f_cross: float, bounds: list[float],
     structure is not unique, so a boundary tie is reported instead of
     picking a side.
     """
-    if not 0.0 <= f_cross <= 1.0:
-        raise ValidationError(f"cross-group weight must be in [0, 1], got {f_cross}")
+    _check_weight(f_cross)
     for index, bound in enumerate(bounds):
         if abs(f_cross - bound) <= EPSILON:
             return RegimePrediction(RegimeKind.BOUNDARY_TIE, bound, bound, k=index)
@@ -210,6 +214,7 @@ def stability_efficiency_overlap(s1: int, s2: int, params: ModelParams,
     The overlap is a union of closed intervals whose middle piece exists
     only when delta is large relative to the group-size imbalance.
     """
+    _check_weight(f_cross)
     eff = efficient_boundaries(s1, s2, params)
     stab = stable_boundaries(s1, s2, params)
     n = s1 + s2
@@ -242,6 +247,8 @@ class GroupGraph(Network):
     def distances_from(self, source: int) -> list[float]:
         """Hop distances from ``source`` on the group graph: the first ball
         holding each group, math.inf where none does."""
+        if not 0 <= source < self.m:
+            raise ValidationError(f"node {source} out of range")
         balls = _balls(self.neighbor_masks, source)
         return [next((hops for hops, ball in enumerate(balls) if ball >> g & 1), math.inf)
                 for g in range(self.m)]
@@ -265,11 +272,9 @@ def _bridge_toggle_gain(tree: GroupGraph, coordination: CoordinationMatrix,
     for lam in range(tree.m):
         if lam == group:
             continue
-        d_near = with_edge[lam]
-        d_far = without_edge[lam]
-        near = delta ** d_near if d_near < math.inf else 0.0
-        far = delta ** d_far if d_far < math.inf else 0.0
-        total += (coordination[group, lam] * (near - far)
+        # 0 < delta < 1, so delta ** math.inf is 0.0 for an unreachable group
+        total += (coordination[group, lam]
+                  * (delta ** with_edge[lam] - delta ** without_edge[lam])
                   * (1.0 + (sizes[lam] - 1) * delta))
     return total
 

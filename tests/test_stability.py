@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from groupform import model, stability
 from groupform.cli import _sweep_row
-from groupform.dynamics import Action, step
+from groupform.dynamics import Action, SeededUniform, run, step
+from groupform.efficiency import efficient_search
 from groupform.model import (
     EPSILON,
     CoordinationMatrix,
@@ -213,6 +214,21 @@ class TestEnumerateStable:
         partition = GroupPartition.from_sizes([5, 5])
         with pytest.raises(CapExceededError, match="cap is 22 bits"):
             compute_tables(interconnection_space(partition), partition, 0.5)
+
+    def test_tables_for_a_space_of_another_size_rejected(self):
+        with pytest.raises(ValidationError,
+                           match="^search space has 6 nodes, the partition has 8$"):
+            compute_tables(full_graph_space(6), GroupPartition.from_sizes([3, 5]), 0.5)
+        # the 8-node space has rows for nodes 6 and 7, which no 3+3 group holds
+        space = interconnection_space(GroupPartition.from_sizes([3, 5]))
+        with pytest.raises(ValidationError,
+                           match="^search space has 8 nodes, the partition has 6$"):
+            compute_tables(space, GroupPartition.from_sizes([3, 3]), 0.5)
+
+    @pytest.mark.parametrize("entry", [enumerate_stable, price_of_anarchy, efficient_search])
+    def test_entry_points_reject_a_space_of_another_size(self, entry):
+        with pytest.raises(ValidationError, match="search space has 6 nodes"):
+            entry(full_graph_space(6), society_3_5(0.3))
 
     def test_interconnection_space_needs_low_cost(self):
         society = society_3_3(0.3, ModelParams(0.5, 0.26))
@@ -526,11 +542,27 @@ class TestResolveShortcuts:
 
 
 class TestExactReferee:
-    """`_resolve` decides every pair of a drawn network as the consent rule
-    does on payoffs in rational arithmetic (`oracles.exact_payoff`).  Delta
-    1/2 or 2/5, cost 1/5 or 1/4 and cross weights in tenths: at delta 1/2
-    and cost 1/5, F = 8/10 puts F * shortcut_gain on the cost exactly, and
-    F = 9/10 puts a cross link below its link bound."""
+    """The scalar engine decides every pair as the consent rule does on
+    payoffs in rational arithmetic (`oracles.exact_payoff`), and each
+    endpoint's float payoff change lies inside the EPSILON band exactly
+    when its exact change is 0.  Delta 1/2 or 2/5, cost 1/5 or 1/4 and
+    cross weights in tenths: at delta 1/2 and cost 1/5, F = 8/10 puts
+    F * shortcut_gain on the cost exactly, and F = 9/10 puts a cross link
+    below its link bound."""
+
+    @staticmethod
+    def society_of(sizes, tenths, delta: Fraction, cost: Fraction) -> tuple[Society, dict]:
+        """The society with cross weights ``tenths`` / 10, and its exact
+        terms as `exact_payoff` keywords."""
+        partition = GroupPartition.from_sizes(sizes)
+        society = Society(partition,
+                          CoordinationMatrix.from_upper_triangle(partition.m,
+                                                                 [t / 10 for t in tenths]),
+                          ModelParams(float(delta), float(cost)))
+        weights = [[Fraction(society.coordination[a, b]).limit_denominator(10)
+                    for b in range(partition.m)] for a in range(partition.m)]
+        return society, {"partition": partition, "coordination": weights,
+                         "delta": delta, "cost": cost}
 
     @staticmethod
     def exact_changes(present: bool, du_i: Fraction, du_j: Fraction) -> bool:
@@ -538,35 +570,70 @@ class TestExactReferee:
             return du_i > 0 or du_j > 0
         return (du_i > 0 or du_j > 0) and du_i >= 0 and du_j >= 0
 
+    @staticmethod
+    def exact_deltas(network: Network, i: int, j: int, society: Society,
+                     exact: dict) -> tuple[Fraction, Fraction]:
+        """Both endpoints' exact payoff changes when (i, j) toggles, each
+        checked against its float change: within EPSILON where it is 0,
+        and otherwise of its sign and outside the band."""
+        toggled = (network.without_edge(i, j) if network.has_edge(i, j)
+                   else network.with_edge(i, j))
+        changes = []
+        for v in (i, j):
+            du = exact_payoff(toggled, v, **exact) - exact_payoff(network, v, **exact)
+            float_du = payoff(toggled, v, society) - payoff(network, v, society)
+            if du == 0:
+                assert abs(float_du) <= EPSILON, (i, j, v, float_du)
+            else:
+                assert abs(float_du) > EPSILON and (float_du > 0) == (du > 0), \
+                    (i, j, v, du, float_du)
+            changes.append(du)
+        return changes[0], changes[1]
+
     @given(st.lists(st.integers(3, 5), min_size=2, max_size=4), st.sampled_from(["1/2", "2/5"]),
            st.sampled_from(["1/5", "1/4"]), st.data(),
            st.sampled_from([0.15, 0.3, 0.6, 0.9]), st.integers(0, 2**32 - 1))
     def test_every_pair_is_decided_as_in_exact_arithmetic(self, sizes, delta, cost, data,
                                                           density, seed):
-        partition = GroupPartition.from_sizes(sizes)
+        pairs = len(sizes) * (len(sizes) - 1) // 2
         tenths = data.draw(st.lists(st.sampled_from([0, 1, 3, 5, 8, 9, 10]),
-                                    min_size=partition.m * (partition.m - 1) // 2,
-                                    max_size=partition.m * (partition.m - 1) // 2))
-        society = Society(partition,
-                          CoordinationMatrix.from_upper_triangle(partition.m,
-                                                                 [t / 10 for t in tenths]),
-                          ModelParams(float(Fraction(delta)), float(Fraction(cost))))
-        weights = [[Fraction(society.coordination[a, b]).limit_denominator(10)
-                    for b in range(partition.m)] for a in range(partition.m)]
-        exact = {"delta": Fraction(delta), "cost": Fraction(cost)}
+                                    min_size=pairs, max_size=pairs))
+        society, exact = self.society_of(sizes, tenths, Fraction(delta), Fraction(cost))
         rng = random.Random(seed)
-        network = Network(partition.n, [p for p in all_pairs(partition.n)
-                                        if rng.random() < density])
-        now = [exact_payoff(network, v, partition, weights, **exact)
-               for v in range(partition.n)]
+        network = Network(society.n, [p for p in all_pairs(society.n)
+                                      if rng.random() < density])
         memo = {}
-        for i, j in all_pairs(partition.n):
-            present = network.has_edge(i, j)
-            toggled = network.without_edge(i, j) if present else network.with_edge(i, j)
-            du_i, du_j = (exact_payoff(toggled, v, partition, weights, **exact) - now[v]
-                          for v in (i, j))
+        for i, j in all_pairs(society.n):
+            du_i, du_j = self.exact_deltas(network, i, j, society, exact)
             changes = _resolve(network, i, j, society, memo) is not network
-            assert changes == self.exact_changes(present, du_i, du_j), (i, j, du_i, du_j)
+            assert changes == self.exact_changes(network.has_edge(i, j), du_i, du_j), \
+                (i, j, du_i, du_j)
+
+    @pytest.mark.parametrize("sizes, tenths", [([3, 4], [8]), ([4, 5], [8]),
+                                               ([3, 3, 4], [8, 3, 10])])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_seeded_run_replays_in_exact_arithmetic(self, sizes, tenths, seed):
+        society, exact = self.society_of(sizes, tenths, Fraction(1, 2), Fraction(1, 5))
+        network = Network.empty(society.n)
+        trace = run(network, SeededUniform(seed), society, 10_000)
+        ties = 0
+        for s in trace.steps:
+            present = network.has_edge(*s.pair)
+            du = self.exact_deltas(network, *s.pair, society, exact)
+            ties += 0 in du
+            if self.exact_changes(present, *du):
+                expected = Action.REMOVED if present else Action.ADDED
+                network = (network.without_edge(*s.pair) if present
+                           else network.with_edge(*s.pair))
+            else:
+                expected = Action.NO_CHANGE
+            assert s.action is expected, (s.index, s.pair, du)
+        assert network == trace.final
+        assert ties, "no period reached the EPSILON band"
+        stable = not any(self.exact_changes(network.has_edge(i, j),
+                                            *self.exact_deltas(network, i, j, society, exact))
+                         for i, j in all_pairs(society.n))
+        assert trace.converged == stable
 
 
 class TestEnginesAgreeAtTheStableBounds:

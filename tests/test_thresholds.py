@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -281,6 +283,14 @@ class TestOverlap:
         mid = (stable_lo + eff_hi) / 2
         assert stability_efficiency_overlap(3, 9, high, mid)
 
+    @pytest.mark.parametrize("f_cross", [math.nan, 1.5, -0.5, 1 + 5e-10])
+    def test_weight_outside_unit_interval_refused_as_by_the_classifiers(self, f_cross):
+        for decide in (stability_efficiency_overlap, classify_two_group_stable,
+                       classify_two_group_efficient):
+            with pytest.raises(ValidationError,
+                               match=r"cross-group weight must be in \[0, 1\], got"):
+                decide(3, 5, PARAMS, f_cross)
+
 
 class TestRedundancyBounds:
     def test_frozen_values(self):
@@ -315,6 +325,11 @@ class TestGroupGraph:
         assert ring.without_edge(0, 1).distances_from(0)[1] == 3
         assert ring.with_edge(0, 2).distances_from(0)[2] == 1
         assert isinstance(ring.with_edge(0, 2), GroupGraph)
+
+    @pytest.mark.parametrize("source", [3, -1])
+    def test_distances_from_out_of_range_source_rejected(self, source):
+        with pytest.raises(ValidationError, match=f"^node {source} out of range$"):
+            GroupGraph.star(3).distances_from(source)
 
 
 class TestBridgeSufficiency:
