@@ -167,6 +167,10 @@ def run(start: Network, selector: PairSelector, society: Society,
     unchanged periods as there are node pairs, and once more when the run
     stops for any other reason.
     """
+    try:
+        max_steps = operator.index(max_steps)
+    except TypeError:
+        raise ValidationError(f"max_steps must be an integer, got {max_steps!r}") from None
     if max_steps < 1:
         raise ValidationError("max_steps must be at least 1")
     if start.n != society.n:

@@ -302,18 +302,42 @@ class SpaceScan:
         return np.flatnonzero(self.stable)
 
 
-def _utilities(tables: SpaceTables, society: Society) -> np.ndarray:
-    """util[k, v]: node v's payoff in the k-th network of the tables.  The
-    scalar `model.payoff` adds the same terms in the same order."""
+def _utilities(tables: SpaceTables, society: Society,
+               start: int = 0, stop: int | None = None) -> np.ndarray:
+    """util[k - start, v]: node v's payoff in the k-th network of the tables,
+    for networks ``start`` to ``stop`` (all by default).  The scalar
+    `model.payoff` adds the same terms in the same order."""
     coord = society.coordination.as_array()
     node_weights = coord[np.array(tables.partition.membership)]  # (n, m)
-    util = np.einsum("kng,ng->kn", tables.benefit, node_weights)
-    util -= society.params.cost * tables.degree.astype(np.float64)
+    util = np.einsum("kng,ng->kn", tables.benefit[start:stop], node_weights)
+    util -= society.params.cost * tables.degree[start:stop].astype(np.float64)
     return util
 
 
+def _scan_pair(u_i: np.ndarray, u_j: np.ndarray, stable: np.ndarray, t: int) -> None:
+    """Clear ``stable`` where the pair rule toggles free pair t, given its
+    endpoints' utilities over the same run of networks as ``stable``."""
+    # Network k and its partner k ^ (1 << t) sit at [:, 0] and [:, 1] of
+    # these views: the pair is absent on side 0 and present on side 1.
+    shape = (stable.size >> (t + 1), 2, 1 << t)
+    u_i, u_j = u_i.reshape(shape), u_j.reshape(shape)
+    side = stable.reshape(shape)
+    d_i = u_i[:, 1] - u_i[:, 0]
+    d_j = u_j[:, 1] - u_j[:, 0]
+    side[:, 0] &= ~_pair_changes(False, d_i, d_j)
+    # the cut side's change is exactly -d: fl(a - b) == -fl(b - a)
+    side[:, 1] &= ~_pair_changes(True, np.negative(d_i, out=d_i),
+                                 np.negative(d_j, out=d_j))
+
+
 def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
-    """Evaluate stability and welfare of every network against one society."""
+    """Evaluate stability and welfare of every network against one society.
+
+    Works through the space in chunks of ``1 << _CHUNK_BITS`` networks.
+    Besides the tables it holds ``welfare``, ``stable``, one chunk's
+    utilities, and whole-space utility columns only for the endpoints of
+    free pairs whose bit lies above the chunk.
+    """
     space, partition = tables.space, tables.partition
     params = society.params
     if society.partition != partition:
@@ -328,25 +352,30 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
             "interconnection spaces require cost below the clique-formation bound "
             f"(cost={params.cost}, bound={shortcut_gain(tables.delta)})")
 
-    util = _utilities(tables, society)
-    welfare = util.sum(axis=1)
-    # A node-major copy, so each pair reads two contiguous columns rather
-    # than two strided ones; the row-major util is dropped once copied.
-    columns = np.ascontiguousarray(util.T)
-    del util
     size = space.size
+    chunk = min(1 << _CHUNK_BITS, size)
+    low = chunk.bit_length() - 1
+    # A pair below bit `low` has both partner networks in every chunk; a
+    # higher pair's partners lie in different chunks, so its endpoints keep
+    # whole-space columns and it is scanned after the loop.
+    high_pairs = list(enumerate(space.free_pairs))[low:]
+    high = {v: np.empty(size, dtype=np.float64)
+            for v in {v for _, pair in high_pairs for v in pair}}
+    welfare = np.empty(size, dtype=np.float64)
     stable = np.ones(size, dtype=bool)
-    for t, (i, j) in enumerate(space.free_pairs):
-        # Network k and its partner k ^ (1 << t) sit at [:, 0] and [:, 1]
-        # of these views: the pair is absent on side 0 and present on side 1.
-        shape = (size >> (t + 1), 2, 1 << t)
-        u_i, u_j = columns[i].reshape(shape), columns[j].reshape(shape)
-        side = stable.reshape(shape)
-        d_i = u_i[:, 1] - u_i[:, 0]
-        d_j = u_j[:, 1] - u_j[:, 0]
-        # the cut side's change is exactly -d: fl(a - b) == -fl(b - a)
-        side[:, 0] &= ~_pair_changes(False, d_i, d_j)
-        side[:, 1] &= ~_pair_changes(True, -d_i, -d_j)
+    for start in range(0, size, chunk):
+        stop = start + chunk
+        util = _utilities(tables, society, start, stop)
+        util.sum(axis=1, out=welfare[start:stop])
+        # node-major, so each pair reads two contiguous columns
+        cols = np.ascontiguousarray(util.T)
+        del util
+        for t, (i, j) in enumerate(space.free_pairs[:low]):
+            _scan_pair(cols[i], cols[j], stable[start:stop], t)
+        for v, column in high.items():
+            column[start:stop] = cols[v]
+    for t, (i, j) in high_pairs:
+        _scan_pair(high[i], high[j], stable, t)
     return SpaceScan(space=space, stable=stable, welfare=welfare)
 
 

@@ -343,6 +343,14 @@ class TestTraceMechanics:
             with pytest.raises(ValidationError, match=message):
                 SeededUniform(seed)
 
+    def test_max_steps_must_be_an_integer(self):
+        society = two_group_society([3, 3], 0.3)
+        assert len(run(Network.empty(6), Scripted.of([(0, 1)] * 5), society,
+                       max_steps=np.int64(2)).steps) == 2
+        for max_steps, message in ((2.5, "an integer, got 2.5"), ("3", "an integer, got '3'")):
+            with pytest.raises(ValidationError, match=f"^max_steps must be {message}$"):
+                run(Network.empty(6), SeededUniform(1), society, max_steps)
+
     def test_max_steps_truncation_reports_honestly(self):
         society = two_group_society([3, 5], 0.3)
         trace = run(Network.empty(8), SeededUniform(8), society, max_steps=3)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -378,6 +379,29 @@ class TestEngineAgainstReference:
         society = Society(partition, CoordinationMatrix.uniform(2, 0.45), PARAMS)
         self.assert_identical(compute_tables(space_of(partition), partition, PARAMS.delta),
                               society)
+
+    # 2^15 networks: 32 chunks with 5 free pairs above the chunk, 2 chunks
+    # with 1, and one chunk with none
+    @pytest.mark.parametrize("chunk_bits", [10, 14, 15])
+    def test_chunked_scan_matches_the_reference(self, monkeypatch, chunk_bits):
+        monkeypatch.setattr(stability, "_CHUNK_BITS", chunk_bits)
+        society = society_3_3(0.45)
+        self.assert_identical(compute_tables(full_graph_space(6), society.partition,
+                                             PARAMS.delta), society)
+
+    def test_scan_holds_no_whole_space_util(self, monkeypatch):
+        # a whole-space util is K * n doubles; the chunked scan holds welfare,
+        # stable, one chunk's utilities and the high-bit endpoints' columns
+        monkeypatch.setattr(stability, "_CHUNK_BITS", 10)
+        society = society_3_3(0.45)
+        tables = compute_tables(full_graph_space(6), society.partition, PARAMS.delta)
+        tracemalloc.start()
+        try:
+            scan_space(tables, society)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * tables.degree.size * 8
 
     @pytest.fixture(scope="class")
     def tables_3_5(self) -> SpaceTables:
