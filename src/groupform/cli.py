@@ -266,12 +266,11 @@ def _sweep_row(value: float, society: Society, scan: Optional[stab.SpaceScan]) -
         # efficiency.argmax_from_scan and stability.network_for.
         cross = scan.space.cross_bits(partition)
         stable_counts = np.bitwise_count(scan.stable_masks() & cross).tolist()
-        _, argmax = eff.argmax_from_scan(scan)
+        best, argmax = eff.argmax_from_scan(scan)
         stable_cell = _count_cell(stable_counts, tie=tie)
         eff_cell = _count_cell([net.inter_count(partition) for net in argmax])
         stable_welfares = scan.welfare[scan.stable]
         stable_min = float(stable_welfares.min()) if stable_welfares.size else float("nan")
-        best = float(scan.welfare.max())
         try:
             poa = stab.poa_from_scan(scan)
         except stab.PoAUndefinedError:
@@ -325,7 +324,10 @@ def cmd_sweep(scenario: Scenario, args: argparse.Namespace, out) -> int:
     else:
         out.write(csv_text)
     if args.svg:
-        _write_sweep_svg(csv_text, args.svg)
+        _write_svg(csv_text, args.svg, (
+            ("stable interconnections", "stable_interconnections"),
+            ("efficient interconnections", "efficient_interconnections"),
+            ("price of anarchy", "poa")))
         print(f"wrote plot to {args.svg}", file=out)
     return 0
 
@@ -358,7 +360,8 @@ def cmd_dynamics(scenario: Scenario, args: argparse.Namespace, out) -> int:
         Path(args.final_out).write_text(format_edge_list(trace.final), encoding="ascii")
         print(f"wrote final network to {args.final_out}", file=out)
     if args.svg:
-        _write_trace_svg(trace, args.svg)
+        _write_svg(csv_text, args.svg, (("intra-group links", "intra_count"),
+                                        ("cross-group links", "inter_count")))
         print(f"wrote plot to {args.svg}", file=out)
     print(f"converged: {'yes' if trace.converged else 'no'}", file=out)
     if trace.converged:
@@ -480,37 +483,24 @@ def _svg_document(series: list[tuple[str, list[float], list[float]]]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _mid_count(cell: str) -> float:
-    if ".." in cell:
-        lo, hi = cell.split("..")
-        return (float(lo) + float(hi)) / 2.0
-    return float(cell) if cell else float("nan")
+def _write_svg(csv_text: str, path: str, series: tuple[tuple[str, str], ...]) -> None:
+    """Plot each ``(label, column)`` of ``series`` against the CSV's first
+    column.  A range cell ``a..b`` is drawn at its midpoint; an empty or
+    ``nan`` cell leaves a gap."""
+    header, *rows = csv_text.splitlines()
+    columns = header.split(",")
+    cells = [row.split(",") for row in rows]  # range cells use "a..b", never a comma
 
+    def read(cell: str) -> float:
+        if ".." in cell:
+            lo, hi = cell.split("..")
+            return (float(lo) + float(hi)) / 2.0
+        return float(cell) if cell else float("nan")
 
-def _write_sweep_svg(csv_text: str, path: str) -> None:
-    lines = csv_text.strip().splitlines()
-    xs, stable_counts, eff_counts, poas = [], [], [], []
-    for line in lines[1:]:
-        cells = line.split(",")  # range cells use "a..b", never a comma
-        xs.append(float(cells[0]))
-        stable_counts.append(_mid_count(cells[1]))
-        eff_counts.append(_mid_count(cells[2]))
-        poas.append(float(cells[5]))
+    xs = [float(row[0]) for row in cells]
     Path(path).write_text(_svg_document([
-        ("stable interconnections", xs, stable_counts),
-        ("efficient interconnections", xs, eff_counts),
-        ("price of anarchy", xs, poas),
-    ]), encoding="ascii")
-
-
-def _write_trace_svg(trace: dyn.DynamicsTrace, path: str) -> None:
-    xs = [float(s.index) for s in trace.steps]
-    intra = [float(s.intra_count) for s in trace.steps]
-    inter = [float(s.inter_count) for s in trace.steps]
-    Path(path).write_text(_svg_document([
-        ("intra-group links", xs, intra),
-        ("cross-group links", xs, inter),
-    ]), encoding="ascii")
+        (label, xs, [read(row[columns.index(name)]) for row in cells])
+        for label, name in series]), encoding="ascii")
 
 
 # -- argument parsing ------------------------------------------------------------

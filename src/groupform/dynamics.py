@@ -174,7 +174,7 @@ def run(start: Network, selector: PairSelector, society: Society,
     if max_steps < 1:
         raise ValidationError("max_steps must be at least 1")
     if start.n != society.n:
-        raise ValidationError("start network does not match the society size")
+        raise ValidationError(f"start network has {start.n} nodes, the society has {society.n}")
     partition = society.partition
     window = start.n * (start.n - 1) // 2  # one quiet period per node pair
 

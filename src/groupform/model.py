@@ -260,14 +260,20 @@ class Network:
         masks[j] ^= 1 << i
         return self._from_masks(tuple(masks))
 
-    def with_edge(self, i: int, j: int) -> "Network":
+    def _pair(self, i: int, j: int) -> tuple[int, int]:
+        """The normalized pair, refused when it does not fit the network."""
         i, j = normalize_edge(i, j)
         if not (0 <= i < j < self.n):
             raise ValidationError(f"edge ({i}, {j}) invalid for n={self.n}")
+        return i, j
+
+    def with_edge(self, i: int, j: int) -> "Network":
+        i, j = self._pair(i, j)
         return self if self.neighbor_masks[i] >> j & 1 else self._toggled(i, j)
 
     def without_edge(self, i: int, j: int) -> "Network":
-        return self._toggled(*normalize_edge(i, j)) if self.has_edge(i, j) else self
+        i, j = self._pair(i, j)
+        return self._toggled(i, j) if self.neighbor_masks[i] >> j & 1 else self
 
     def degree(self, i: int) -> int:
         if not 0 <= i < self.n:

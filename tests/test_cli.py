@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import runpy
@@ -364,6 +365,43 @@ class TestDynamicsCommand:
         code, _ = run_cli(["dynamics", "--scenario", scenario])
         assert code == 1
         assert "seed" in capsys.readouterr().err
+
+
+class TestSvgEdgeCases:
+    """Plots that reach the SVG writer's fallback axes and flat-range guards,
+    pinned by digest: tier-1's other plots never reach those branches."""
+
+    BOUNDARY = str(ROOT / "scenarios" / "two_groups_boundary.scn")
+
+    @pytest.mark.parametrize("script, digest", [
+        # no rows: the fallback axes
+        ("", "acc4afda4e1b0db6b18b3ed4691011c3ff213e5a6352874f118267ddf39dbfec"),
+        # one NoChange row with both counts 0: x and y both flat
+        ("0 3\n", "49712a8ede04b59b9ce53598d8eaa33af8aade1641b16c1dab8d8bd62c8f4ceb"),
+    ])
+    def test_dynamics_plot(self, tmp_path, script, digest):
+        svg = tmp_path / "plot.svg"
+        code, _ = run_cli(["dynamics", "--scenario", self.BOUNDARY,
+                           "--script", write(tmp_path, "moves.txt", script),
+                           "--svg", str(svg)])
+        assert code == 0
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("parameter, start, stop, step, digest", [
+        # a single point
+        ("F12", "0.3", "0.3", "0.1",
+         "05ac36fd52564e68368c18a91cf1353ce32676d9c7c0f35681dab1bd041f90bf"),
+        # a 2..2 tie cell, then two rows of empty and nan cells
+        ("cost", "0.2", "0.3", "0.05",
+         "4f5530b3c8936064343682b991671193743cbfcfa6e130cd0bdcd079b1253c82"),
+    ])
+    def test_sweep_plot(self, tmp_path, parameter, start, stop, step, digest):
+        svg = tmp_path / "plot.svg"
+        code, _ = run_cli(["sweep", "--scenario", self.BOUNDARY, "--parameter", parameter,
+                           "--from", start, "--to", stop, "--step", step,
+                           "--svg", str(svg)])
+        assert code == 0
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest
 
 
 class TestFlagOverrides:

@@ -351,6 +351,12 @@ class TestTraceMechanics:
             with pytest.raises(ValidationError, match=f"^max_steps must be {message}$"):
                 run(Network.empty(6), SeededUniform(1), society, max_steps)
 
+    def test_start_network_of_another_size_rejected(self):
+        society = two_group_society([3, 3], 0.4)
+        with pytest.raises(ValidationError) as info:
+            run(Network.empty(7), SeededUniform(1), society, max_steps=10)
+        assert str(info.value) == "start network has 7 nodes, the society has 6"
+
     def test_max_steps_truncation_reports_honestly(self):
         society = two_group_society([3, 5], 0.3)
         trace = run(Network.empty(8), SeededUniform(8), society, max_steps=3)

@@ -258,6 +258,13 @@ class TestPayoff:
             with pytest.raises(ValidationError, match=f"network has {n} nodes"):
                 evaluate(Network.complete(n), society)
 
+    def test_out_of_range_node_rejected(self):
+        society = society_of([3, 3], 0.4)
+        for node in (6, -1):
+            with pytest.raises(ValidationError) as info:
+                payoff(Network.complete(6), node, society)
+            assert str(info.value) == f"node {node} out of range"
+
 
 class TestAddSidePayoff:
     """`stability._resolve` reads a missing link's payoffs from both
@@ -463,11 +470,12 @@ class TestBitmaskNetwork:
 
     def test_out_of_range_pairs(self):
         network = Network.complete(4)
-        for i, j in [(0, 4), (4, 0), (-1, 2), (3, 9)]:
+        for i, j in [(0, 4), (4, 0), (-1, 2), (3, 9), (0, 99)]:
             assert not network.has_edge(i, j)
-            with pytest.raises(ValidationError):
-                network.with_edge(i, j)
-            assert network.without_edge(i, j) == network
+            for op in (network.with_edge, network.without_edge):
+                with pytest.raises(ValidationError) as info:
+                    op(i, j)
+                assert str(info.value) == f"edge ({min(i, j)}, {max(i, j)}) invalid for n=4"
         with pytest.raises(ValidationError):
             Network(4, [(1, 4)])
 
@@ -516,6 +524,11 @@ class TestEdgeListText:
     def test_out_of_range_named(self):
         with pytest.raises(ValidationError, match="line 1"):
             parse_edge_list("0 9\n", 5)
+
+    def test_self_loop_named(self):
+        with pytest.raises(ValidationError) as info:
+            parse_edge_list("1 1\n", 6)
+        assert str(info.value) == "line 1: self-loop (1, 1)"
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):

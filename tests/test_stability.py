@@ -226,6 +226,18 @@ class TestEnumerateStable:
                            match="^search space has 8 nodes, the partition has 6$"):
             compute_tables(space, GroupPartition.from_sizes([3, 3]), 0.5)
 
+    def test_scan_against_another_society_rejected(self):
+        tables = compute_tables(full_graph_space(6), GroupPartition.from_sizes([3, 3]), 0.5)
+        one_group = Society(GroupPartition.from_sizes([6]),
+                            CoordinationMatrix.uniform(1, 0.0), PARAMS)
+        for society, message in (
+                (one_group, "society partition does not match the tables"),
+                (society_3_3(0.3, ModelParams(0.6, 0.2)),
+                 "society delta does not match the tables")):
+            with pytest.raises(ValidationError) as info:
+                scan_space(tables, society)
+            assert str(info.value) == message
+
     @pytest.mark.parametrize("entry", [enumerate_stable, price_of_anarchy, efficient_search])
     def test_entry_points_reject_a_space_of_another_size(self, entry):
         with pytest.raises(ValidationError, match="search space has 6 nodes"):

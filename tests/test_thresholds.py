@@ -14,6 +14,7 @@ from groupform.thresholds import (
     GroupGraph,
     RegimeKind,
     RegimeUndefinedError,
+    _bridge_toggle_gain,
     below_clique_bound,
     below_link_bound,
     classify_two_group_efficient,
@@ -366,6 +367,24 @@ class TestBridgeSufficiency:
                 [0.1, 0.1, 0.1, 1.0]]
         coordination = CoordinationMatrix.from_array(rows)
         assert not minimally_connected_sufficient(tree, coordination, partition, PARAMS)
+
+    @pytest.mark.parametrize("f12, gain, sufficient", [(0.5, 0.25, False),
+                                                      (0.3, 0.15, True)])
+    def test_star_fails_when_an_unbridged_pair_gains_on_both_sides(
+            self, f12, gain, sufficient):
+        # both spokes hold (gains 0.3 and 0.55 or 0.45 > cost 0.2, F 0.3 below
+        # the redundant bound 0.4); the missing (1, 2) bridge would give each
+        # leaf representative `gain`, which beats the cost 0.2 only at F12 = 0.5
+        partition = GroupPartition.from_sizes([3, 3, 3])
+        tree = GroupGraph.star(3, center=0)
+        coordination = CoordinationMatrix.from_array([[1.0, 0.3, 0.3],
+                                                      [0.3, 1.0, f12],
+                                                      [0.3, f12, 1.0]])
+        for a, b in ((1, 2), (2, 1)):
+            assert _bridge_toggle_gain(tree, coordination, partition.sizes,
+                                       PARAMS.delta, a, b) == pytest.approx(gain)
+        assert minimally_connected_sufficient(
+            tree, coordination, partition, PARAMS) is sufficient
 
     def test_five_equal_groups_star_premise(self):
         params = ModelParams(0.55, 0.2)
