@@ -205,30 +205,36 @@ def _tables_chunk(space: SearchSpace, partition: GroupPartition, delta: float,
 
     Lanes are node-major: ``nbr[v]`` holds node v's neighbor mask in every
     network of the chunk, contiguously, and the batched BFS works in place
-    on whole lanes.  Each benefit entry adds ``discount * counts`` level by
-    level, the terms and order of the scalar `model.payoff`.
+    on whole lanes.  A lane is the narrowest unsigned type that holds n
+    bits (uint8 up to 8 nodes, uint16 up to 16, uint32 up to 32), and every
+    width runs the same in-place passes.  Each benefit entry adds
+    ``discount * counts`` level by level, the terms and order of the scalar
+    `model.payoff`.
     """
     n, m = space.n, partition.m
     count = stop - start
+    lane_t = np.min_scalar_type((1 << n) - 1)
     idx = np.arange(start, stop, dtype=np.uint32)
-    lane = np.empty(count, dtype=np.uint32)  # scratch for one lane-wide term
+    lane = np.empty(count, dtype=lane_t)  # scratch for one lane-wide term
 
-    nbr = np.empty((n, count), dtype=np.uint32)
-    nbr[:] = np.array(space._pinned_masks, dtype=np.uint32)[:, None]
-    bit = np.empty(count, dtype=np.uint32)
+    nbr = np.empty((n, count), dtype=lane_t)
+    nbr[:] = np.array(space._pinned_masks, dtype=lane_t)[:, None]
+    bit32 = np.empty(count, dtype=np.uint32)
+    bit = np.empty(count, dtype=lane_t)
     for t, (i, j) in enumerate(space.free_pairs):
-        np.bitwise_and(np.right_shift(idx, t, out=bit), 1, out=bit)
+        np.bitwise_and(np.right_shift(idx, t, out=bit32), 1, out=bit, casting="unsafe")
         nbr[i] |= np.left_shift(bit, j, out=lane)
         nbr[j] |= np.left_shift(bit, i, out=lane)
 
     degree = np.bitwise_count(nbr)
     benefit = np.zeros((n, m, count), dtype=np.float64)
-    unvisited, frontier, newly, reached = (np.empty(count, dtype=np.uint32) for _ in range(4))
+    group_bits = np.array(partition.group_bits, dtype=lane_t)
+    unvisited, frontier, newly, reached = (np.empty(count, dtype=lane_t) for _ in range(4))
     counts = np.empty(count, dtype=np.uint8)
     term = np.empty(count, dtype=np.float64)
 
     for source in range(n):
-        unvisited.fill(0xFFFFFFFF ^ (1 << source))
+        unvisited.fill(np.iinfo(lane_t).max ^ (1 << source))
         frontier.fill(1 << source)
         discount = 1.0
         for _ in range(n - 1):
@@ -245,7 +251,7 @@ def _tables_chunk(space: SearchSpace, partition: GroupPartition, delta: float,
             np.bitwise_and(reached, unvisited, out=newly)
             if not newly.any():
                 break
-            for g, bits in enumerate(partition.group_bits):
+            for g, bits in enumerate(group_bits):
                 np.bitwise_count(np.bitwise_and(newly, bits, out=lane), out=counts)
                 benefit[source, g] += np.multiply(counts, discount, out=term)
             unvisited ^= newly
@@ -269,7 +275,8 @@ def compute_tables(space: SearchSpace, partition: GroupPartition, delta: float,
         raise CapExceededError(f"space has {bits} free pairs (2^{bits} networks); "
                                f"cap is {FREE_BITS_CAP} bits")
     if space.n > 32:
-        raise CapExceededError("table BFS packs node sets into 32-bit lanes; n <= 32")
+        raise CapExceededError("table BFS packs each node set into one lane "
+                               "of at most 32 bits; n <= 32")
     size = space.size
     benefit = np.empty((size, space.n, partition.m), dtype=np.float64)
     degree = np.empty((size, space.n), dtype=np.uint8)

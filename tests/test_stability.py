@@ -27,6 +27,7 @@ from groupform.stability import (
     _pair_changes,
     _resolve,
     PoAUndefinedError,
+    SearchSpace,
     SpaceScan,
     SpaceTables,
     _tables_chunk,
@@ -66,6 +67,16 @@ def society_3_3(f12: float, params: ModelParams = PARAMS) -> Society:
 
 def one_clique_society() -> Society:
     return Society(GroupPartition.from_sizes([3]), CoordinationMatrix.uniform(1, 0.0), PARAMS)
+
+
+def pinned_paths(*free_pairs):
+    """A hand-built space over a partition: each group a pinned path, the
+    given pairs free."""
+    def space_of(partition: GroupPartition) -> SearchSpace:
+        paths = frozenset((i, j) for i, j in partition.intra_pairs() if j == i + 1)
+        return SearchSpace(kind="interconnection", n=partition.n, fixed_edges=paths,
+                           free_pairs=free_pairs)
+    return space_of
 
 
 def gains_from_edge(network: Network, i: int, j: int, society: Society) -> bool:
@@ -215,6 +226,23 @@ class TestEnumerateStable:
         partition = GroupPartition.from_sizes([5, 5])
         with pytest.raises(CapExceededError, match="cap is 22 bits"):
             compute_tables(interconnection_space(partition), partition, 0.5)
+
+    def test_more_than_32_nodes_refused_before_any_table(self):
+        # no workload space has more than 10 nodes; 16 free pairs over 33
+        # nodes would need a 35 MB benefit table
+        partition = GroupPartition.from_sizes([16, 17])
+        space = SearchSpace(kind="interconnection", n=33, fixed_edges=frozenset(),
+                            free_pairs=tuple((i, 16 + i) for i in range(16)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError) as info:
+                compute_tables(space, partition, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == ("table BFS packs each node set into one lane "
+                                   "of at most 32 bits; n <= 32")
+        assert peak < 1 << 20
 
     def test_tables_for_a_space_of_another_size_rejected(self):
         with pytest.raises(ValidationError,
@@ -382,13 +410,23 @@ class TestEngineAgainstReference:
         assert np.array_equal(scan.stable, reference_stable(reference, society))
         assert np.array_equal(scan.welfare, _utilities(reference, society).sum(axis=1))
 
-    @pytest.mark.parametrize("space_of, sizes", [(lambda p: full_graph_space(p.n), (3, 3)),
-                                                 (interconnection_space, (3, 4)),
-                                                 (interconnection_space, (3, 5))],
-                             ids=["full-3+3", "inter-3+4", "inter-3+5"])
+    # Lanes are uint8 up to 8 nodes (inter-3+5 sets node 7, the top bit),
+    # uint16 up to 16 and uint32 up to 32, which no workload space reaches:
+    # the hand-built spaces' free pairs touch the top bit (node 15, node 31)
+    # and the first node past the narrower width (node 8, node 16).
+    @pytest.mark.parametrize("space_of, sizes", [
+        (lambda p: full_graph_space(p.n), (3, 3)),
+        (interconnection_space, (3, 4)),
+        (interconnection_space, (3, 5)),
+        (pinned_paths((0, 8), (0, 15), (2, 13), (3, 12), (5, 10), (7, 8), (7, 15), (8, 15)),
+         (8, 8)),
+        (pinned_paths((0, 16), (0, 31), (3, 16), (5, 27), (8, 24), (9, 10), (15, 31),
+                      (16, 31), (20, 21)),
+         (10, 11, 11)),
+    ], ids=["full-3+3", "inter-3+4", "inter-3+5", "uint16-8+8", "uint32-10+11+11"])
     def test_tables_and_scan_match_the_reference(self, space_of, sizes):
         partition = GroupPartition.from_sizes(sizes)
-        society = Society(partition, CoordinationMatrix.uniform(2, 0.45), PARAMS)
+        society = Society(partition, CoordinationMatrix.uniform(partition.m, 0.45), PARAMS)
         self.assert_identical(compute_tables(space_of(partition), partition, PARAMS.delta),
                               society)
 
