@@ -21,7 +21,6 @@ from .model import (
     welfare,
 )
 from .thresholds import (
-    GroupGraph,
     RegimeKind,
     RegimePrediction,
     RegimeUndefinedError,

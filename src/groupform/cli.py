@@ -192,7 +192,7 @@ def _classify_multigroup(scenario: Scenario, out) -> int:
             print(f"pair ({a}, {b}): F = {_fmt(society.coordination[a, b])}, "
                   f"redundant above {_fmt(lo)}, maximal above {_fmt(hi)}", file=out)
     for center in range(partition.m):
-        tree = th.GroupGraph.star(partition.m, center)
+        tree = Network.star(partition.m, center)
         ok = th.minimally_connected_sufficient(tree, society.coordination,
                                                partition, params)
         print(f"star centered on group {center}: minimally connected cliques "
@@ -337,7 +337,7 @@ def cmd_dynamics(scenario: Scenario, args: argparse.Namespace, out) -> int:
     society = scenario.society
     if args.script is not None:
         text = Path(args.script).read_text(encoding="ascii")
-        selector: dyn.PairSelector = dyn.Scripted.of(
+        selector: dyn.PairSelector = dyn.Scripted(
             [(i, j) for _, i, j in _parse_pairs(text)])
     else:
         if scenario.seed is None:

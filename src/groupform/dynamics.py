@@ -13,13 +13,14 @@ import enum
 import operator
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .model import (
     Network,
     Society,
     ValidationError,
     all_pairs,
+    checked_pair,
     in_invariant_set,
     normalize_edge,
 )
@@ -66,20 +67,24 @@ class SeededUniform:
 
 @dataclass(frozen=True)
 class Scripted:
-    """Replays exactly the given activation sequence, then stops."""
+    """Replays exactly the given activation sequence, then stops.  Any
+    sequence of integer pairs is stored as a tuple of (int, int) tuples."""
 
     sequence: tuple[tuple[int, int], ...]
 
-    @classmethod
-    def of(cls, pairs: Sequence[tuple[int, int]]) -> "Scripted":
+    def __post_init__(self):
         sequence = []
-        for entry, (i, j) in enumerate(pairs):
+        for entry, pair in enumerate(self.sequence):
+            try:
+                i, j = pair
+            except (TypeError, ValueError):
+                raise ValidationError(f"script entry {entry}: {pair!r} is not a pair") from None
             try:
                 sequence.append((operator.index(i), operator.index(j)))
             except TypeError:
                 raise ValidationError(
                     f"script entry {entry}: pair ({i}, {j}) is not two integers") from None
-        return cls(tuple(sequence))
+        object.__setattr__(self, "sequence", tuple(sequence))
 
     def pairs(self, n: int) -> Iterator[tuple[int, int]]:
         """The script's pairs, each checked, even past any step cap, before
@@ -152,7 +157,7 @@ def step(network: Network, pair: tuple[int, int], society: Society, *,
     the balls also decide a missing link with no BFS on the network with
     the link.
     """
-    i, j = normalize_edge(*pair)
+    i, j = checked_pair(*pair, network.n)
     resolved = _resolve(network, i, j, society, {} if memo is None else memo)
     if resolved is network:
         return network, Action.NO_CHANGE

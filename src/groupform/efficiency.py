@@ -70,4 +70,4 @@ def consolidate_representatives(network: Network, partition: GroupPartition) -> 
         moved.append((repr_of[ga], repr_of[gb]))
 
     intra = [e for e in network.sorted_edges() if membership[e[0]] == membership[e[1]]]
-    return Network.from_edges(network.n, intra + moved)
+    return Network(network.n, intra + moved)

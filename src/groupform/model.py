@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
@@ -40,6 +41,25 @@ def normalize_edge(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
+def checked_pair(i: int, j: int, n: int) -> tuple[int, int]:
+    """The pair as (low, high) ints, refused when it is a self-loop or an
+    endpoint lies outside 0..n-1: the one edge check of every network."""
+    i, j = normalize_edge(i, j)
+    if not (0 <= i and j < n):
+        raise ValidationError(f"edge ({i}, {j}) invalid for n={n}")
+    return i, j
+
+
+def _finite(value, name: str) -> float:
+    """``value`` as a Python float, refused by ``name`` unless it is a finite
+    real number (Python or numpy)."""
+    if not isinstance(value, Real):
+        raise ValidationError(f"{name} must be real, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+    return float(value)
+
+
 def _check_sizes(sizes: tuple[int, ...]) -> None:
     if any(s < 3 for s in sizes):
         raise ValidationError(f"every group needs >= 3 members, got sizes {sizes}")
@@ -56,6 +76,10 @@ class GroupPartition:
     membership: tuple[int, ...]  # node id -> group id
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "membership", tuple(map(index, self.membership)))
+        except TypeError:
+            raise ValidationError(f"membership must be integers, got {self.membership!r}") from None
         if self.n < 3:
             raise ValidationError(f"need at least 3 nodes, got {self.n}")
         for node, g in enumerate(self.membership):
@@ -114,7 +138,9 @@ class GroupPartition:
 class CoordinationMatrix:
     """Symmetric m x m matrix of cross-group coordination weights.
 
-    Diagonal entries are exactly 1; off-diagonal entries lie in [0, 1].
+    Diagonal entries are exactly 1; off-diagonal entries lie in [0, 1].  Any
+    2-D sequence of reals (lists, tuples, a numpy array) is stored as tuples
+    of Python floats.
     """
 
     entries: tuple[tuple[float, ...], ...]
@@ -124,12 +150,11 @@ class CoordinationMatrix:
         return len(self.entries)
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(
+            tuple(_finite(value, "coordination weights") for value in row)
+            for row in self.entries))
         if any(len(row) != self.m for row in self.entries):
             raise ValidationError(f"coordination matrix must be {self.m}x{self.m}")
-        for row in self.entries:
-            for value in row:
-                if not math.isfinite(value):
-                    raise ValidationError(f"coordination weights must be finite, got {value}")
         for a in range(self.m):
             if self.entries[a][a] != 1.0:
                 raise ValidationError("coordination matrix diagonal must be exactly 1")
@@ -140,13 +165,7 @@ class CoordinationMatrix:
                     raise ValidationError("off-diagonal coordination weights must be in [0, 1]")
 
     @classmethod
-    def from_array(cls, array) -> "CoordinationMatrix":
-        arr = np.asarray(array, dtype=float)
-        return cls(tuple(tuple(float(x) for x in row) for row in arr))
-
-    @classmethod
     def uniform(cls, m: int, cross_weight: float) -> "CoordinationMatrix":
-        cross_weight = float(cross_weight)
         return cls(tuple(tuple(1.0 if a == b else cross_weight for b in range(m))
                          for a in range(m)))
 
@@ -162,9 +181,8 @@ class CoordinationMatrix:
         it = iter(values)
         for a in range(m):
             for b in range(a + 1, m):
-                v = float(next(it))
-                rows[a][b] = rows[b][a] = v
-        return cls.from_array(rows)
+                rows[a][b] = rows[b][a] = next(it)
+        return cls(rows)
 
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=float)
@@ -182,8 +200,7 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("delta", "cost"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
         if not 0.0 < self.delta < 1.0:
             raise ValidationError(f"delta must be in (0, 1), got {self.delta}")
         if not self.cost > 0.0:
@@ -197,7 +214,8 @@ class Network:
     ``neighbor_masks[i]`` is set when i and j are linked.  Adding or
     removing a link flips two bits in a copied tuple, and ``edges`` is
     derived from the masks on each read.  Instances are treated as
-    immutable: equality and hashing read ``n`` and the masks.
+    immutable: equality and hashing read ``n`` and the masks.  The edges
+    given to the constructor may name each pair in either orientation.
     """
 
     __slots__ = ("n", "neighbor_masks")
@@ -205,9 +223,7 @@ class Network:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         masks = [0] * n
         for a, b in edges:
-            i, j = index(a), index(b)
-            if not (0 <= i < j < n):
-                raise ValidationError(f"edge ({i}, {j}) invalid for n={n}")
+            i, j = checked_pair(a, b, n)
             masks[i] |= 1 << j
             masks[j] |= 1 << i
         self.n = n
@@ -226,16 +242,16 @@ class Network:
         return cls._from_masks((0,) * n)
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Network":
-        return cls(n, (normalize_edge(i, j) for i, j in edges))
-
-    @classmethod
     def complete(cls, n: int) -> "Network":
         return cls(n, all_pairs(n))
 
     @classmethod
     def disjoint_cliques(cls, partition: GroupPartition) -> "Network":
         return cls(partition.n, partition.intra_pairs())
+
+    @classmethod
+    def star(cls, m: int, center: int = 0) -> "Network":
+        return cls(m, [(center, g) for g in range(m) if g != center])
 
     def _pairs(self) -> Iterator[tuple[int, int]]:
         """Every edge (i, j), i < j, in lexicographic order."""
@@ -260,19 +276,12 @@ class Network:
         masks[j] ^= 1 << i
         return self._from_masks(tuple(masks))
 
-    def _pair(self, i: int, j: int) -> tuple[int, int]:
-        """The normalized pair, refused when it does not fit the network."""
-        i, j = normalize_edge(i, j)
-        if not (0 <= i < j < self.n):
-            raise ValidationError(f"edge ({i}, {j}) invalid for n={self.n}")
-        return i, j
-
     def with_edge(self, i: int, j: int) -> "Network":
-        i, j = self._pair(i, j)
+        i, j = checked_pair(i, j, self.n)
         return self if self.neighbor_masks[i] >> j & 1 else self._toggled(i, j)
 
     def without_edge(self, i: int, j: int) -> "Network":
-        i, j = self._pair(i, j)
+        i, j = checked_pair(i, j, self.n)
         return self._toggled(i, j) if self.neighbor_masks[i] >> j & 1 else self
 
     def degree(self, i: int) -> int:
@@ -294,6 +303,18 @@ class Network:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return list(self._pairs())
+
+    def distances_from(self, source: int) -> list[float]:
+        """Hop distances from ``source``: the first ball holding each node,
+        math.inf where none does."""
+        if not 0 <= source < self.n:
+            raise ValidationError(f"node {source} out of range")
+        balls = _balls(self.neighbor_masks, source)
+        return [next((hops for hops, ball in enumerate(balls) if ball >> v & 1), math.inf)
+                for v in range(self.n)]
+
+    def is_connected(self) -> bool:
+        return all(d < math.inf for d in self.distances_from(0)) if self.n else True
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

@@ -117,8 +117,9 @@ def _pair_changes(present, du_i, du_j):
 
 def _resolve(network: Network, i: int, j: int, society: Society,
              memo: dict[int, tuple[float, tuple[int, ...]]]) -> Network:
-    """The network after pair (i, j), i < j, is activated: toggled when the
-    pair rule changes it, ``network`` itself otherwise.
+    """The network after pair (i, j), in range with i < j (as
+    `model.checked_pair` returns it), is activated: toggled when the pair
+    rule changes it, ``network`` itself otherwise.
 
     A present link below its link bound (`thresholds.below_link_bound`) is
     kept with no search at all: the cut would cost each endpoint more
@@ -131,11 +132,8 @@ def _resolve(network: Network, i: int, j: int, society: Society,
     link; when i strictly loses, the link is refused before j's change is
     computed, since the consent rule then refuses it whatever j gains.
     """
-    n = network.n
-    if not 0 <= i < j < n:
-        raise ValidationError(f"edge ({i}, {j}) invalid for n={n}")
-    if n != society.n:
-        raise ValidationError(f"network has {n} nodes, the society has {society.n}")
+    if network.n != society.n:
+        raise ValidationError(f"network has {network.n} nodes, the society has {society.n}")
     masks = network.neighbor_masks
     present = masks[i] >> j & 1
     if present:

@@ -16,7 +16,6 @@ cost/shortcut_gain every cross link pays.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +26,6 @@ from .model import (
     ModelParams,
     Network,
     ValidationError,
-    _balls,
 )
 
 
@@ -231,33 +229,7 @@ def redundancy_bounds(s_a: int, s_b: int, params: ModelParams) -> tuple[float, f
     return bounds[1], bounds[-1]
 
 
-class GroupGraph(Network):
-    """Simple undirected graph on group ids, one node per group."""
-
-    __slots__ = ()
-
-    @property
-    def m(self) -> int:
-        return self.n
-
-    @classmethod
-    def star(cls, m: int, center: int = 0) -> "GroupGraph":
-        return cls.from_edges(m, [(center, g) for g in range(m) if g != center])
-
-    def distances_from(self, source: int) -> list[float]:
-        """Hop distances from ``source`` on the group graph: the first ball
-        holding each group, math.inf where none does."""
-        if not 0 <= source < self.m:
-            raise ValidationError(f"node {source} out of range")
-        balls = _balls(self.neighbor_masks, source)
-        return [next((hops for hops, ball in enumerate(balls) if ball >> g & 1), math.inf)
-                for g in range(self.m)]
-
-    def is_connected(self) -> bool:
-        return all(d < math.inf for d in self.distances_from(0)) if self.m else True
-
-
-def _bridge_toggle_gain(tree: GroupGraph, coordination: CoordinationMatrix,
+def _bridge_toggle_gain(tree: Network, coordination: CoordinationMatrix,
                         sizes: tuple[int, ...], delta: float,
                         group: int, other: int) -> float:
     """Benefit swing for `group`'s representative when the (group, other) bridge
@@ -269,7 +241,7 @@ def _bridge_toggle_gain(tree: GroupGraph, coordination: CoordinationMatrix,
     with_edge = tree.with_edge(group, other).distances_from(group)
     without_edge = tree.without_edge(group, other).distances_from(group)
     total = 0.0
-    for lam in range(tree.m):
+    for lam in range(tree.n):
         if lam == group:
             continue
         # 0 < delta < 1, so delta ** math.inf is 0.0 for an unreachable group
@@ -279,23 +251,24 @@ def _bridge_toggle_gain(tree: GroupGraph, coordination: CoordinationMatrix,
     return total
 
 
-def minimally_connected_sufficient(tree: GroupGraph, coordination: CoordinationMatrix,
+def minimally_connected_sufficient(tree: Network, coordination: CoordinationMatrix,
                                    partition: GroupPartition, params: ModelParams) -> bool:
-    """Sufficiency check for cliques joined by single bridges along a group graph.
+    """Sufficiency check for cliques joined by single bridges along a group graph:
+    ``tree`` is a `Network` whose nodes are the group ids.
 
     Every bridged pair must gain more than the link cost on both sides when
     its bridge toggles on (and stay below the redundant-link bound); every
     unbridged pair must fall short of the cost on at least one side.
     """
     _require_low_cost(params)
-    if coordination.m != partition.m or tree.m != partition.m:
+    if coordination.m != partition.m or tree.n != partition.m:
         raise ValidationError("group graph, coordination matrix, and partition disagree")
     if not tree.is_connected():
         raise ValidationError("group graph must be connected")
     sizes = partition.sizes
     c, delta = params.cost, params.delta
-    for a in range(tree.m):
-        for b in range(a + 1, tree.m):
+    for a in range(tree.n):
+        for b in range(a + 1, tree.n):
             gain_a = _bridge_toggle_gain(tree, coordination, sizes, delta, a, b)
             gain_b = _bridge_toggle_gain(tree, coordination, sizes, delta, b, a)
             if tree.has_edge(a, b):

@@ -11,14 +11,18 @@ import io
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from groupform.cli import main as cli_main
+from groupform.cli import _fmt, load_scenario, main as cli_main
 from groupform.dynamics import Action, Scripted, SeededUniform, in_invariant_set_run, run, step
 from groupform.efficiency import argmax_from_scan, consolidate_representatives
 from groupform.model import (
+    EPSILON,
     CoordinationMatrix,
     GroupPartition,
     ModelParams,
@@ -52,6 +56,9 @@ from oracles import exact_payoff
 from test_efficiency import random_forest_instance
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def _report(num: int, detail: str) -> None:
     print(f"[acceptance] criterion {num:>2}: PASS  {detail}", flush=True)
 
@@ -61,15 +68,15 @@ def _report(num: int, detail: str) -> None:
 BOUNDARY_SOCIETY = Society(GroupPartition.from_sizes([3, 5]),
                            CoordinationMatrix.uniform(2, 0.4),
                            ModelParams(0.5, 0.2))
-TWO_LINES = Network.from_edges(8, [(0, 1), (1, 2), (3, 5), (4, 5), (4, 6), (6, 7)])
+TWO_LINES = Network(8, [(0, 1), (1, 2), (3, 5), (4, 5), (4, 6), (6, 7)])
 
 
 def boundary_script_traces():
     society = BOUNDARY_SOCIETY
     intra = society.partition.intra_pairs()
-    cross_first = run(TWO_LINES, Scripted.of([(1, 5), (2, 6)] + intra),
+    cross_first = run(TWO_LINES, Scripted([(1, 5), (2, 6)] + intra),
                       society, max_steps=200)
-    intra_first = run(TWO_LINES, Scripted.of(intra + [(1, 5)]),
+    intra_first = run(TWO_LINES, Scripted(intra + [(1, 5)]),
                       society, max_steps=200)
     return cross_first, intra_first
 
@@ -130,7 +137,7 @@ def test_criterion_01_intra_first_final_is_pairwise_stable():
         assert step(stopped, (i, j), society)[1] is Action.ADDED
     assert not is_pairwise_stable(stopped, society)
 
-    finished = run(stopped, Scripted.of(all_pairs(partition.n)), society, max_steps=200)
+    finished = run(stopped, Scripted(all_pairs(partition.n)), society, max_steps=200)
     changes = [(s.index, s.pair, s.action) for s in finished.steps
                if s.action is not Action.NO_CHANGE]
     final = finished.final
@@ -163,12 +170,23 @@ def test_criterion_02_two_group_boundary_values():
 
 # -- criterion 3: exhaustive oracle agreement at n = 7 -----------------------------
 
-def test_criterion_03_full_space_enumeration_matches_classifiers():
+FULL7_PARTITION = GroupPartition.from_sizes([3, 4])
+FULL7_PARAMS = ModelParams(0.5, 0.2)
+
+
+@pytest.fixture(scope="module")
+def full7_tables():
+    """The n = 7 full-space tables (2,097,152 networks, about 250 MB), built
+    once for criterion 3 and the exact check of the full-space workload."""
+    return compute_tables(full_graph_space(7), FULL7_PARTITION, FULL7_PARAMS.delta)
+
+
+def test_criterion_03_full_space_enumeration_matches_classifiers(full7_tables):
     started = time.perf_counter()
-    partition = GroupPartition.from_sizes([3, 4])
-    params = ModelParams(0.5, 0.2)
-    space = full_graph_space(7)
-    tables = compute_tables(space, partition, params.delta)
+    partition = FULL7_PARTITION
+    params = FULL7_PARAMS
+    tables = full7_tables
+    space = tables.space
     inter_space = interconnection_space(partition)
     inter_tables = compute_tables(inter_space, partition, params.delta)
     intra_pairs = set(partition.intra_pairs())
@@ -212,6 +230,137 @@ def test_criterion_03_full_space_enumeration_matches_classifiers():
     assert elapsed < 300.0
     _report(3, f"2,097,152 networks x 9 cross weights agree with both "
                f"classifiers in {elapsed:.0f}s")
+
+
+# -- exact decisions of the two table workloads ------------------------------------
+#
+# Both table workloads (the n = 7 full space at F12 = 3/10, and the sizes 3 and 5
+# sweep over F12 = k/200) use delta = 1/2 and cost = 1/5, so every payoff is a
+# rational with a small common denominator.  Their flags are decided again
+# here in integers, by the consent rule written out, and compared with what
+# the float engine decides within EPSILON.
+
+def integer_parts(tables, start: int, stop: int) -> tuple[np.ndarray, ...]:
+    """Node-major int64 arrays (n, stop - start) for networks start to stop of
+    two-group tables: B of the node's own group, B of the other group, and
+    the degree, where B = benefit * 2**(n - 1).
+
+    With delta = 1/2 each benefit entry is a sum of counts times 2**-hops
+    with hops <= n - 1, so B is integral; that is asserted.
+    """
+    assert tables.delta == 0.5 and tables.partition.m == 2
+    scaled = tables.benefit[start:stop] * (1 << (tables.space.n - 1))
+    assert np.array_equal(scaled, np.trunc(scaled)), start
+    nodes = np.arange(tables.space.n)
+    own = np.array(tables.partition.membership)
+    return (scaled[:, nodes, own].T.astype(np.int64),
+            scaled[:, nodes, 1 - own].T.astype(np.int64),
+            tables.degree[start:stop].T.astype(np.int64))
+
+
+def exact_utilities(parts, f12: Fraction, cost: Fraction) -> tuple[np.ndarray, int]:
+    """Every node's payoff in the networks of ``parts`` (`integer_parts`),
+    as the integers ``scale * u`` with the ``scale`` they carry.
+
+    For the common denominator q of the cross weight and the cost, scale is
+    q * 2**(n - 1), and scale * u = q * B_own + q * f12 * B_other
+    - q * cost * 2**(n - 1) * degree.
+    """
+    own, other, degree = parts
+    dyadic = 1 << (len(own) - 1)
+    q = math.lcm(f12.denominator, cost.denominator)
+    util = q * own + int(q * f12) * other - int(q * cost * dyadic) * degree
+    assert np.abs(util).max() < 1 << 30  # room for int32 and its differences
+    return util, q * dyadic
+
+
+def exact_stable(space, util: np.ndarray) -> tuple[np.ndarray, int]:
+    """Stability flag of every network of ``space`` from integer utilities,
+    and the number of endpoint changes that are exact ties (each toggle of
+    a free pair counted once per endpoint, from the side without the link).
+
+    A present free pair is cut when an endpoint strictly gains from the cut;
+    a missing one forms when an endpoint strictly gains and neither loses.
+    """
+    stable = np.ones(space.size, dtype=bool)
+    ties = 0
+    for t, (i, j) in enumerate(space.free_pairs):
+        # network k and its partner k ^ (1 << t): the pair absent at [:, 0]
+        shape = (space.size >> (t + 1), 2, 1 << t)
+        u_i, u_j = util[i].reshape(shape), util[j].reshape(shape)
+        add_i, add_j = u_i[:, 1] - u_i[:, 0], u_j[:, 1] - u_j[:, 0]
+        side = stable.reshape(shape)
+        side[:, 0] &= ~(((add_i > 0) | (add_j > 0)) & (add_i >= 0) & (add_j >= 0))
+        side[:, 1] &= ~((add_i < 0) | (add_j < 0))
+        ties += np.count_nonzero(add_i == 0) + np.count_nonzero(add_j == 0)
+    return stable, ties
+
+
+def exact_welfare_cells(stable: np.ndarray, util: np.ndarray, scale: int):
+    """Exact (stable minimum welfare, best welfare, PoA), and the masks of the
+    stable and of the welfare-maximal networks."""
+    welfare = util.sum(axis=0, dtype=np.int64)
+    stable_min = Fraction(int(welfare[stable].min()), scale)
+    best = Fraction(int(welfare.max()), scale)
+    return ((stable_min, best, best / stable_min),
+            np.flatnonzero(stable), np.flatnonzero(welfare == welfare.max()))
+
+
+def test_exact_integer_decisions_on_the_full_space_workload(full7_tables):
+    tables = full7_tables
+    f12 = Fraction(3, 10)
+    size, chunk = tables.space.size, 1 << 16
+    util = np.empty((7, size), dtype=np.int32)  # int64 would add 117 MB to the tables
+    for start in range(0, size, chunk):
+        parts = integer_parts(tables, start, start + chunk)
+        util[:, start:start + chunk], scale = exact_utilities(parts, f12, Fraction(1, 5))
+    stable, ties = exact_stable(tables.space, util)
+    assert ties == 1_568_352
+    (stable_min, best, poa), _, argmax = exact_welfare_cells(stable, util, scale)
+    del util
+    society = Society(FULL7_PARTITION, CoordinationMatrix.uniform(2, float(f12)),
+                      FULL7_PARAMS)
+    scan = scan_space(tables, society)
+    assert np.array_equal(stable, scan.stable)
+    assert np.count_nonzero(stable) == 12
+    assert np.array_equal(argmax, np.flatnonzero(scan.welfare >= scan.welfare.max() - EPSILON))
+    assert float(scan.welfare[scan.stable].min()) == pytest.approx(float(stable_min), rel=1e-12)
+    assert float(scan.welfare.max()) == pytest.approx(float(best), rel=1e-12)
+    assert poa_from_scan(scan) == pytest.approx(float(poa), rel=1e-12)
+
+
+def test_exact_integer_decisions_on_the_sweep_workload():
+    society = load_scenario(str(ROOT / "scenarios" / "two_groups_boundary.scn")).society
+    partition = society.partition
+    assert (partition.sizes, society.params) == ((3, 5), ModelParams(0.5, 0.2))
+    space = interconnection_space(partition)
+    tables = compute_tables(space, partition, 0.5)
+    parts = integer_parts(tables, 0, space.size)
+    lines = (ROOT / "out" / "two_group_sweep.csv").read_text(encoding="ascii").splitlines()
+    assert len(lines) == 202
+    ties_at = {}
+    for k, line in enumerate(lines[1:]):
+        f12 = Fraction(k, 200)
+        util, scale = exact_utilities(parts, f12, Fraction(1, 5))
+        stable, ties = exact_stable(space, util)
+        if ties:
+            # Elsewhere every change is at least 1 / scale away from a tie;
+            # here the engine must settle each tie within EPSILON as exact
+            # arithmetic does.
+            ties_at[float(f12)] = ties
+            scan = scan_space(tables, replace(
+                society, coordination=CoordinationMatrix.uniform(2, float(f12))))
+            assert np.array_equal(scan.stable, stable), line
+        exact, stable_masks, argmax = exact_welfare_cells(stable, util, scale)
+        # every free pair is a cross pair, so a mask's popcount is its count
+        counts = [np.bitwise_count(masks) for masks in (stable_masks, argmax)]
+        value, stable_cell, efficient_cell, *welfare_cells = line.split(",")
+        assert value == _fmt(float(f12)), line
+        for cell, count in zip((stable_cell, efficient_cell), counts):
+            lo, _, hi = cell.partition("..")
+            assert (int(lo), int(hi or lo)) == (count.min(), count.max()), line
+        assert welfare_cells == [_fmt(float(x)) for x in exact], line
+    assert ties_at == {0.2: 15, 0.32: 1_350, 0.4: 4_725, 0.8: 468_990}
 
 
 # -- criterion 4: fixed-point equivalence on random instances ---------------------
@@ -359,8 +508,8 @@ RING_SCRIPT = [(3, 6), (0, 3), (0, 6), (0, 9), (6, 12), (3, 9), (9, 12)]
 
 def example_two_traces():
     start = Network.disjoint_cliques(EXAMPLE_TWO_SOCIETY.partition)
-    star = run(start, Scripted.of(STAR_SCRIPT), EXAMPLE_TWO_SOCIETY, max_steps=50)
-    ring = run(start, Scripted.of(RING_SCRIPT), EXAMPLE_TWO_SOCIETY, max_steps=50)
+    star = run(start, Scripted(STAR_SCRIPT), EXAMPLE_TWO_SOCIETY, max_steps=50)
+    ring = run(start, Scripted(RING_SCRIPT), EXAMPLE_TWO_SOCIETY, max_steps=50)
     return star, ring
 
 

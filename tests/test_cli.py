@@ -153,6 +153,26 @@ class TestClassify:
         assert text.count("supported") == 5
         assert "star centered on group 0" in text
 
+    def test_multigroup_report_golden(self, tmp_path):
+        # only the star centred on the group that weighs the others 0.3 holds
+        scenario = write(tmp_path, "s.scn",
+                         "group_sizes = 3, 4, 3, 5\nF = 0.3, 0.3, 0.3, 0.1, 0.1, 0.1\n"
+                         "delta = 0.5\ncost = 0.2\n")
+        code, text = run_cli(["classify", "--scenario", scenario])
+        assert code == 0
+        assert text == (
+            "groups: sizes 3, 4, 3, 5; delta = 0.5; cost = 0.2\n"
+            "pair (0, 1): F = 0.3, redundant above 0.4, maximal above 0.8\n"
+            "pair (0, 2): F = 0.3, redundant above 0.4, maximal above 0.8\n"
+            "pair (0, 3): F = 0.3, redundant above 0.4, maximal above 0.8\n"
+            "pair (1, 2): F = 0.1, redundant above 0.4, maximal above 0.8\n"
+            "pair (1, 3): F = 0.1, redundant above 0.32, maximal above 0.8\n"
+            "pair (2, 3): F = 0.1, redundant above 0.4, maximal above 0.8\n"
+            "star centered on group 0: minimally connected cliques supported\n"
+            "star centered on group 1: minimally connected cliques not supported\n"
+            "star centered on group 2: minimally connected cliques not supported\n"
+            "star centered on group 3: minimally connected cliques not supported\n")
+
 
 class TestSweep:
     def test_fig9_style_counts_and_determinism(self, tmp_path):

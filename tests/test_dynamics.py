@@ -42,7 +42,7 @@ def example_one_setup():
     """Two groups {0,1,2} and {3..7} starting as line graphs, cross weight at
     the bridge/redundant boundary."""
     society = two_group_society([3, 5], 0.4)
-    lines = Network.from_edges(8, [(0, 1), (1, 2), (3, 5), (4, 5), (4, 6), (6, 7)])
+    lines = Network(8, [(0, 1), (1, 2), (3, 5), (4, 5), (4, 6), (6, 7)])
     return society, lines
 
 
@@ -127,7 +127,7 @@ class TestStep:
 class TestRunExampleOne:
     def test_cross_links_first_keeps_two(self):
         society, lines = example_one_setup()
-        script = Scripted.of([(1, 5), (2, 6)] + society.partition.intra_pairs())
+        script = Scripted([(1, 5), (2, 6)] + society.partition.intra_pairs())
         trace = run(lines, script, society, max_steps=100)
         assert trace.final.inter_count(society.partition) == 2
         assert trace.converged
@@ -136,7 +136,7 @@ class TestRunExampleOne:
 
     def test_intra_first_keeps_one(self):
         society, lines = example_one_setup()
-        script = Scripted.of(society.partition.intra_pairs() + [(1, 5)])
+        script = Scripted(society.partition.intra_pairs() + [(1, 5)])
         trace = run(lines, script, society, max_steps=100)
         assert trace.final.inter_count(society.partition) == 1
         assert trace.final.intra_count(society.partition) == 13
@@ -154,7 +154,7 @@ class TestRunExampleTwo:
 
     def test_hub_order_forms_a_star(self):
         start = Network.disjoint_cliques(self.SOCIETY.partition)
-        script = Scripted.of([(0, 3), (0, 6), (0, 9), (0, 9), (0, 12)])
+        script = Scripted([(0, 3), (0, 6), (0, 9), (0, 9), (0, 12)])
         trace = run(start, script, self.SOCIETY, max_steps=50)
         assert self.group_edges(trace.final) == {(0, 1), (0, 2), (0, 3), (0, 4)}
         assert trace.converged
@@ -162,7 +162,7 @@ class TestRunExampleTwo:
 
     def test_spread_order_forms_a_ring(self):
         start = Network.disjoint_cliques(self.SOCIETY.partition)
-        script = Scripted.of([(3, 6), (0, 3), (0, 6), (0, 9), (6, 12), (3, 9), (9, 12)])
+        script = Scripted([(3, 6), (0, 3), (0, 6), (0, 9), (6, 12), (3, 9), (9, 12)])
         trace = run(start, script, self.SOCIETY, max_steps=50)
         ring = {(0, 1), (1, 2), (0, 3), (2, 4), (3, 4)}
         assert self.group_edges(trace.final) == ring
@@ -196,7 +196,7 @@ class TestInvariantSetRuns:
 
     def test_rejects_start_with_cross_link(self):
         society = two_group_society([3, 5], 0.1)
-        start = Network.from_edges(8, [(0, 3)])
+        start = Network(8, [(0, 3)])
         with pytest.raises(ValidationError):
             in_invariant_set_run(start, SeededUniform(1), society, max_steps=10)
 
@@ -289,7 +289,7 @@ class TestTraceMechanics:
 
     def test_csv_layout(self):
         society = two_group_society([3, 4], 0.3)
-        trace = run(Network.empty(7), Scripted.of([(0, 1), (0, 3)]), society,
+        trace = run(Network.empty(7), Scripted([(0, 1), (0, 3)]), society,
                     max_steps=10)
         lines = trace.to_csv().splitlines()
         assert lines[0] == "step,i,j,action,intra_count,inter_count"
@@ -315,7 +315,7 @@ class TestTraceMechanics:
     def test_script_out_of_range_rejected(self):
         society = two_group_society([3, 4], 0.3)
         with pytest.raises(ValidationError, match="entry 1"):
-            run(Network.empty(7), Scripted.of([(0, 1), (0, 9)]), society, max_steps=10)
+            run(Network.empty(7), Scripted([(0, 1), (0, 9)]), society, max_steps=10)
 
     @pytest.mark.parametrize("max_steps", [5000, 10])
     def test_script_checked_whole_before_the_first_period(self, monkeypatch, max_steps):
@@ -325,16 +325,28 @@ class TestTraceMechanics:
             raise AssertionError("a period ran before the script was checked")
         monkeypatch.setattr(dynamics, "step", no_step)
         society = two_group_society([3, 5], 0.3)
-        script = Scripted.of([(0, 1)] * 4999 + [(0, 9)])
+        script = Scripted([(0, 1)] * 4999 + [(0, 9)])
         with pytest.raises(ValidationError,
                            match=r"^script entry 4999: pair \(0, 9\) out of range for n=8$"):
             run(Network.empty(8), script, society, max_steps=max_steps)
 
     def test_script_entries_must_be_integers(self):
-        assert Scripted.of([(np.int64(1), np.int64(3))]).sequence == ((1, 3),)
+        assert Scripted([(np.int64(1), np.int64(3))]).sequence == ((1, 3),)
         for pairs in ([(1.9, 3)], [(0, 1), (0, np.float64(0.7))]):
             with pytest.raises(ValidationError, match=f"script entry {len(pairs) - 1}"):
-                Scripted.of(pairs)
+                Scripted(pairs)
+
+    def test_raw_script_becomes_a_tuple_of_int_pairs(self):
+        script = Scripted([[0, 1], (np.int64(2), 3)])
+        assert script.sequence == ((0, 1), (2, 3))
+        stored = Scripted(((0, 1), (2, 3)))
+        assert script == stored and hash(script) == hash(stored)
+
+    @pytest.mark.parametrize("entry", [(1, 2, 3), 4])
+    def test_script_entries_must_be_pairs(self, entry):
+        with pytest.raises(ValidationError) as info:
+            Scripted([(0, 1), entry])
+        assert str(info.value) == f"script entry 1: {entry!r} is not a pair"
 
     def test_seed_must_be_a_non_negative_integer(self):
         assert SeededUniform(np.int64(3)).seed == 3
@@ -345,7 +357,7 @@ class TestTraceMechanics:
 
     def test_max_steps_must_be_an_integer(self):
         society = two_group_society([3, 3], 0.3)
-        assert len(run(Network.empty(6), Scripted.of([(0, 1)] * 5), society,
+        assert len(run(Network.empty(6), Scripted([(0, 1)] * 5), society,
                        max_steps=np.int64(2)).steps) == 2
         for max_steps, message in ((2.5, "an integer, got 2.5"), ("3", "an integer, got '3'")):
             with pytest.raises(ValidationError, match=f"^max_steps must be {message}$"):

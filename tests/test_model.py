@@ -25,7 +25,6 @@ from groupform.model import (
     welfare,
 )
 from groupform.stability import full_graph_space
-from groupform.thresholds import GroupGraph
 from oracles import (
     all_pairs_distances,
     density,
@@ -102,15 +101,24 @@ class TestGroupPartition:
             with pytest.raises(ValidationError, match="must be integers"):
                 GroupPartition.from_sizes(sizes)
 
+    def test_membership_ids_must_be_integers(self):
+        numpy_ids = GroupPartition(tuple(np.int64(g) for g in (0, 0, 0, 1, 1, 1)))
+        assert numpy_ids.membership == (0, 0, 0, 1, 1, 1)
+        assert all(type(g) is int for g in numpy_ids.membership)
+        assert GroupPartition([0, 0, 0]).membership == (0, 0, 0)
+        for membership in ((0, 0, 0, 1.0, 1, 1), (0, 0, 0, "1", 1, 1)):
+            with pytest.raises(ValidationError, match="^membership must be integers"):
+                GroupPartition(membership)
+
 
 class TestCoordinationMatrix:
     def test_unit_diagonal_enforced(self):
         with pytest.raises(ValidationError):
-            CoordinationMatrix.from_array([[0.9, 0.2], [0.2, 1.0]])
+            CoordinationMatrix([[0.9, 0.2], [0.2, 1.0]])
 
     def test_symmetry_enforced(self):
         with pytest.raises(ValidationError):
-            CoordinationMatrix.from_array([[1.0, 0.2], [0.3, 1.0]])
+            CoordinationMatrix([[1.0, 0.2], [0.3, 1.0]])
 
     def test_off_diagonal_range_enforced(self):
         with pytest.raises(ValidationError):
@@ -125,6 +133,22 @@ class TestCoordinationMatrix:
         assert CoordinationMatrix(((1.0, 0.2), (0.2, 1.0))).m == 2
         with pytest.raises(ValidationError, match="must be 2x2"):
             CoordinationMatrix(((1.0, 0.2), (0.2,)))
+
+    def test_any_two_dimensional_sequence_gives_one_value(self):
+        rows = [[1.0, 0.25], [0.25, 1.0]]
+        built = [CoordinationMatrix(rows), CoordinationMatrix(tuple(map(tuple, rows))),
+                 CoordinationMatrix(np.array(rows)), CoordinationMatrix([[1, 0.25], [0.25, 1]])]
+        for matrix in built:
+            assert matrix == built[0] and hash(matrix) == hash(built[0])
+            assert all(type(value) is float for row in matrix.entries for value in row)
+        assert built[0].entries == ((1.0, 0.25), (0.25, 1.0))
+
+    @pytest.mark.parametrize("value", ["0.2", None, 1j])
+    def test_non_numeric_weight_named(self, value):
+        with pytest.raises(ValidationError, match="^coordination weights must be real, got"):
+            CoordinationMatrix([[1.0, value], [value, 1.0]])
+        with pytest.raises(ValidationError, match="^coordination weights must be real, got"):
+            CoordinationMatrix.from_upper_triangle(2, [value])
 
     def test_upper_triangle_roundtrip(self):
         c = CoordinationMatrix.from_upper_triangle(3, [0.1, 0.2, 0.3])
@@ -153,7 +177,7 @@ class TestExpandMatrix:
                     assert w[i, j] == 0.4
 
     def test_equal_sizes_match_block_construction(self):
-        coordination = CoordinationMatrix.from_array([[1.0, 0.7], [0.7, 1.0]])
+        coordination = CoordinationMatrix([[1.0, 0.7], [0.7, 1.0]])
         w = node_weights(Society(GroupPartition.from_sizes([3, 3]), coordination, PARAMS))
         blocks = np.kron(coordination.as_array(), np.ones((3, 3))) - np.eye(6)
         assert np.allclose(w, blocks, atol=0)
@@ -173,7 +197,7 @@ class TestDistances:
                 assert d[i, j] == (0.0 if i == j else math.inf)
 
     def test_path_graph(self):
-        d = all_pairs_distances(Network.from_edges(3, [(0, 1), (1, 2)]))
+        d = all_pairs_distances(Network(3, [(0, 1), (1, 2)]))
         assert d[0, 2] == 2.0 and d[2, 0] == 2.0 and d[0, 1] == 1.0
 
     def test_two_cliques_with_bridge(self):
@@ -198,9 +222,9 @@ class TestDistances:
         n = rng.randint(1, 40)
         split, isolated = rng.randrange(n + 1), rng.randrange(n)
         density = rng.choice([0.05, 0.15, 0.4])
-        graph = GroupGraph(n, [(i, j) for i, j in all_pairs(n)
-                               if (i < split) == (j < split) and isolated not in (i, j)
-                               and rng.random() < density])
+        graph = Network(n, [(i, j) for i, j in all_pairs(n)
+                            if (i < split) == (j < split) and isolated not in (i, j)
+                            and rng.random() < density])
         for source in range(n):
             expected = queue_distances(graph, source)
             hops = graph.distances_from(source)
@@ -346,8 +370,7 @@ class TestWelfare:
             rng.shuffle(shuffled)
             for a, b in zip(members, shuffled):
                 perm[a] = b
-        relabeled = Network.from_edges(society.n,
-                                       [(perm[i], perm[j]) for i, j in network.edges])
+        relabeled = Network(society.n, [(perm[i], perm[j]) for i, j in network.edges])
         for node in range(society.n):
             assert payoff(relabeled, perm[node], society) == (
                 pytest.approx(payoff(network, node, society), abs=1e-9))
@@ -371,7 +394,7 @@ class TestInvariantSet:
 class TestNetworkEncoding:
     def test_self_loop_rejected(self):
         with pytest.raises(ValidationError):
-            Network.from_edges(4, [(2, 2)])
+            Network(4, [(2, 2)])
 
     def test_density(self):
         assert density(Network.complete(4)) == 1.0
@@ -389,6 +412,16 @@ class TestNetworkEncoding:
         fields = {"delta": 0.5, "cost": 0.2, field: value}
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
             ModelParams(**fields)
+
+    def test_params_must_be_real_numbers(self):
+        params = ModelParams(np.float64(0.5), np.float32(0.25))
+        assert (type(params.delta), type(params.cost)) == (float, float)
+        assert params == ModelParams(0.5, 0.25)
+        for fields, message in (({"delta": "0.5", "cost": 0.2}, "delta must be real, got '0.5'"),
+                                ({"delta": 0.5, "cost": None}, "cost must be real, got None")):
+            with pytest.raises(ValidationError) as info:
+                ModelParams(**fields)
+            assert str(info.value) == message
 
     def test_society_group_count_checked(self):
         with pytest.raises(ValidationError):
@@ -479,9 +512,18 @@ class TestBitmaskNetwork:
         with pytest.raises(ValidationError):
             Network(4, [(1, 4)])
 
+    def test_either_orientation_gives_the_same_network(self):
+        for n, i, j in ((2, 0, 1), (5, 1, 4), (9, 3, 8)):
+            forward, backward = Network(n, [(i, j)]), Network(n, [(j, i)])
+            assert backward.neighbor_masks == forward.neighbor_masks
+            assert backward == forward and backward.edges == frozenset({(i, j)})
+        with pytest.raises(ValidationError) as info:
+            Network(4, [(4, 1)])
+        assert str(info.value) == "edge (1, 4) invalid for n=4"
+
     def test_degree_of_out_of_range_node_rejected(self):
         # -1 used to read node 4's mask, and 5 raised a raw IndexError
-        network = Network.from_edges(5, [(3, 4)])
+        network = Network(5, [(3, 4)])
         for node in (-1, 5):
             with pytest.raises(ValidationError, match=f"node {node} out of range"):
                 network.degree(node)
@@ -489,8 +531,8 @@ class TestBitmaskNetwork:
     def test_numpy_integer_endpoints_build_the_int_network(self):
         edges = [(0, 1), (2, 1)]
         numpy_edges = [(np.int64(i), np.int64(j)) for i, j in edges]
-        plain = Network.from_edges(3, edges)
-        for network in (Network.from_edges(3, numpy_edges),
+        plain = Network(3, edges)
+        for network in (Network(3, numpy_edges),
                         Network(3, [(np.int64(0), np.int64(1)), (np.int64(1), np.int64(2))]),
                         Network.empty(3).with_edge(*numpy_edges[0])
                         .with_edge(*numpy_edges[1]),
@@ -511,7 +553,7 @@ class TestBitmaskNetwork:
 
 class TestEdgeListText:
     def test_roundtrip(self):
-        network = Network.from_edges(6, [(0, 1), (2, 5), (3, 4)])
+        network = Network(6, [(0, 1), (2, 5), (3, 4)])
         assert parse_edge_list(format_edge_list(network), 6).edges == network.edges
 
     def test_empty_text(self):

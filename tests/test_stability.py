@@ -88,7 +88,7 @@ def gains_from_edge(network: Network, i: int, j: int, society: Society) -> bool:
 class TestBenefitsFromEdge:
     def test_intra_link_always_pays_below_the_clique_bound(self):
         society = society_3_5(0.1)
-        network = Network.from_edges(8, [(0, 1), (1, 2)])
+        network = Network(8, [(0, 1), (1, 2)])
         assert gains_from_edge(network, 0, 2, society)
 
     def test_cross_link_refused_in_the_disjoint_regime(self):
@@ -128,7 +128,7 @@ class TestIsPairwiseStable:
         assert is_pairwise_stable(Network.complete(3), one_clique_society())
 
     def test_intra_path_not_stable(self):
-        assert not is_pairwise_stable(Network.from_edges(3, [(0, 1), (1, 2)]),
+        assert not is_pairwise_stable(Network(3, [(0, 1), (1, 2)]),
                                       one_clique_society())
 
     def test_disjoint_cliques_stable_below_first_link_bound(self):
@@ -148,7 +148,7 @@ class TestIsPairwiseStable:
 
 class TestDefeats:
     def test_completing_a_clique_defeats_the_path(self):
-        path = Network.from_edges(3, [(0, 1), (1, 2)])
+        path = Network(3, [(0, 1), (1, 2)])
         assert defeats(path.with_edge(0, 2), path, one_clique_society())
 
     def test_cutting_a_clique_link_does_not_defeat(self):
@@ -168,7 +168,7 @@ class TestDefeats:
             defeats(candidate, cliques, society)
 
     def test_network_of_another_size_rejected(self):
-        path = Network.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        path = Network(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(ValidationError, match="network has 4 nodes"):
             defeats(path.with_edge(0, 2), path, one_clique_society())
 
@@ -604,7 +604,7 @@ class TestResolveShortcuts:
         # hops to one for node 0, a gain of 0.8 * (1/2 - 1/4) = 1/5, the
         # cost exactly; node 4 gains 1/5 more than the cost
         society = society_3_3(0.8)
-        network = Network.from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4)])
+        network = Network(6, [(0, 1), (0, 2), (0, 3), (3, 4)])
         weights = [[Fraction(1), Fraction(4, 5)], [Fraction(4, 5), Fraction(1)]]
         gains = [exact_payoff(network.with_edge(0, 4), v, society.partition, weights,
                               Fraction(1, 2), Fraction(1, 5))

@@ -8,10 +8,10 @@ from groupform.model import (
     CoordinationMatrix,
     GroupPartition,
     ModelParams,
+    Network,
     ValidationError,
 )
 from groupform.thresholds import (
-    GroupGraph,
     RegimeKind,
     RegimeUndefinedError,
     _bridge_toggle_gain,
@@ -308,36 +308,37 @@ class TestRedundancyBounds:
 
 
 class TestGroupGraph:
+    """Group graphs are plain `Network`s whose nodes are group ids."""
+
     def test_star_edges(self):
-        tree = GroupGraph.star(4, center=1)
+        tree = Network.star(4, center=1)
         assert tree.edges == frozenset({(0, 1), (1, 2), (1, 3)})
 
     def test_rejects_self_loops(self):
         with pytest.raises(ValidationError):
-            GroupGraph.from_edges(3, [(1, 1)])
+            Network(3, [(1, 1)])
 
     def test_connectivity(self):
-        assert GroupGraph.star(4).is_connected()
-        assert not GroupGraph.from_edges(4, [(0, 1)]).is_connected()
+        assert Network.star(4).is_connected()
+        assert not Network(4, [(0, 1)]).is_connected()
 
     def test_distances_with_toggles(self):
-        ring = GroupGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        ring = Network(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         assert ring.distances_from(0)[2] == 2
         assert ring.without_edge(0, 1).distances_from(0)[1] == 3
         assert ring.with_edge(0, 2).distances_from(0)[2] == 1
-        assert isinstance(ring.with_edge(0, 2), GroupGraph)
 
     @pytest.mark.parametrize("source", [3, -1])
     def test_distances_from_out_of_range_source_rejected(self, source):
         with pytest.raises(ValidationError, match=f"^node {source} out of range$"):
-            GroupGraph.star(3).distances_from(source)
+            Network.star(3).distances_from(source)
 
 
 class TestBridgeSufficiency:
     def test_two_group_reduction_matches_the_bridge_regime(self):
         # one tree edge between two groups: the check must accept exactly the
         # open bridge band of the two-group classifier
-        tree = GroupGraph.from_edges(2, [(0, 1)])
+        tree = Network(2, [(0, 1)])
         partition = GroupPartition.from_sizes([3, 5])
         for k in range(1, 100):
             f = k / 100
@@ -350,22 +351,22 @@ class TestBridgeSufficiency:
 
     def test_star_with_qualified_center(self):
         partition = GroupPartition.from_sizes([3, 3, 3, 3])
-        tree = GroupGraph.star(4, center=0)
+        tree = Network.star(4, center=0)
         rows = [[1.0, 0.3, 0.3, 0.3],
                 [0.3, 1.0, 0.1, 0.1],
                 [0.3, 0.1, 1.0, 0.1],
                 [0.3, 0.1, 0.1, 1.0]]
-        coordination = CoordinationMatrix.from_array(rows)
+        coordination = CoordinationMatrix(rows)
         assert minimally_connected_sufficient(tree, coordination, partition, PARAMS)
 
     def test_star_fails_when_a_spoke_is_too_weak(self):
         partition = GroupPartition.from_sizes([3, 3, 3, 3])
-        tree = GroupGraph.star(4, center=0)
+        tree = Network.star(4, center=0)
         rows = [[1.0, 0.3, 0.3, 0.1],
                 [0.3, 1.0, 0.1, 0.1],
                 [0.3, 0.1, 1.0, 0.1],
                 [0.1, 0.1, 0.1, 1.0]]
-        coordination = CoordinationMatrix.from_array(rows)
+        coordination = CoordinationMatrix(rows)
         assert not minimally_connected_sufficient(tree, coordination, partition, PARAMS)
 
     @pytest.mark.parametrize("f12, gain, sufficient", [(0.5, 0.25, False),
@@ -376,10 +377,10 @@ class TestBridgeSufficiency:
         # the redundant bound 0.4); the missing (1, 2) bridge would give each
         # leaf representative `gain`, which beats the cost 0.2 only at F12 = 0.5
         partition = GroupPartition.from_sizes([3, 3, 3])
-        tree = GroupGraph.star(3, center=0)
-        coordination = CoordinationMatrix.from_array([[1.0, 0.3, 0.3],
-                                                      [0.3, 1.0, f12],
-                                                      [0.3, f12, 1.0]])
+        tree = Network.star(3, center=0)
+        coordination = CoordinationMatrix([[1.0, 0.3, 0.3],
+                                           [0.3, 1.0, f12],
+                                           [0.3, f12, 1.0]])
         for a, b in ((1, 2), (2, 1)):
             assert _bridge_toggle_gain(tree, coordination, partition.sizes,
                                        PARAMS.delta, a, b) == pytest.approx(gain)
@@ -392,13 +393,13 @@ class TestBridgeSufficiency:
         hi = params.cost / extra_link_gain(3, params.delta)
         assert lo < 0.2 < hi
         partition = GroupPartition.from_sizes([3, 3, 3, 3, 3])
-        tree = GroupGraph.star(5, center=0)
+        tree = Network.star(5, center=0)
         assert minimally_connected_sufficient(
             tree, CoordinationMatrix.uniform(5, 0.2), partition, params)
 
     def test_disconnected_tree_rejected(self):
         partition = GroupPartition.from_sizes([3, 3, 3])
-        tree = GroupGraph.from_edges(3, [(0, 1)])
+        tree = Network(3, [(0, 1)])
         with pytest.raises(ValidationError):
             minimally_connected_sufficient(
                 tree, CoordinationMatrix.uniform(3, 0.3), partition, PARAMS)
