@@ -235,14 +235,12 @@ def _count_cell(counts: list[int], tie: bool = False) -> str:
 def _society_at(society: Society, parameter: str, value: float) -> Society:
     """The society with one of SWEEP_PARAMETERS set to ``value``; a refusal
     names the grid point, as in ``F12=1.01: ...``."""
-    if parameter == "s1":
-        if not float(value).is_integer():
-            raise ValidationError(f"s1={_fmt(value)} is not a whole group size")
-        sizes = (int(value), society.partition.n - int(value))
-        if min(sizes) < 3:
-            raise ValidationError(f"s1={int(value)} leaves a group below 3 members")
-        return replace(society, partition=GroupPartition.from_sizes(sizes))
+    if parameter == "s1" and not float(value).is_integer():
+        raise ValidationError(f"s1={_fmt(value)} is not a whole group size")
     try:
+        if parameter == "s1":
+            sizes = (int(value), society.partition.n - int(value))
+            return replace(society, partition=GroupPartition.from_sizes(sizes))
         if parameter == "F12":
             return replace(society, coordination=CoordinationMatrix.uniform(2, value))
         return replace(society, params=replace(society.params, **{parameter: value}))

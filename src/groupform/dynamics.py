@@ -10,6 +10,7 @@ by a quiet-period heuristic alone.
 from __future__ import annotations
 
 import enum
+import itertools
 import operator
 import random
 from dataclasses import dataclass
@@ -19,7 +20,9 @@ from .model import (
     Network,
     Society,
     ValidationError,
+    _node_id,
     all_pairs,
+    check_network_size,
     checked_pair,
     in_invariant_set,
     normalize_edge,
@@ -58,11 +61,12 @@ class SeededUniform:
         object.__setattr__(self, "seed", seed)
 
     def pairs(self, n: int) -> Iterator[tuple[int, int]]:
+        if n < 2:
+            raise ValidationError(f"uniform pair draws need at least 2 nodes, got {n}")
         pool = all_pairs(n)
         count = len(pool)
         rng = random.Random(self.seed)
-        while True:
-            yield pool[min(int(rng.random() * count), count - 1)]
+        return (pool[min(int(rng.random() * count), count - 1)] for _ in itertools.repeat(None))
 
 
 @dataclass(frozen=True)
@@ -77,22 +81,21 @@ class Scripted:
         for entry, pair in enumerate(self.sequence):
             try:
                 i, j = pair
+                sequence.append((_node_id(i), _node_id(j)))
+            except ValidationError as exc:
+                raise ValidationError(f"script entry {entry}: {exc}") from None
             except (TypeError, ValueError):
                 raise ValidationError(f"script entry {entry}: {pair!r} is not a pair") from None
-            try:
-                sequence.append((operator.index(i), operator.index(j)))
-            except TypeError:
-                raise ValidationError(
-                    f"script entry {entry}: pair ({i}, {j}) is not two integers") from None
         object.__setattr__(self, "sequence", tuple(sequence))
 
     def pairs(self, n: int) -> Iterator[tuple[int, int]]:
         """The script's pairs, each checked, even past any step cap, before
         the first is handed out."""
-        for index, (i, j) in enumerate(self.sequence):
-            if i == j or not (0 <= i < n and 0 <= j < n):
-                raise ValidationError(
-                    f"script entry {index}: pair ({i}, {j}) out of range for n={n}")
+        for entry, (i, j) in enumerate(self.sequence):
+            try:
+                checked_pair(i, j, n)
+            except ValidationError as exc:
+                raise ValidationError(f"script entry {entry}: {exc}") from None
         return (normalize_edge(i, j) for i, j in self.sequence)
 
 
@@ -178,8 +181,7 @@ def run(start: Network, selector: PairSelector, society: Society,
         raise ValidationError(f"max_steps must be an integer, got {max_steps!r}") from None
     if max_steps < 1:
         raise ValidationError("max_steps must be at least 1")
-    if start.n != society.n:
-        raise ValidationError(f"start network has {start.n} nodes, the society has {society.n}")
+    check_network_size(start, society)
     partition = society.partition
     window = start.n * (start.n - 1) // 2  # one quiet period per node pair
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Real
+from numbers import Integral, Real
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
@@ -34,8 +34,24 @@ def all_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+def _node_id(value) -> int:
+    """``value`` as a Python int: the one integer conversion of node ids."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValidationError(f"node ids must be integers, got {value!r}") from None
+
+
+def checked_node(i: int, n: int) -> int:
+    """Node ``i`` as an int, refused unless it lies in 0..n-1."""
+    i = _node_id(i)
+    if not 0 <= i < n:
+        raise ValidationError(f"node {i} out of range")
+    return i
+
+
 def normalize_edge(i: int, j: int) -> tuple[int, int]:
-    i, j = index(i), index(j)
+    i, j = _node_id(i), _node_id(j)
     if i == j:
         raise ValidationError(f"self-loop ({i}, {j}) not allowed")
     return (i, j) if i < j else (j, i)
@@ -60,9 +76,35 @@ def _finite(value, name: str) -> float:
     return float(value)
 
 
-def _check_sizes(sizes: tuple[int, ...]) -> None:
+def checked_delta(delta: float) -> float:
+    """The one-hop benefit as a float, refused unless it lies in (0, 1)."""
+    delta = _finite(delta, "delta")
+    if not 0.0 < delta < 1.0:
+        raise ValidationError(f"delta must be in (0, 1), got {delta}")
+    return delta
+
+
+def checked_sizes(sizes: Iterable[int]) -> tuple[int, ...]:
+    """Group sizes as a tuple of ints, refused unless each is whole and >= 3."""
+    try:
+        sizes = tuple(map(index, sizes))
+    except TypeError as exc:
+        raise ValidationError(f"group sizes must be integers: {exc}") from None
     if any(s < 3 for s in sizes):
         raise ValidationError(f"every group needs >= 3 members, got sizes {sizes}")
+    return sizes
+
+
+def check_weight(weight: float) -> None:
+    """Refuse a cross-group coordination weight that is not a real in [0, 1]."""
+    if not (isinstance(weight, Real) and 0.0 <= weight <= 1.0):
+        raise ValidationError(f"cross-group weight must be in [0, 1], got {weight!r}")
+
+
+def check_network_size(network: Network, society: Society) -> None:
+    """Refuse a network whose node count is not the society's."""
+    if network.n != society.n:
+        raise ValidationError(f"network has {network.n} nodes, the society has {society.n}")
 
 
 @dataclass(frozen=True)
@@ -86,17 +128,13 @@ class GroupPartition:
             # m groups of >= 3 members need m <= n, so an id >= n is unknown
             if not 0 <= g < self.n:
                 raise ValidationError(f"node {node} assigned to unknown group {g}")
-        _check_sizes(self.sizes)  # a gap in the group ids is a size-0 group
+        checked_sizes(self.sizes)  # a gap in the group ids is a size-0 group
 
     @classmethod
     def from_sizes(cls, sizes: Iterable[int]) -> "GroupPartition":
         """Contiguous partition: group 0 gets nodes 0..s0-1, and so on."""
-        try:
-            sizes = tuple(map(index, sizes))
-        except TypeError as exc:
-            raise ValidationError(f"group sizes must be integers: {exc}") from None
         # checked here too: a trailing size <= 0 would give no node at all
-        _check_sizes(sizes)
+        sizes = checked_sizes(sizes)
         return cls(tuple(g for g, s in enumerate(sizes) for _ in range(s)))
 
     @cached_property
@@ -150,19 +188,19 @@ class CoordinationMatrix:
         return len(self.entries)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(
-            tuple(_finite(value, "coordination weights") for value in row)
-            for row in self.entries))
-        if any(len(row) != self.m for row in self.entries):
+        # a flat row, as in [1.0, 0.2], becomes () and fails the shape check
+        rows = [tuple(row) if np.iterable(row) else () for row in self.entries]
+        if any(len(row) != self.m for row in rows):
             raise ValidationError(f"coordination matrix must be {self.m}x{self.m}")
+        object.__setattr__(self, "entries", tuple(
+            tuple(_finite(value, "coordination weights") for value in row) for row in rows))
         for a in range(self.m):
             if self.entries[a][a] != 1.0:
                 raise ValidationError("coordination matrix diagonal must be exactly 1")
             for b in range(self.m):
                 if self.entries[a][b] != self.entries[b][a]:
                     raise ValidationError("coordination matrix must be symmetric")
-                if a != b and not 0.0 <= self.entries[a][b] <= 1.0:
-                    raise ValidationError("off-diagonal coordination weights must be in [0, 1]")
+                check_weight(self.entries[a][b])  # the diagonal 1 passes
 
     @classmethod
     def uniform(cls, m: int, cross_weight: float) -> "CoordinationMatrix":
@@ -199,10 +237,8 @@ class ModelParams:
     cost: float
 
     def __post_init__(self):
-        for name in ("delta", "cost"):
-            object.__setattr__(self, name, _finite(getattr(self, name), name))
-        if not 0.0 < self.delta < 1.0:
-            raise ValidationError(f"delta must be in (0, 1), got {self.delta}")
+        object.__setattr__(self, "delta", checked_delta(self.delta))
+        object.__setattr__(self, "cost", _finite(self.cost, "cost"))
         if not self.cost > 0.0:
             raise ValidationError(f"cost must be positive, got {self.cost}")
 
@@ -221,6 +257,9 @@ class Network:
     __slots__ = ("n", "neighbor_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        if not (isinstance(n, Integral) and n >= 0):
+            raise ValidationError(f"node count must be a non-negative integer, got {n!r}")
+        n = int(n)
         masks = [0] * n
         for a, b in edges:
             i, j = checked_pair(a, b, n)
@@ -239,7 +278,7 @@ class Network:
 
     @classmethod
     def empty(cls, n: int) -> "Network":
-        return cls._from_masks((0,) * n)
+        return cls(n, ())
 
     @classmethod
     def complete(cls, n: int) -> "Network":
@@ -285,8 +324,7 @@ class Network:
         return self._toggled(i, j) if self.neighbor_masks[i] >> j & 1 else self
 
     def degree(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise ValidationError(f"node {i} out of range")
+        i = checked_node(i, self.n)
         return int.bit_count(self.neighbor_masks[i])
 
     @property
@@ -307,8 +345,7 @@ class Network:
     def distances_from(self, source: int) -> list[float]:
         """Hop distances from ``source``: the first ball holding each node,
         math.inf where none does."""
-        if not 0 <= source < self.n:
-            raise ValidationError(f"node {source} out of range")
+        source = checked_node(source, self.n)
         balls = _balls(self.neighbor_masks, source)
         return [next((hops for hops, ball in enumerate(balls) if ball >> v & 1), math.inf)
                 for v in range(self.n)]
@@ -401,10 +438,8 @@ def _level_sum(balls: Sequence[int], i: int, society: Society) -> float:
 def payoff(network: Network, i: int, society: Society) -> float:
     """Group-weighted benefit over reachable nodes minus degree * cost for
     node i, from one BFS (see `_level_sum`)."""
-    if not 0 <= i < network.n:
-        raise ValidationError(f"node {i} out of range")
-    if network.n != society.n:
-        raise ValidationError(f"network has {network.n} nodes, the society has {society.n}")
+    i = checked_node(i, network.n)
+    check_network_size(network, society)
     return _level_sum(_balls(network.neighbor_masks, i), i, society)
 
 
@@ -466,11 +501,10 @@ def _parse_pairs(text: str) -> Iterator[tuple[int, int, int]]:
 def parse_edge_list(text: str, n: int) -> Network:
     edges: set[tuple[int, int]] = set()
     for lineno, i, j in _parse_pairs(text):
-        if i == j:
-            raise ValidationError(f"line {lineno}: self-loop ({i}, {j})")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValidationError(f"line {lineno}: node id out of range for n={n}")
-        edge = normalize_edge(i, j)
+        try:
+            edge = checked_pair(i, j, n)
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
         if edge in edges:
             raise ValidationError(f"line {lineno}: duplicate edge ({i}, {j})")
         edges.add(edge)

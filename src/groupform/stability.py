@@ -38,6 +38,7 @@ from .model import (
     _balls,
     _level_sum,
     all_pairs,
+    check_network_size,
     payoff,
 )
 from .thresholds import below_clique_bound, below_link_bound, shortcut_gain
@@ -132,8 +133,7 @@ def _resolve(network: Network, i: int, j: int, society: Society,
     link; when i strictly loses, the link is refused before j's change is
     computed, since the consent rule then refuses it whatever j gains.
     """
-    if network.n != society.n:
-        raise ValidationError(f"network has {network.n} nodes, the society has {society.n}")
+    check_network_size(network, society)
     masks = network.neighbor_masks
     present = masks[i] >> j & 1
     if present:
@@ -159,8 +159,7 @@ def _resolve(network: Network, i: int, j: int, society: Society,
 
 def is_pairwise_stable(network: Network, society: Society) -> bool:
     """No profitable unilateral cut and no mutually agreeable missing link."""
-    if network.n != society.n:
-        raise ValidationError(f"network has {network.n} nodes, the society has {society.n}")
+    check_network_size(network, society)
     memo: dict[int, tuple[float, tuple[int, ...]]] = {}
     return all(_resolve(network, i, j, society, memo) is network
                for i, j in all_pairs(network.n))

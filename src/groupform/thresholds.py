@@ -26,6 +26,9 @@ from .model import (
     ModelParams,
     Network,
     ValidationError,
+    check_weight,
+    checked_delta,
+    checked_sizes,
 )
 
 
@@ -33,28 +36,20 @@ class RegimeUndefinedError(ValueError):
     """Raised when the link cost is too high for the closed-form regimes."""
 
 
-def _check_domain(s: int, delta: float) -> None:
-    if s < 3:
-        raise ValidationError(f"group size must be >= 3, got {s}")
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must be in (0, 1), got {delta}")
-
-
 def clique_link_gain(s: int, delta: float) -> float:
     """Benefit factor of a direct link into an s-clique reached no other way."""
-    _check_domain(s, delta)
+    (s,), delta = checked_sizes((s,)), checked_delta(delta)
     return delta + (s - 1) * delta * delta
 
 
 def extra_link_gain(s: int, delta: float) -> float:
     """Benefit factor of an additional, fresh-endpoint link into an s-clique."""
-    return (1.0 - delta) * clique_link_gain(s, delta)
+    return clique_link_gain(s, delta) * (1.0 - delta)  # checks s and delta first
 
 
 def shortcut_gain(delta: float) -> float:
     """Benefit of turning one two-hop contact into a direct link."""
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must be in (0, 1), got {delta}")
+    delta = checked_delta(delta)
     return delta - delta * delta
 
 
@@ -140,7 +135,7 @@ def stable_boundaries(s1: int, s2: int, params: ModelParams) -> list[float]:
     the gain factors increase with s.
     """
     _require_low_cost(params)
-    s = min(s1, s2)
+    s = min(checked_sizes((s1, s2)))
     c, delta = params.cost, params.delta
     drop = delta * shortcut_gain(delta)  # per-existing-link reduction of the extra gain
     bounds = [c / clique_link_gain(s, delta)]
@@ -151,7 +146,8 @@ def stable_boundaries(s1: int, s2: int, params: ModelParams) -> list[float]:
 
 
 def efficient_boundaries(s1: int, s2: int, params: ModelParams) -> list[float]:
-    """Ascending bounds between efficient-structure regimes (three values)."""
+    """Ascending bounds between efficient-structure regimes (three values);
+    `clique_link_gain` checks both sizes."""
     _require_low_cost(params)
     c, delta = params.cost, params.delta
     y1a = clique_link_gain(s1, delta)
@@ -163,11 +159,6 @@ def efficient_boundaries(s1: int, s2: int, params: ModelParams) -> list[float]:
     return [bridge_lb, redundant_lb, maximal_lb]
 
 
-def _check_weight(f_cross: float) -> None:
-    if not 0.0 <= f_cross <= 1.0:
-        raise ValidationError(f"cross-group weight must be in [0, 1], got {f_cross}")
-
-
 def _classify(f_cross: float, bounds: list[float],
               regimes: list[tuple[RegimeKind, Optional[int]]]) -> RegimePrediction:
     """The regime of ``f_cross`` given ascending ``bounds`` and the
@@ -177,7 +168,7 @@ def _classify(f_cross: float, bounds: list[float],
     structure is not unique, so a boundary tie is reported instead of
     picking a side.
     """
-    _check_weight(f_cross)
+    check_weight(f_cross)
     for index, bound in enumerate(bounds):
         if abs(f_cross - bound) <= EPSILON:
             return RegimePrediction(RegimeKind.BOUNDARY_TIE, bound, bound, k=index)
@@ -191,10 +182,11 @@ def classify_two_group_stable(s1: int, s2: int, params: ModelParams,
                               f_cross: float) -> RegimePrediction:
     """Stable-structure regime for two groups as a function of the cross weight:
     disjoint, bridge, exactly k = 2..min(s1, s2) cross links, or maximal."""
+    bounds = stable_boundaries(s1, s2, params)  # refuses bad sizes before range() reads them
     exact = [(RegimeKind.EXACT_K, k) for k in range(2, min(s1, s2) + 1)]
     regimes = [(RegimeKind.DISJOINT, None), (RegimeKind.BRIDGE, None), *exact,
                (RegimeKind.MAXIMAL, None)]
-    return _classify(f_cross, stable_boundaries(s1, s2, params), regimes)
+    return _classify(f_cross, bounds, regimes)
 
 
 def classify_two_group_efficient(s1: int, s2: int, params: ModelParams,
@@ -212,7 +204,7 @@ def stability_efficiency_overlap(s1: int, s2: int, params: ModelParams,
     The overlap is a union of closed intervals whose middle piece exists
     only when delta is large relative to the group-size imbalance.
     """
-    _check_weight(f_cross)
+    check_weight(f_cross)
     eff = efficient_boundaries(s1, s2, params)
     stab = stable_boundaries(s1, s2, params)
     n = s1 + s2

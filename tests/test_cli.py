@@ -226,7 +226,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("parameter, start, stop, step, message", [
         ("F12", "0", "1.01", "0.01",
-         "F12=1.01: off-diagonal coordination weights must be in [0, 1]"),
+         "F12=1.01: cross-group weight must be in [0, 1], got 1.01"),
         ("delta", "0.5", "1", "0.25", "delta=1: delta must be in (0, 1), got 1.0"),
     ])
     def test_bad_last_grid_point_refused_before_any_table(
@@ -378,7 +378,7 @@ class TestDynamicsCommand:
         script = write(tmp_path, "moves.txt", "0 99\n")
         code, _ = run_cli(["dynamics", "--scenario", scenario, "--script", script])
         assert code == 1
-        assert "out of range" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: script entry 0: edge (0, 99) invalid for n=8\n"
 
     def test_missing_seed_and_script(self, tmp_path, capsys):
         scenario = write(tmp_path, "s.scn", SCENARIO_3_5.replace("seed = 7\n", ""))
@@ -632,7 +632,8 @@ class TestInputErrors:
                      "sweep grid is empty", id="empty-grid"),
         pytest.param((ROOT / "scenarios" / "size_split.scn").read_text(encoding="ascii"),
                      ["sweep", "--parameter", "s1", "--from", "2", "--to", "4", "--step", "1"],
-                     "s1=2 leaves a group below 3 members", id="small-group"),
+                     "s1=2: every group needs >= 3 members, got sizes (2, 18)",
+                     id="small-group"),
         pytest.param(SCENARIO_3_5 + "max_steps = 0\n", ["dynamics"],
                      "max_steps must be at least 1", id="zero-max-steps"),
         pytest.param(SCENARIO_3_5.replace("seed = 7", "seed = -3"), ["dynamics"],

@@ -327,7 +327,7 @@ class TestTraceMechanics:
         society = two_group_society([3, 5], 0.3)
         script = Scripted([(0, 1)] * 4999 + [(0, 9)])
         with pytest.raises(ValidationError,
-                           match=r"^script entry 4999: pair \(0, 9\) out of range for n=8$"):
+                           match=r"^script entry 4999: edge \(0, 9\) invalid for n=8$"):
             run(Network.empty(8), script, society, max_steps=max_steps)
 
     def test_script_entries_must_be_integers(self):
@@ -367,7 +367,7 @@ class TestTraceMechanics:
         society = two_group_society([3, 3], 0.4)
         with pytest.raises(ValidationError) as info:
             run(Network.empty(7), SeededUniform(1), society, max_steps=10)
-        assert str(info.value) == "start network has 7 nodes, the society has 6"
+        assert str(info.value) == "network has 7 nodes, the society has 6"
 
     def test_max_steps_truncation_reports_honestly(self):
         society = two_group_society([3, 5], 0.3)

@@ -570,7 +570,7 @@ class TestEdgeListText:
     def test_self_loop_named(self):
         with pytest.raises(ValidationError) as info:
             parse_edge_list("1 1\n", 6)
-        assert str(info.value) == "line 1: self-loop (1, 1)"
+        assert str(info.value) == "line 1: self-loop (1, 1) not allowed"
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
