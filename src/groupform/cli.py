@@ -258,6 +258,9 @@ def _sweep_row(value: float, society: Society, scan: Optional[stab.SpaceScan]) -
     tie = stable_pred.kind is th.RegimeKind.BOUNDARY_TIE
     partition = society.partition
     if scan is not None:
+        # An F12 sweep reuses one table, so from its second row on the scan
+        # reads each network's flag off its cached F12 stability interval
+        # (`stab.scan_space`); the flags and welfare equal a per-pair scan's.
         # Cross links come only from free pairs, so a stable network's count
         # is read off its mask.  The efficient cell still builds its argmax
         # networks: a traced perfbench sweep requires the spans of both

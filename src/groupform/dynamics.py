@@ -21,6 +21,8 @@ from .model import (
     Society,
     ValidationError,
     _node_id,
+    _sequence,
+    _two_items,
     all_pairs,
     check_network_size,
     checked_pair,
@@ -61,9 +63,9 @@ class SeededUniform:
         object.__setattr__(self, "seed", seed)
 
     def pairs(self, n: int) -> Iterator[tuple[int, int]]:
-        if n < 2:
-            raise ValidationError(f"uniform pair draws need at least 2 nodes, got {n}")
         pool = all_pairs(n)
+        if not pool:
+            raise ValidationError(f"uniform pair draws need at least 2 nodes, got {n}")
         count = len(pool)
         rng = random.Random(self.seed)
         return (pool[min(int(rng.random() * count), count - 1)] for _ in itertools.repeat(None))
@@ -78,14 +80,11 @@ class Scripted:
 
     def __post_init__(self):
         sequence = []
-        for entry, pair in enumerate(self.sequence):
+        for entry, pair in enumerate(_sequence(self.sequence, "script")):
             try:
-                i, j = pair
-                sequence.append((_node_id(i), _node_id(j)))
+                sequence.append(tuple(map(_node_id, _two_items(pair))))
             except ValidationError as exc:
                 raise ValidationError(f"script entry {entry}: {exc}") from None
-            except (TypeError, ValueError):
-                raise ValidationError(f"script entry {entry}: {pair!r} is not a pair") from None
         object.__setattr__(self, "sequence", tuple(sequence))
 
     def pairs(self, n: int) -> Iterator[tuple[int, int]]:
@@ -160,7 +159,7 @@ def step(network: Network, pair: tuple[int, int], society: Society, *,
     the balls also decide a missing link with no BFS on the network with
     the link.
     """
-    i, j = checked_pair(*pair, network.n)
+    i, j = checked_pair(*_two_items(pair), network.n)
     resolved = _resolve(network, i, j, society, {} if memo is None else memo)
     if resolved is network:
         return network, Action.NO_CHANGE

@@ -29,9 +29,34 @@ class ValidationError(ValueError):
     """Raised when input data breaks a documented invariant."""
 
 
+def checked_count(n) -> int:
+    """The node count as an int, refused unless it is a non-negative integer."""
+    if not (isinstance(n, Integral) and n >= 0):
+        raise ValidationError(f"node count must be a non-negative integer, got {n!r}")
+    return int(n)
+
+
 def all_pairs(n: int) -> list[tuple[int, int]]:
     """All unordered node pairs in lexicographic (canonical bitmask) order."""
+    n = checked_count(n)
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _sequence(value, name: str) -> tuple:
+    """``value``'s items as a tuple, refused by ``name`` unless it is iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be a sequence, got {value!r}") from None
+
+
+def _two_items(entry) -> tuple:
+    """``entry`` unpacked, refused unless it holds exactly two items."""
+    try:
+        i, j = entry
+    except (TypeError, ValueError):
+        raise ValidationError(f"{entry!r} is not a pair") from None
+    return i, j
 
 
 def _node_id(value) -> int:
@@ -189,7 +214,8 @@ class CoordinationMatrix:
 
     def __post_init__(self):
         # a flat row, as in [1.0, 0.2], becomes () and fails the shape check
-        rows = [tuple(row) if np.iterable(row) else () for row in self.entries]
+        rows = [tuple(row) if np.iterable(row) else ()
+                for row in _sequence(self.entries, "coordination matrix")]
         if any(len(row) != self.m for row in rows):
             raise ValidationError(f"coordination matrix must be {self.m}x{self.m}")
         object.__setattr__(self, "entries", tuple(
@@ -257,12 +283,10 @@ class Network:
     __slots__ = ("n", "neighbor_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if not (isinstance(n, Integral) and n >= 0):
-            raise ValidationError(f"node count must be a non-negative integer, got {n!r}")
-        n = int(n)
+        n = checked_count(n)
         masks = [0] * n
-        for a, b in edges:
-            i, j = checked_pair(a, b, n)
+        for edge in edges:
+            i, j = checked_pair(*_two_items(edge), n)
             masks[i] |= 1 << j
             masks[j] |= 1 << i
         self.n = n
@@ -290,7 +314,7 @@ class Network:
 
     @classmethod
     def star(cls, m: int, center: int = 0) -> "Network":
-        return cls(m, [(center, g) for g in range(m) if g != center])
+        return cls(m, [(center, g) for g in range(checked_count(m)) if g != center])
 
     def _pairs(self) -> Iterator[tuple[int, int]]:
         """Every edge (i, j), i < j, in lexicographic order."""

@@ -17,13 +17,20 @@ Enumeration walks a declared search space as a bitmask range.  Payoff
 tables for the whole space are built once with vectorized batched BFS,
 after which each network's stability reduces to table lookups at the
 single-bit-toggled neighbor masks.
+
+Two-group sweeps over the cross weight F12 scan one table many times.  For
+a fixed table and cost every payoff change is affine in F12, so each
+network is stable on one F12 interval.  From the second scan of a table at
+one cost on, `scan_space` reads each network's flag off that interval
+(`_stability_intervals`) and runs the pair rule only for the networks
+whose interval ends lie near the scanned F12.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -45,6 +52,13 @@ from .thresholds import below_clique_bound, below_link_bound, shortcut_gain
 
 FREE_BITS_CAP = 22
 _CHUNK_BITS = 16
+# F12 stability intervals: a network whose interval end lies within _MARGIN
+# of the scanned F12 is decided by the pair rule; interval ends are clipped
+# to _DOMAIN, which holds every weight in [0, 1] with room to spare.
+_MARGIN = 1e-6
+_DOMAIN = (-0.25, 1.25)
+# networks per block of the interval build and of the pair-rule fallback
+_BLOCK = 1 << 12
 
 
 class CapExceededError(RuntimeError):
@@ -187,6 +201,11 @@ class SpaceTables:
     group g in the k-th network of the space; degree[k, v] is v's degree.
     Payoffs for any coordination matrix and cost then follow by weighting,
     so a sweep over those reuses one table.
+
+    For two groups, ``_intervals`` remembers the cost of the last scan and,
+    once a second scan at that cost has come, each network's F12 stability
+    interval at that cost: two float64 per network, which `scan_space`
+    reads on every later scan at that cost.
     """
 
     space: SearchSpace
@@ -194,6 +213,8 @@ class SpaceTables:
     delta: float
     benefit: np.ndarray  # (K, n, m) float64
     degree: np.ndarray   # (K, n) uint8
+    # cost -> None after one scan, then (lo, hi); one cost at a time
+    _intervals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _tables_chunk(space: SearchSpace, partition: GroupPartition, delta: float,
@@ -306,15 +327,14 @@ class SpaceScan:
         return np.flatnonzero(self.stable)
 
 
-def _utilities(tables: SpaceTables, society: Society,
-               start: int = 0, stop: int | None = None) -> np.ndarray:
-    """util[k - start, v]: node v's payoff in the k-th network of the tables,
-    for networks ``start`` to ``stop`` (all by default).  The scalar
+def _utilities(tables: SpaceTables, society: Society, rows=slice(None)) -> np.ndarray:
+    """util[r, v]: node v's payoff in network ``rows[r]`` of the tables, for a
+    slice or an index array of networks (all by default).  The scalar
     `model.payoff` adds the same terms in the same order."""
     coord = society.coordination.as_array()
     node_weights = coord[np.array(tables.partition.membership)]  # (n, m)
-    util = np.einsum("kng,ng->kn", tables.benefit[start:stop], node_weights)
-    util -= society.params.cost * tables.degree[start:stop].astype(np.float64)
+    util = np.einsum("kng,ng->kn", tables.benefit[rows], node_weights)
+    util -= society.params.cost * tables.degree[rows].astype(np.float64)
     return util
 
 
@@ -334,6 +354,155 @@ def _scan_pair(u_i: np.ndarray, u_j: np.ndarray, stable: np.ndarray, t: int) -> 
                                  np.negative(d_j, out=d_j))
 
 
+def _pair_intervals(change_i, change_j, eta: float):
+    """One free pair's stable F12 interval for each network of a block:
+    ``(lo, hi)`` arrays for the networks without the pair, then for their
+    partners with it.
+
+    ``change_i`` and ``change_j`` hold each endpoint's payoff change from
+    adding the pair as ``(a, b)`` arrays, the change at F12 = x being
+    ``a + b * x``.  The cut side's change is its negation.  The four
+    crossings of +-EPSILON cut `_DOMAIN` into segments on which no
+    comparison of the consent rule changes, and `_pair_changes` decides each
+    segment at its midpoint.  The pair leaves a network unchanged on the
+    union of the segments it keeps, from ``lo`` to ``hi``: +inf and -inf
+    when it keeps none.  The interval is NaN (no trusted interval) when that
+    union is not one interval, or when a change is not sharp: its slope
+    ``b`` is below ``2 * eta / _MARGIN`` and a bound lies within ``eta`` of
+    its values on the domain.
+    """
+    low, high = _DOMAIN
+    slope_min = 2 * eta / _MARGIN
+    crossings, sharp = [], True
+    for a, b in (change_i, change_j):
+        for bound in (EPSILON, -EPSILON):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                crossings.append((bound - a) / b)
+            # a flat change is sharp when its comparison with `bound` cannot
+            # differ anywhere on the domain
+            constant = (bound < a + b * low - eta) | (bound > a + b * high + eta)
+            sharp = sharp & ((b >= slope_min) | ((b >= 0) & constant))
+    # segment-major, (segment, network), so each reduction runs over rows
+    ends = np.empty((6, sharp.size))
+    ends[1:5] = crossings
+    for p, q in ((1, 2), (3, 4), (1, 3), (2, 4), (2, 3)):  # sorts ends[1:5]
+        ends[p], ends[q] = np.minimum(ends[p], ends[q]), np.maximum(ends[p], ends[q])
+    np.clip(ends, low, high, out=ends)  # a NaN crossing stays NaN: not sharp
+    ends[0], ends[5] = low, high
+    starts, stops = ends[:-1], ends[1:]
+    mid = (starts + stops) / 2
+    wide = stops > starts
+    (a_i, b_i), (a_j, b_j) = change_i, change_j
+    du_i, du_j = a_i + b_i * mid, a_j + b_j * mid
+    sides = []
+    for present, sign in ((False, 1.0), (True, -1.0)):
+        keep = wide & ~_pair_changes(present, sign * du_i, sign * du_j)
+        lo = np.where(keep, starts, np.inf).min(axis=0)
+        hi = np.where(keep, stops, -np.inf).max(axis=0)
+        split = (wide & ~keep & (starts >= lo) & (stops <= hi)).any(axis=0)
+        untrusted = split | ~sharp
+        lo[untrusted] = hi[untrusted] = np.nan
+        sides.append((lo, hi))
+    return sides
+
+
+def _stability_intervals(tables: SpaceTables, society: Society) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)``: each network of a two-group table is pairwise stable for
+    F12 in ``[lo, hi]`` at the society's cost, up to the margin below; NaN
+    ends mark a network with no trusted interval.
+
+    For node v of group g, util = own + x * other - cost * degree at F12 = x,
+    with own the benefit from group g (weight exactly 1) and other the
+    benefit from the other group, so adding a pair changes each endpoint's
+    payoff by ``a + b * x``.  Adding a link never lengthens a path, so
+    ``b >= 0``; `_pair_changes` only grows with each endpoint's change, so
+    the pair toggles a network without it on an upper half-line of x and
+    one with it on a lower half-line.  A network's interval is the
+    intersection of every free pair's (`_pair_intervals`).
+
+    The margin argument.  A scanned change is the difference of two
+    utilities, each at most five rounded operations on terms whose
+    magnitudes sum to at most ``S = (n - 1) * (1 + cost)``, so it is within
+    ``S * 2**-49`` of ``a + b * x``; ``eta = S * 2**-40`` leaves a factor of
+    512 for the build's own rounding of ``a``, ``b`` and the crossings.  A
+    sharp change has ``b >= 2 * eta / _MARGIN``, so it lies within ``eta``
+    of a bound only within ``_MARGIN / 2`` of its crossing, or never on the
+    domain.  The rule is monotone in each change and each change in x, so
+    the float rule at x decides between the affine rule's decisions at
+    ``x - _MARGIN / 2`` and ``x + _MARGIN / 2``, and both equal
+    ``lo <= x <= hi`` unless an end lies within `_MARGIN` of x.
+    `scan_space` decides those networks, and those with a NaN end, with
+    `_pair_changes` on their scanned utilities.
+    """
+    space, group = tables.space, tables.partition.membership
+    cost = society.params.cost
+    eta = 2.0 ** -40 * (space.n - 1) * (1.0 + cost)
+    lo = np.full(space.size, _DOMAIN[0])
+    hi = np.full(space.size, _DOMAIN[1])
+    # Intra-group pairs first: below the clique bound each one toggles every
+    # network without it at every F12, which settles half the networks.
+    pairs = sorted(enumerate(space.free_pairs), key=lambda tp: group[tp[1][0]] != group[tp[1][1]])
+    for t, (i, j) in pairs:
+        # Once lo > hi, or an end is NaN, further pairs change no flag: the
+        # network is unstable wherever x is off its ends by the margin.  So
+        # pair t skips a network whose partner is in that state too.
+        live = np.flatnonzero((lo <= hi).reshape(space.size >> (t + 1), 2, 1 << t).any(axis=1))
+        for first in range(0, live.size, _BLOCK):
+            # the networks without pair t, and their partners with it
+            r = live[first:first + _BLOCK]
+            absent = (r >> t << (t + 1)) | (r & ((1 << t) - 1))
+            present = absent | (1 << t)
+            changes = []
+            for v in (i, j):
+                gain = tables.benefit[present, v] - tables.benefit[absent, v]  # (N, 2)
+                changes.append((gain[:, group[v]] - cost, gain[:, 1 - group[v]]))
+            for side, (pair_lo, pair_hi) in zip((absent, present),
+                                               _pair_intervals(*changes, eta)):
+                lo[side] = np.maximum(lo[side], pair_lo)  # NaN propagates
+                hi[side] = np.minimum(hi[side], pair_hi)
+    return lo, hi
+
+
+def _intervals_for(tables: SpaceTables, society: Society):
+    """The cached ``(lo, hi)`` for the society's cost, built on the second
+    scan at that cost; None on a first scan or for m != 2, which take the
+    per-pair path."""
+    if tables.partition.m != 2:
+        return None
+    cache, cost = tables._intervals, society.params.cost
+    if cost not in cache:
+        cache.clear()
+        cache[cost] = None
+    elif cache[cost] is None:
+        cache[cost] = _stability_intervals(tables, society)
+    return cache[cost]
+
+
+def _pair_rule_flags(tables: SpaceTables, society: Society, nets: np.ndarray) -> np.ndarray:
+    """Stability of networks ``nets`` by `_pair_changes` on their utilities
+    and their partners', as the per-pair scan decides them."""
+    util = _utilities(tables, society, nets)
+    stable = np.ones(nets.size, dtype=bool)
+    for t, (i, j) in enumerate(tables.space.free_pairs):
+        partner = _utilities(tables, society, nets ^ (1 << t))
+        stable &= ~_pair_changes((nets >> t & 1).astype(bool),
+                                 partner[:, i] - util[:, i], partner[:, j] - util[:, j])
+    return stable
+
+
+def _interval_flags(tables: SpaceTables, society: Society, lo: np.ndarray,
+                    hi: np.ndarray) -> np.ndarray:
+    """Stability flags at the society's F12 from the cached intervals, with
+    the networks near an end or with a NaN end decided by the pair rule."""
+    x = society.coordination[0, 1]
+    stable = (lo <= x) & (x <= hi)
+    near = np.flatnonzero(~((np.abs(lo - x) > _MARGIN) & (np.abs(hi - x) > _MARGIN)))
+    for first in range(0, near.size, _BLOCK):
+        nets = near[first:first + _BLOCK]
+        stable[nets] = _pair_rule_flags(tables, society, nets)
+    return stable
+
+
 def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
     """Evaluate stability and welfare of every network against one society.
 
@@ -341,6 +510,13 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
     Besides the tables it holds ``welfare``, ``stable``, one chunk's
     utilities, and whole-space utility columns only for the endpoints of
     free pairs whose bit lies above the chunk.
+
+    A two-group table's second scan at one cost builds each network's F12
+    stability interval (`_stability_intervals`) and keeps it on the
+    tables.  That scan and every later one at that cost compute welfare as
+    above but take the flags from the intervals, so they hold no utility
+    columns; the pair rule decides only the networks with an interval end
+    within `_MARGIN` of F12, and the flags equal the per-pair scan's.
     """
     space, partition = tables.space, tables.partition
     params = society.params
@@ -356,8 +532,16 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
             "interconnection spaces require cost below the clique-formation bound "
             f"(cost={params.cost}, bound={shortcut_gain(tables.delta)})")
 
+    intervals = _intervals_for(tables, society)
     size = space.size
     chunk = min(1 << _CHUNK_BITS, size)
+    welfare = np.empty(size, dtype=np.float64)
+    if intervals is not None:
+        for start in range(0, size, chunk):
+            _utilities(tables, society, slice(start, start + chunk)).sum(
+                axis=1, out=welfare[start:start + chunk])
+        return SpaceScan(space=space, stable=_interval_flags(tables, society, *intervals),
+                         welfare=welfare)
     low = chunk.bit_length() - 1
     # A pair below bit `low` has both partner networks in every chunk; a
     # higher pair's partners lie in different chunks, so its endpoints keep
@@ -365,11 +549,10 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
     high_pairs = list(enumerate(space.free_pairs))[low:]
     high = {v: np.empty(size, dtype=np.float64)
             for v in {v for _, pair in high_pairs for v in pair}}
-    welfare = np.empty(size, dtype=np.float64)
     stable = np.ones(size, dtype=bool)
     for start in range(0, size, chunk):
         stop = start + chunk
-        util = _utilities(tables, society, start, stop)
+        util = _utilities(tables, society, slice(start, stop))
         util.sum(axis=1, out=welfare[start:stop])
         # node-major, so each pair reads two contiguous columns
         cols = np.ascontiguousarray(util.T)

@@ -60,6 +60,11 @@ PROBES = [
      "node ids must be integers, got 1.5"),
     ("step-self-loop", lambda: step(Network.empty(6), (2, 2), SIX),
      "self-loop (2, 2) not allowed"),
+    ("network-short-edge", lambda: Network(3, [(0,)]), "(0,) is not a pair"),
+    ("network-scalar-edge", lambda: Network(3, [0]), "0 is not a pair"),
+    ("step-short-pair", lambda: step(Network.empty(6), (2,), SIX), "(2,) is not a pair"),
+    ("script-short-pair", lambda: Scripted([(0, 1), (0, 1, 2)]),
+     "script entry 1: (0, 1, 2) is not a pair"),
     # network size
     ("payoff-size", lambda: payoff(Network.complete(7), 0, SIX),
      "network has 7 nodes, the society has 6"),
@@ -101,9 +106,18 @@ PROBES = [
      "node count must be a non-negative integer, got 2.5"),
     ("uniform-draws-one-node", lambda: SeededUniform(1).pairs(1),
      "uniform pair draws need at least 2 nodes, got 1"),
+    ("complete-fractional-count", lambda: Network.complete(2.5),
+     "node count must be a non-negative integer, got 2.5"),
+    ("star-fractional-count", lambda: Network.star(2.5),
+     "node count must be a non-negative integer, got 2.5"),
+    ("uniform-draws-fractional-count", lambda: SeededUniform(1).pairs(2.5),
+     "node count must be a non-negative integer, got 2.5"),
     # coordination matrix shape
     ("matrix-flat-row", lambda: CoordinationMatrix([1.0, 0.2]),
      "coordination matrix must be 2x2"),
+    # whole inputs that are not sequences
+    ("matrix-scalar", lambda: CoordinationMatrix(5), "coordination matrix must be a sequence, got 5"),
+    ("script-scalar", lambda: Scripted(5), "script must be a sequence, got 5"),
 ]
 
 
@@ -132,7 +146,7 @@ def _validation_raises() -> list[str]:
     "out of range", "invalid for n=", "self-loop", "nodes, the society has",
     "must be in (0, 1)", "must be in [0, 1]", ">= 3 members",
     "node ids must be integers", "group sizes must be integers",
-    "non-negative integer",
+    "non-negative integer", "is not a pair", "must be a sequence",
 ])
 def test_each_rule_is_raised_from_one_place(text):
     found = [statement for statement in _validation_raises() if text in statement]

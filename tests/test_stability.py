@@ -42,7 +42,12 @@ from groupform.stability import (
     price_of_anarchy,
     scan_space,
 )
-from groupform.thresholds import RegimeKind, classify_two_group_stable, stable_boundaries
+from groupform.thresholds import (
+    RegimeKind,
+    classify_two_group_stable,
+    efficient_boundaries,
+    stable_boundaries,
+)
 
 from conftest import random_network, random_society
 from oracles import (
@@ -463,6 +468,223 @@ class TestEngineAgainstReference:
     @pytest.mark.parametrize("f12", [*stable_boundaries(3, 5, PARAMS), 0.32, 0.6])
     def test_scan_matches_the_reference_at_the_bounds(self, tables_3_5, f12):
         self.assert_identical(tables_3_5, society_3_5(f12))
+
+
+class TestStabilityIntervals:
+    """From the second scan of a two-group table at one cost, `scan_space`
+    reads the flags off per-network F12 intervals; every flag and welfare
+    must equal a first scan's on a fresh table, bit for bit."""
+
+    @staticmethod
+    def society(sizes, delta: float, cost: float, f12: float) -> Society:
+        return Society(GroupPartition.from_sizes(sizes), CoordinationMatrix.uniform(2, f12),
+                       ModelParams(delta, cost))
+
+    @staticmethod
+    def first_scan(tables: SpaceTables, society: Society) -> SpaceScan:
+        fresh = SpaceTables(tables.space, tables.partition, tables.delta,
+                            tables.benefit, tables.degree)
+        return scan_space(fresh, society)
+
+    def assert_second_scans_match(self, tables: SpaceTables, society_at, grid) -> None:
+        for _ in range(2):  # the per-pair scan, then the interval build
+            scan_space(tables, society_at(grid[0]))
+        cost = society_at(grid[0]).params.cost
+        assert tables._intervals[cost] is not None
+        for f12 in grid:
+            society = society_at(f12)
+            scan, expected = scan_space(tables, society), self.first_scan(tables, society)
+            assert np.array_equal(scan.stable, expected.stable), f12
+            assert np.array_equal(scan.welfare, expected.welfare), f12
+
+    # the workload society, the other size split, both delta extremes, a cost
+    # just below the clique bound, and a full space (n = 6: two groups of at
+    # least 3 need 6 nodes)
+    @pytest.mark.parametrize("sizes, delta, cost, full", [
+        ((3, 5), 0.5, 0.2, False),
+        ((4, 4), 0.5, 0.2, False),
+        ((3, 5), 0.05, 0.02, False),
+        ((3, 5), 0.95, 0.02, False),
+        ((3, 5), 0.5, 0.25 - 2 * EPSILON, False),
+        ((3, 3), 0.5, 0.2, True),
+    ], ids=["3+5", "4+4", "delta-0.05", "delta-0.95", "cost-at-clique-bound", "full-3+3"])
+    def test_second_scan_equals_a_first_scan_on_a_dense_grid(self, sizes, delta, cost, full):
+        partition = GroupPartition.from_sizes(sizes)
+        params = ModelParams(delta, cost)
+        space = full_graph_space(partition.n) if full else interconnection_space(partition)
+        tables = compute_tables(space, partition, delta)
+        bounds = [*stable_boundaries(*sizes, params), *efficient_boundaries(*sizes, params)]
+        grid = sorted({k / 40 for k in range(41)} | {b for b in bounds if b <= 1})
+        self.assert_second_scans_match(
+            tables, lambda f12: self.society(sizes, delta, cost, f12), grid)
+
+    def test_flags_at_the_interval_ends_equal_the_pair_rule(self):
+        # at an end the float rule may go either way; only the fallback
+        # near the ends keeps the flags equal there
+        tables = compute_tables(interconnection_space(GroupPartition.from_sizes([3, 5])),
+                                GroupPartition.from_sizes([3, 5]), PARAMS.delta)
+        for _ in range(2):
+            scan_space(tables, society_3_5(0.5))
+        lo, hi = tables._intervals[PARAMS.cost]
+        ends = np.unique(np.concatenate([lo, hi]))
+        ends = ends[(0 < ends) & (ends < 1)]
+        assert ends.size >= 5
+        grid = [x for end in ends for x in (np.nextafter(end, 0), end, np.nextafter(end, 1))]
+        self.assert_second_scans_match(tables, society_3_5, [0.5, *map(float, grid)])
+
+    def test_networks_without_a_trusted_interval_take_the_pair_rule(self):
+        tables = compute_tables(interconnection_space(GroupPartition.from_sizes([3, 5])),
+                                GroupPartition.from_sizes([3, 5]), PARAMS.delta)
+        scan_space(tables, society_3_5(0.5))
+        nan = np.full(tables.space.size, np.nan)
+        tables._intervals[PARAMS.cost] = (nan, nan)
+        for f12 in (0.1, 0.32, 0.8):
+            assert np.array_equal(scan_space(tables, society_3_5(f12)).stable,
+                                  self.first_scan(tables, society_3_5(f12)).stable)
+
+    def test_intervals_follow_the_cost_of_each_scan(self):
+        partition = GroupPartition.from_sizes([3, 5])
+        tables = compute_tables(interconnection_space(partition), partition, PARAMS.delta)
+        for cost in (0.2, 0.1, 0.2):
+            grid = [0.1, 0.3, 0.45, 0.6, 0.9]
+            self.assert_second_scans_match(
+                tables, lambda f12: self.society((3, 5), PARAMS.delta, cost, f12), grid)
+            assert list(tables._intervals) == [cost]
+
+    @pytest.fixture
+    def builds(self, monkeypatch) -> list:
+        calls = []
+        build = stability._stability_intervals
+
+        def spy(tables, society):
+            calls.append(society.params.cost)
+            return build(tables, society)
+        monkeypatch.setattr(stability, "_stability_intervals", spy)
+        return calls
+
+    def test_one_scan_per_table_never_builds(self, builds):
+        partition = GroupPartition.from_sizes([3, 5])
+        space = interconnection_space(partition)
+        for f12 in (0.1, 0.3, 0.8):
+            enumerate_stable(space, society_3_5(f12))
+            efficient_search(space, society_3_5(f12))
+            price_of_anarchy(space, society_3_5(f12))
+        scan_space(compute_tables(space, partition, PARAMS.delta), society_3_5(0.3))
+        assert builds == []
+
+    def test_second_scan_builds_once(self, builds):
+        partition = GroupPartition.from_sizes([3, 5])
+        tables = compute_tables(interconnection_space(partition), partition, PARAMS.delta)
+        for f12 in (0.1, 0.3, 0.8, 0.9):
+            scan_space(tables, society_3_5(f12))
+        assert builds == [PARAMS.cost]
+
+    def test_three_groups_keep_the_per_pair_scan(self, builds):
+        partition = GroupPartition.from_sizes([3, 3, 3])
+        space = SearchSpace(kind="interconnection", n=9,
+                            fixed_edges=frozenset(partition.intra_pairs()),
+                            free_pairs=tuple(partition.cross_pairs()[::3]))
+        tables = compute_tables(space, partition, PARAMS.delta)
+        for f12 in (0.1, 0.3, 0.8):
+            scan_space(tables, Society(partition, CoordinationMatrix.uniform(3, f12), PARAMS))
+        assert builds == [] and tables._intervals == {}
+
+
+class TestIntervalBuild:
+    """`_stability_intervals` intersects every free pair's interval; it
+    skips a pair only for networks already shown unstable on the domain."""
+
+    @pytest.fixture(scope="class")
+    def full_3_3(self):
+        society = society_3_3(0.3)
+        tables = compute_tables(full_graph_space(6), society.partition, PARAMS.delta)
+        return tables, society
+
+    def test_skipping_settled_networks_changes_no_live_interval(self, full_3_3):
+        tables, society = full_3_3
+        space, group = tables.space, society.partition.membership
+        lo, hi = stability._stability_intervals(tables, society)
+        full_lo = np.full(space.size, stability._DOMAIN[0])
+        full_hi = np.full(space.size, stability._DOMAIN[1])
+        half = np.arange(space.size >> 1)
+        eta = 2.0 ** -40 * (space.n - 1) * (1.0 + PARAMS.cost)
+        for t, (i, j) in enumerate(space.free_pairs):
+            absent = (half >> t << (t + 1)) | (half & ((1 << t) - 1))
+            present = absent | (1 << t)
+            changes = [(gain[:, group[v]] - PARAMS.cost, gain[:, 1 - group[v]])
+                       for v in (i, j)
+                       for gain in [tables.benefit[present, v] - tables.benefit[absent, v]]]
+            for side, (pair_lo, pair_hi) in zip((absent, present),
+                                               stability._pair_intervals(*changes, eta)):
+                full_lo[side] = np.maximum(full_lo[side], pair_lo)
+                full_hi[side] = np.minimum(full_hi[side], pair_hi)
+        live = full_lo <= full_hi
+        assert 0 < np.count_nonzero(live) < space.size
+        assert np.array_equal(lo <= hi, live)
+        assert np.array_equal(lo[live], full_lo[live]) and np.array_equal(hi[live], full_hi[live])
+
+    def test_an_untrusted_pair_interval_leaves_its_networks_untrusted(self, monkeypatch,
+                                                                      full_3_3):
+        tables, society = full_3_3
+        pair_intervals, marked = stability._pair_intervals, []
+
+        def first_block_untrusted(change_i, change_j, eta):
+            sides = pair_intervals(change_i, change_j, eta)
+            if not marked:
+                for lo, hi in sides:
+                    lo[:] = hi[:] = np.nan
+                marked.append(lo.size)
+            return sides
+        monkeypatch.setattr(stability, "_pair_intervals", first_block_untrusted)
+        lo, hi = stability._stability_intervals(tables, society)
+        assert np.count_nonzero(np.isnan(lo)) == np.count_nonzero(np.isnan(hi)) == 2 * marked[0]
+
+
+class TestPairIntervals:
+    """`_pair_intervals` on hand-made changes ``a + b * x``."""
+
+    ETA = 1e-12
+
+    @staticmethod
+    def changes(*pairs):
+        return tuple((np.array([a]), np.array([b])) for a, b in pairs)
+
+    def intervals(self, i, j):
+        (add_lo, add_hi), (cut_lo, cut_hi) = stability._pair_intervals(
+            *self.changes(i, j), self.ETA)
+        return (add_lo[0], add_hi[0]), (cut_lo[0], cut_hi[0])
+
+    def test_sides_follow_the_rule_off_the_ends(self):
+        rng = np.random.default_rng(7)
+        low, high = stability._DOMAIN
+        xs = np.linspace(low, high, 301)
+        for _ in range(200):
+            i, j = ((rng.uniform(-1, 1), rng.uniform(0, 2)) for _ in range(2))
+            for present, (lo, hi) in zip((False, True), self.intervals(i, j)):
+                sign = -1.0 if present else 1.0
+                rule = ~_pair_changes(present, sign * (i[0] + i[1] * xs),
+                                      sign * (j[0] + j[1] * xs))
+                far = (np.abs(xs - lo) > stability._MARGIN) & (np.abs(xs - hi) > stability._MARGIN)
+                assert np.array_equal(rule[far], ((lo <= xs) & (xs <= hi))[far]), (i, j, present)
+
+    def test_a_flat_change_near_a_bound_has_no_trusted_interval(self):
+        slope = self.ETA  # far below 2 * eta / margin
+        add, cut = self.intervals((-EPSILON - 0.3 * slope, slope), (1.0, 1.0))
+        assert np.isnan([*add, *cut]).all()
+
+    def test_a_flat_change_away_from_every_bound_is_trusted(self):
+        # j gains for every F12; i's flat change stays 0, inside the band
+        add, cut = self.intervals((0.0, 0.0), (1.0, 1.0))
+        assert add == (np.inf, -np.inf)  # i is indifferent, j gains: formed
+        assert cut == stability._DOMAIN  # j would lose by the cut: kept
+
+    def test_a_stable_set_of_two_pieces_has_no_trusted_interval(self, monkeypatch):
+        # a rule that is not monotone in the changes: toggle when exactly
+        # one endpoint gains
+        monkeypatch.setattr(stability, "_pair_changes",
+                            lambda present, du_i, du_j: (du_i > EPSILON) ^ (du_j > EPSILON))
+        add, _ = self.intervals((-0.3, 1.0), (-0.6, 1.0))
+        assert np.isnan(add).all()
 
 
 class TestFixpointEquivalence:
