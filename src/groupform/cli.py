@@ -259,8 +259,11 @@ def _sweep_row(value: float, society: Society, scan: Optional[stab.SpaceScan]) -
     partition = society.partition
     if scan is not None:
         # An F12 sweep reuses one table, so from its second row on the scan
-        # reads each network's flag off its cached F12 stability interval
-        # (`stab.scan_space`); the flags and welfare equal a per-pair scan's.
+        # reads every flag off the cached F12 stability intervals
+        # (`stab.scan_space`), except at an F12 within 1e-6 of an interval
+        # end, which takes the per-pair scan: 0.2, 0.4 and 0.8 of
+        # `scripts/two_group_sweep.py`'s 201 rows.  Either way the flags and
+        # welfare equal a per-pair scan's.
         # Cross links come only from free pairs, so a stable network's count
         # is read off its mask.  The efficient cell still builds its argmax
         # networks: a traced perfbench sweep requires the spans of both
@@ -451,7 +454,7 @@ def cmd_poa(scenario: Scenario, args: argparse.Namespace, out) -> int:
 def _svg_document(series: list[tuple[str, list[float], list[float]]]) -> str:
     width, height, pad = 640, 400, 48
     xs = [x for _, sx, _ in series for x in sx]
-    ys = [y for _, _, sy in series for y in sy if not np.isnan(y)]
+    ys = [y for _, _, sy in series for y in sy if not math.isnan(y)]
     if not xs or not ys:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
     x_lo, x_hi = min(xs), max(xs)
@@ -476,7 +479,7 @@ def _svg_document(series: list[tuple[str, list[float], list[float]]]) -> str:
     for k, (name, series_x, series_y) in enumerate(series):
         color = colors[k % len(colors)]
         points = " ".join(f"{sx(x):.1f},{sy(y):.1f}"
-                          for x, y in zip(series_x, series_y) if not np.isnan(y))
+                          for x, y in zip(series_x, series_y) if not math.isnan(y))
         parts.append(f'<polyline fill="none" stroke="{color}" points="{points}"/>')
         parts.append(f'<text x="{pad + 6}" y="{pad + 16 * (k + 1)}" fill="{color}" '
                      f'font-size="12">{name}</text>')

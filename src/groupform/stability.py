@@ -21,9 +21,10 @@ single-bit-toggled neighbor masks.
 Two-group sweeps over the cross weight F12 scan one table many times.  For
 a fixed table and cost every payoff change is affine in F12, so each
 network is stable on one F12 interval.  From the second scan of a table at
-one cost on, `scan_space` reads each network's flag off that interval
-(`_stability_intervals`) and runs the pair rule only for the networks
-whose interval ends lie near the scanned F12.
+one cost on, `scan_space` reads every network's flag off that interval
+(`_stability_intervals`), unless some network has a NaN end or an end
+within 1e-6 of the scanned F12: then the whole scan is the per-pair scan.
+On the checked-in sweep that happens on 3 of its 201 rows.
 """
 
 from __future__ import annotations
@@ -52,12 +53,12 @@ from .thresholds import below_clique_bound, below_link_bound, shortcut_gain
 
 FREE_BITS_CAP = 22
 _CHUNK_BITS = 16
-# F12 stability intervals: a network whose interval end lies within _MARGIN
-# of the scanned F12 is decided by the pair rule; interval ends are clipped
-# to _DOMAIN, which holds every weight in [0, 1] with room to spare.
+# F12 stability intervals: a scan with any interval end within _MARGIN of
+# its F12 is the per-pair scan; interval ends are clipped to _DOMAIN, which
+# holds every weight in [0, 1] with room to spare.
 _MARGIN = 1e-6
 _DOMAIN = (-0.25, 1.25)
-# networks per block of the interval build and of the pair-rule fallback
+# networks per block of the interval build
 _BLOCK = 1 << 12
 
 
@@ -205,7 +206,9 @@ class SpaceTables:
     For two groups, ``_intervals`` remembers the cost of the last scan and,
     once a second scan at that cost has come, each network's F12 stability
     interval at that cost: two float64 per network, which `scan_space`
-    reads on every later scan at that cost.
+    reads on every later scan at that cost.  They settle a scan whole or
+    not at all: one NaN end, or one end within `_MARGIN` of F12, makes the
+    scan the per-pair scan.
     """
 
     space: SearchSpace
@@ -430,9 +433,9 @@ def _stability_intervals(tables: SpaceTables, society: Society) -> tuple[np.ndar
     domain.  The rule is monotone in each change and each change in x, so
     the float rule at x decides between the affine rule's decisions at
     ``x - _MARGIN / 2`` and ``x + _MARGIN / 2``, and both equal
-    ``lo <= x <= hi`` unless an end lies within `_MARGIN` of x.
-    `scan_space` decides those networks, and those with a NaN end, with
-    `_pair_changes` on their scanned utilities.
+    ``lo <= x <= hi`` unless an end lies within `_MARGIN` of x.  When any
+    network has such an end, or a NaN end, `scan_space` runs the per-pair
+    scan over the whole table instead.
     """
     space, group = tables.space, tables.partition.membership
     cost = society.params.cost
@@ -478,29 +481,20 @@ def _intervals_for(tables: SpaceTables, society: Society):
     return cache[cost]
 
 
-def _pair_rule_flags(tables: SpaceTables, society: Society, nets: np.ndarray) -> np.ndarray:
-    """Stability of networks ``nets`` by `_pair_changes` on their utilities
-    and their partners', as the per-pair scan decides them."""
-    util = _utilities(tables, society, nets)
-    stable = np.ones(nets.size, dtype=bool)
-    for t, (i, j) in enumerate(tables.space.free_pairs):
-        partner = _utilities(tables, society, nets ^ (1 << t))
-        stable &= ~_pair_changes((nets >> t & 1).astype(bool),
-                                 partner[:, i] - util[:, i], partner[:, j] - util[:, j])
-    return stable
-
-
-def _interval_flags(tables: SpaceTables, society: Society, lo: np.ndarray,
-                    hi: np.ndarray) -> np.ndarray:
-    """Stability flags at the society's F12 from the cached intervals, with
-    the networks near an end or with a NaN end decided by the pair rule."""
+def _interval_flags(tables: SpaceTables, society: Society) -> np.ndarray | None:
+    """Stability flags at the society's F12 from the cached intervals, or
+    None when they do not settle the whole scan: on a first scan at the
+    cost, for m != 2, or when any network has a NaN end or an end within
+    `_MARGIN` of F12."""
+    intervals = _intervals_for(tables, society)
+    if intervals is None:
+        return None
+    lo, hi = intervals
     x = society.coordination[0, 1]
-    stable = (lo <= x) & (x <= hi)
-    near = np.flatnonzero(~((np.abs(lo - x) > _MARGIN) & (np.abs(hi - x) > _MARGIN)))
-    for first in range(0, near.size, _BLOCK):
-        nets = near[first:first + _BLOCK]
-        stable[nets] = _pair_rule_flags(tables, society, nets)
-    return stable
+    # a NaN end compares False, so it fails the test as a near end does
+    if not ((np.abs(lo - x) > _MARGIN) & (np.abs(hi - x) > _MARGIN)).all():
+        return None
+    return (lo <= x) & (x <= hi)
 
 
 def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
@@ -513,10 +507,11 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
 
     A two-group table's second scan at one cost builds each network's F12
     stability interval (`_stability_intervals`) and keeps it on the
-    tables.  That scan and every later one at that cost compute welfare as
-    above but take the flags from the intervals, so they hold no utility
-    columns; the pair rule decides only the networks with an interval end
-    within `_MARGIN` of F12, and the flags equal the per-pair scan's.
+    tables.  That scan and every later one at that cost take all the flags
+    from the intervals when no network has a NaN end or an end within
+    `_MARGIN` of F12; it then holds no utility columns.  Otherwise the
+    whole scan is the per-pair scan.  Either way the flags and welfare are
+    those of a first scan.
     """
     space, partition = tables.space, tables.partition
     params = society.params
@@ -532,32 +527,30 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
             "interconnection spaces require cost below the clique-formation bound "
             f"(cost={params.cost}, bound={shortcut_gain(tables.delta)})")
 
-    intervals = _intervals_for(tables, society)
     size = space.size
+    flags = _interval_flags(tables, society)
+    # the free pairs this scan decides: none when the intervals settled it
+    pairs = list(enumerate(space.free_pairs)) if flags is None else []
+    stable = np.ones(size, dtype=bool) if flags is None else flags
     chunk = min(1 << _CHUNK_BITS, size)
-    welfare = np.empty(size, dtype=np.float64)
-    if intervals is not None:
-        for start in range(0, size, chunk):
-            _utilities(tables, society, slice(start, start + chunk)).sum(
-                axis=1, out=welfare[start:start + chunk])
-        return SpaceScan(space=space, stable=_interval_flags(tables, society, *intervals),
-                         welfare=welfare)
     low = chunk.bit_length() - 1
     # A pair below bit `low` has both partner networks in every chunk; a
     # higher pair's partners lie in different chunks, so its endpoints keep
     # whole-space columns and it is scanned after the loop.
-    high_pairs = list(enumerate(space.free_pairs))[low:]
+    high_pairs = pairs[low:]
     high = {v: np.empty(size, dtype=np.float64)
             for v in {v for _, pair in high_pairs for v in pair}}
-    stable = np.ones(size, dtype=bool)
+    welfare = np.empty(size, dtype=np.float64)
     for start in range(0, size, chunk):
         stop = start + chunk
         util = _utilities(tables, society, slice(start, stop))
         util.sum(axis=1, out=welfare[start:stop])
+        if not pairs:
+            continue
         # node-major, so each pair reads two contiguous columns
         cols = np.ascontiguousarray(util.T)
         del util
-        for t, (i, j) in enumerate(space.free_pairs[:low]):
+        for t, (i, j) in pairs[:low]:
             _scan_pair(cols[i], cols[j], stable[start:stop], t)
         for v, column in high.items():
             column[start:stop] = cols[v]

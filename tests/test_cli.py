@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import groupform.cli
+import groupform.stability as stab
 import groupform.thresholds as th
 from groupform.cli import main, parse_scenario
 from groupform.model import Network, ValidationError, parse_edge_list
@@ -691,11 +692,8 @@ class TestModuleEntryPoint:
 
 
 class TestScripts:
-    @pytest.mark.parametrize("script, script_args", [("two_group_sweep.py", []),
-                                                     ("size_split_sweep.py", []),
-                                                     ("formation_trace.py", ["1"])])
-    def test_outputs_match_checked_in_files(self, tmp_path, monkeypatch,
-                                            script, script_args):
+    @staticmethod
+    def assert_outputs_match(tmp_path, monkeypatch, script, script_args) -> None:
         # capture the script's argument set, then rerun it writing to tmp_path
         calls = []
         monkeypatch.setattr(groupform.cli, "main", lambda argv: calls.append(argv) or 0)
@@ -711,3 +709,27 @@ class TestScripts:
         assert main(local, out=io.StringIO()) == 0
         for name in written:
             assert (tmp_path / name).read_bytes() == (out_dir / name).read_bytes(), name
+
+    @pytest.mark.parametrize("script, script_args", [("two_group_sweep.py", []),
+                                                     ("size_split_sweep.py", []),
+                                                     ("formation_trace.py", ["1"])])
+    def test_outputs_match_checked_in_files(self, tmp_path, monkeypatch,
+                                            script, script_args):
+        self.assert_outputs_match(tmp_path, monkeypatch, script, script_args)
+
+    def test_sweep_scans_pair_by_pair_only_on_its_first_row_and_at_three_bounds(
+            self, tmp_path, monkeypatch):
+        # The cached F12 intervals settle a scan whole or not at all.  The
+        # per-pair scan runs on the table's first scan and wherever some
+        # network's interval end lies within the margin of F12: at the
+        # stable bounds on the grid (the fourth, 8/15, is off it).
+        per_pair, interval_flags = [], stab._interval_flags
+
+        def spy(tables, society):
+            flags = interval_flags(tables, society)
+            if flags is None:
+                per_pair.append(society.coordination[0, 1])
+            return flags
+        monkeypatch.setattr(stab, "_interval_flags", spy)
+        self.assert_outputs_match(tmp_path, monkeypatch, "two_group_sweep.py", [])
+        assert per_pair == [0.0, 0.2, 0.4, 0.8]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupform import model, stability
-from groupform.cli import _sweep_row
+from groupform.cli import _grid, _sweep_row
 from groupform.dynamics import Action, SeededUniform, run, step
 from groupform.efficiency import efficient_search
 from groupform.model import (
@@ -532,13 +532,21 @@ class TestStabilityIntervals:
         grid = [x for end in ends for x in (np.nextafter(end, 0), end, np.nextafter(end, 1))]
         self.assert_second_scans_match(tables, society_3_5, [0.5, *map(float, grid)])
 
-    def test_networks_without_a_trusted_interval_take_the_pair_rule(self):
+    @pytest.mark.parametrize("untrusted", ["every network", "one stable network"])
+    def test_a_nan_end_makes_the_whole_scan_per_pair(self, untrusted):
         tables = compute_tables(interconnection_space(GroupPartition.from_sizes([3, 5])),
                                 GroupPartition.from_sizes([3, 5]), PARAMS.delta)
-        scan_space(tables, society_3_5(0.5))
-        nan = np.full(tables.space.size, np.nan)
-        tables._intervals[PARAMS.cost] = (nan, nan)
-        for f12 in (0.1, 0.32, 0.8):
+        grid = (0.1, 0.6, 0.9)  # no interval end within the margin of these
+        for f12 in grid:
+            scan_space(tables, society_3_5(f12))
+            assert stability._interval_flags(tables, society_3_5(f12)) is not None
+        lo, hi = tables._intervals[PARAMS.cost]
+        if untrusted == "every network":
+            lo[:] = hi[:] = np.nan
+        else:  # read off its NaN end, this network would be unstable at 0.6
+            lo[np.flatnonzero((lo <= 0.6) & (0.6 <= hi))[0]] = np.nan
+        for f12 in grid:
+            assert stability._interval_flags(tables, society_3_5(f12)) is None
             assert np.array_equal(scan_space(tables, society_3_5(f12)).stable,
                                   self.first_scan(tables, society_3_5(f12)).stable)
 
@@ -638,6 +646,42 @@ class TestIntervalBuild:
         monkeypatch.setattr(stability, "_pair_intervals", first_block_untrusted)
         lo, hi = stability._stability_intervals(tables, society)
         assert np.count_nonzero(np.isnan(lo)) == np.count_nonzero(np.isnan(hi)) == 2 * marked[0]
+
+    def test_scanned_changes_lie_within_the_margin_arguments_bound(self):
+        # The margin argument of `_stability_intervals`: a scanned endpoint
+        # change is within S * 2**-49 of a + b * x, S = (n - 1) * (1 + cost),
+        # here measured exactly at the 201 points of the sweep.  With delta
+        # = 1/2 every benefit is a dyadic fraction of few bits, so the gains
+        # that make a (before the cost) and b are exact.
+        partition = GroupPartition.from_sizes([3, 5])
+        space = interconnection_space(partition)
+        tables = compute_tables(space, partition, PARAMS.delta)
+        group, n = partition.membership, space.n
+        half = np.arange(space.size >> 1)
+        without, with_pair, gains = [], [], []
+        for t, (i, j) in enumerate(space.free_pairs):
+            absent = (half >> t << (t + 1)) | (half & ((1 << t) - 1))
+            for v in (i, j):
+                # flat indices of node v's utility in each network and its partner
+                without.append(absent * n + v)
+                with_pair.append((absent | 1 << t) * n + v)
+                gain = tables.benefit[absent | 1 << t, v] - tables.benefit[absent, v]
+                gains.append(gain[:, [group[v], 1 - group[v]]])
+        # group the changes by their (own, other) gain: each group has one
+        # affine change, so its extreme scanned changes bound its error
+        keys, key_of = np.unique(np.concatenate(gains), axis=0, return_inverse=True)
+        order = np.argsort(key_of.ravel(), kind="stable")
+        firsts = np.searchsorted(key_of.ravel()[order], np.arange(len(keys)))
+        without, with_pair = (np.concatenate(flat)[order] for flat in (without, with_pair))
+        cost, worst = Fraction(PARAMS.cost), Fraction(0)
+        for x in _grid(0.0, 1.0, 0.005):
+            util = _utilities(tables, society_3_5(x)).ravel()
+            change = util[with_pair] - util[without]
+            for (own, other), top, bottom in zip(keys, np.maximum.reduceat(change, firsts),
+                                                 np.minimum.reduceat(change, firsts)):
+                exact = Fraction(own) - cost + Fraction(other) * Fraction(x)
+                worst = max(worst, abs(Fraction(top) - exact), abs(Fraction(bottom) - exact))
+        assert 0 < worst <= (n - 1) * (1 + PARAMS.cost) * 2.0 ** -49
 
 
 class TestPairIntervals:
