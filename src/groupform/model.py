@@ -434,10 +434,12 @@ def _level_sum(balls: Sequence[int], i: int, society: Society) -> float:
 
     Level k, the nodes first reached at hop k, is ball k minus ball k - 1,
     and level 1 is i's neighbour set, whose size is i's degree.  Per group,
-    delta**k times the members on each level, then weighted by i's
-    coordination row, minus degree * cost.  delta**k takes one multiply per
-    level, and `stability._tables_chunk` and `_utilities` add the same
-    terms in the same order, so both engines agree bitwise.
+    delta**k times the members on each level; then each group's benefit
+    times i's coordination weight for it, added from 0.0 in group order;
+    then minus degree * cost.  delta**k takes one multiply per level.
+    `stability._tables_chunk` adds the same per-group terms in the same
+    order, and `stability._utilities` weighs and adds the groups in the same
+    order, so both engines agree bitwise for any number of groups.
     """
     partition, params = society.partition, society.params
     delta = params.delta

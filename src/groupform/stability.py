@@ -58,7 +58,7 @@ _CHUNK_BITS = 16
 # holds every weight in [0, 1] with room to spare.
 _MARGIN = 1e-6
 _DOMAIN = (-0.25, 1.25)
-# networks per block of the interval build
+# networks per block of the utility kernel and the interval build
 _BLOCK = 1 << 12
 
 
@@ -330,14 +330,29 @@ class SpaceScan:
         return np.flatnonzero(self.stable)
 
 
-def _utilities(tables: SpaceTables, society: Society, rows=slice(None)) -> np.ndarray:
+def _utilities(tables: SpaceTables, society: Society, rows: slice = slice(None)) -> np.ndarray:
     """util[r, v]: node v's payoff in network ``rows[r]`` of the tables, for a
-    slice or an index array of networks (all by default).  The scalar
-    `model.payoff` adds the same terms in the same order."""
+    slice of networks (all by default).
+
+    Each entry is ``benefit[g] * weight[g]`` for group 0, plus the same
+    product for groups 1 to m - 1 in order, minus ``cost * degree``: the
+    scalar `model._level_sum`'s doubles in its order, so the two engines
+    agree bitwise for every m.  The rows are computed ``_BLOCK`` at a time
+    with one block-sized scratch, so the terms stay in cache.
+    """
     coord = society.coordination.as_array()
-    node_weights = coord[np.array(tables.partition.membership)]  # (n, m)
-    util = np.einsum("kng,ng->kn", tables.benefit[rows], node_weights)
-    util -= society.params.cost * tables.degree[rows].astype(np.float64)
+    weights = coord[np.array(tables.partition.membership)]  # (n, m)
+    cost = society.params.cost
+    benefit, degree = tables.benefit[rows], tables.degree[rows]
+    util = np.empty(degree.shape, dtype=np.float64)
+    term = np.empty_like(util[:_BLOCK])
+    for start in range(0, len(util), _BLOCK):
+        block, out = benefit[start:start + _BLOCK], util[start:start + _BLOCK]
+        scratch = term[:len(out)]
+        np.multiply(block[..., 0], weights[:, 0], out=out)
+        for g in range(1, weights.shape[1]):
+            out += np.multiply(block[..., g], weights[:, g], out=scratch)
+        out -= np.multiply(degree[start:start + _BLOCK], cost, out=scratch)
     return util
 
 
@@ -500,10 +515,11 @@ def _interval_flags(tables: SpaceTables, society: Society) -> np.ndarray | None:
 def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
     """Evaluate stability and welfare of every network against one society.
 
-    Works through the space in chunks of ``1 << _CHUNK_BITS`` networks.
-    Besides the tables it holds ``welfare``, ``stable``, one chunk's
-    utilities, and whole-space utility columns only for the endpoints of
-    free pairs whose bit lies above the chunk.
+    Works through the space in chunks of ``1 << _CHUNK_BITS`` networks, or
+    of ``_BLOCK`` when the intervals settled the flags and a chunk only sums
+    welfare.  Besides the tables it holds ``welfare``, ``stable``, one
+    chunk's utilities, and whole-space utility columns only for the
+    endpoints of free pairs whose bit lies above the chunk.
 
     A two-group table's second scan at one cost builds each network's F12
     stability interval (`_stability_intervals`) and keeps it on the
@@ -532,7 +548,7 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
     # the free pairs this scan decides: none when the intervals settled it
     pairs = list(enumerate(space.free_pairs)) if flags is None else []
     stable = np.ones(size, dtype=bool) if flags is None else flags
-    chunk = min(1 << _CHUNK_BITS, size)
+    chunk = min(1 << _CHUNK_BITS if pairs else _BLOCK, size)
     low = chunk.bit_length() - 1
     # A pair below bit `low` has both partner networks in every chunk; a
     # higher pair's partners lie in different chunks, so its endpoints keep

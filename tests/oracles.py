@@ -20,7 +20,6 @@ from groupform.stability import (
     SearchSpace,
     SpaceTables,
     _pair_changes,
-    _utilities,
 )
 
 
@@ -108,8 +107,12 @@ def exact_payoff(network: Network, i: int, partition: GroupPartition,
 
 # -- reference table engine ----------------------------------------------------
 # The row-major table build and gather-based scan that the node-major,
-# in-place engine in `groupform.stability` replaced.  Both add the same
-# doubles in the same order, so tests compare them for exact equality.
+# in-place engine in `groupform.stability` replaced, and utilities weighed
+# one node and one group at a time.  The build adds each benefit's doubles
+# in `_tables_chunk`'s order, and the utilities add the weighted groups from
+# 0.0 in group order, then subtract degree * cost, as `model._level_sum`
+# does: for any number of groups these are the library's doubles in the
+# library's order, so tests compare them for exact equality.
 
 def reference_tables_chunk(space: SearchSpace, partition: GroupPartition, delta: float,
                            start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,10 +153,25 @@ def reference_tables_chunk(space: SearchSpace, partition: GroupPartition, delta:
     return benefit, degree
 
 
+def reference_utilities(tables: SpaceTables, society: Society) -> np.ndarray:
+    """util[k, v]: node v's payoff in network k of the tables, accumulated
+    per node and per group from 0.0 over every network at once."""
+    group, cost = tables.partition.membership, society.params.cost
+    count, n, m = tables.benefit.shape
+    util = np.empty((count, n), dtype=np.float64)
+    for v in range(n):
+        weights = society.coordination.entries[group[v]]
+        total = np.zeros(count)
+        for g in range(m):
+            total = total + tables.benefit[:, v, g] * weights[g]
+        util[:, v] = total - tables.degree[:, v].astype(np.float64) * cost
+    return util
+
+
 def reference_stable(tables: SpaceTables, society: Society) -> np.ndarray:
     """Pairwise stability of every network in the tables, each free pair's
     partner network reached by an explicit index gather."""
-    util = _utilities(tables, society)
+    util = reference_utilities(tables, society)
     size = tables.space.size
     idx = np.arange(size, dtype=np.int64)
     stable = np.ones(size, dtype=bool)

@@ -55,6 +55,7 @@ from oracles import (
     free_mask_of,
     reference_stable,
     reference_tables_chunk,
+    reference_utilities,
 )
 
 PARAMS = ModelParams(0.5, 0.2)
@@ -385,6 +386,26 @@ class TestEngineAgainstDefinition:
                         mismatches.append((start + row, v))
         assert mismatches == []
 
+    @pytest.mark.parametrize("sizes", [(3, 3, 3), (3, 3, 3, 3)], ids=["3+3+3", "3+3+3+3"])
+    def test_scalar_payoff_equals_table_util_bitwise_for_more_groups(self, sizes):
+        # From three groups on, the order in which the weighted group
+        # benefits are added shows in the last bit: both engines add them
+        # from group 0 up.  Hand-built space: cliques pinned, 12 cross pairs
+        # free, and a random symmetric weight for each pair of groups.
+        partition = GroupPartition.from_sizes(sizes)
+        m = partition.m
+        rng = random.Random(f"{sizes}")
+        society = Society(partition, CoordinationMatrix.from_upper_triangle(
+            m, [rng.uniform(0, 1) for _ in range(m * (m - 1) // 2)]), PARAMS)
+        space = SearchSpace(kind="interconnection", n=partition.n,
+                            fixed_edges=frozenset(partition.intra_pairs()),
+                            free_pairs=tuple(sorted(rng.sample(partition.cross_pairs(), 12))))
+        util = _utilities(compute_tables(space, partition, PARAMS.delta), society)
+        mismatches = [(k, v) for k in rng.sample(range(space.size), 300)
+                      for v in range(partition.n)
+                      if payoff(space.network_for(k), v, society) != util[k, v]]
+        assert mismatches == []
+
     def test_worker_split_changes_nothing(self, monkeypatch):
         # 2^15 networks in chunks of 2^10: 32 chunk boundaries, and the
         # worker pool runs, which it never does for a single chunk
@@ -413,7 +434,7 @@ class TestEngineAgainstReference:
         reference = SpaceTables(space, partition, delta, benefit, degree)
         scan = scan_space(tables, society)
         assert np.array_equal(scan.stable, reference_stable(reference, society))
-        assert np.array_equal(scan.welfare, _utilities(reference, society).sum(axis=1))
+        assert np.array_equal(scan.welfare, reference_utilities(reference, society).sum(axis=1))
 
     # Lanes are uint8 up to 8 nodes (inter-3+5 sets node 7, the top bit),
     # uint16 up to 16 and uint32 up to 32, which no workload space reaches:
@@ -462,6 +483,21 @@ class TestEngineAgainstReference:
     def tables_3_5(self) -> SpaceTables:
         partition = GroupPartition.from_sizes([3, 5])
         return compute_tables(interconnection_space(partition), partition, PARAMS.delta)
+
+    def test_utilities_of_a_space_within_one_block(self):
+        # 512 networks: the kernel's only block is a partial one
+        society = society_3_3(0.45)
+        tables = compute_tables(interconnection_space(society.partition), society.partition,
+                                PARAMS.delta)
+        assert tables.space.size < stability._BLOCK
+        assert np.array_equal(_utilities(tables, society), reference_utilities(tables, society))
+
+    def test_utilities_of_a_slice_off_the_block_grid(self, tables_3_5):
+        # 9,000 rows from row 1,000: two whole blocks and a partial one
+        society = society_3_5(0.45)
+        util = _utilities(tables_3_5, society, slice(1000, 10000))
+        assert util.shape == (9000, 8)
+        assert np.array_equal(util, reference_utilities(tables_3_5, society)[1000:10000])
 
     # the four stable bounds (0.2, 0.4, 8/15, 0.8), 0.32 with its real ties,
     # and an interior point of the 3-link regime
