@@ -194,21 +194,24 @@ def defeats(candidate: Network, network: Network, society: Society) -> bool:
 
 # -- vectorized space tables ---------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaceTables:
     """Per-network payoff ingredients for one (space, partition, delta).
 
     benefit[k, v, g] sums delta**distance from node v to every node of
     group g in the k-th network of the space; degree[k, v] is v's degree.
     Payoffs for any coordination matrix and cost then follow by weighting,
-    so a sweep over those reuses one table.
+    so a sweep over those reuses one table.  Tables compare and hash by
+    identity.
 
     For two groups, ``_intervals`` remembers the cost of the last scan and,
     once a second scan at that cost has come, each network's F12 stability
     interval at that cost: two float64 per network, which `scan_space`
     reads on every later scan at that cost.  They settle a scan whole or
     not at all: one NaN end, or one end within `_MARGIN` of F12, makes the
-    scan the per-pair scan.
+    scan the per-pair scan.  The first scan they settle also fills
+    ``_columns`` (`_cache_columns`): node-major ``own``, ``other`` and
+    ``degree``, which hold for every cost and which every later scan reads.
     """
 
     space: SearchSpace
@@ -217,7 +220,9 @@ class SpaceTables:
     benefit: np.ndarray  # (K, n, m) float64
     degree: np.ndarray   # (K, n) uint8
     # cost -> None after one scan, then (lo, hi); one cost at a time
-    _intervals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _intervals: dict = field(default_factory=dict, init=False, repr=False)
+    # "own", "other": (n, K) float64, "degree": (n, K) uint8; two groups only
+    _columns: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def _tables_chunk(space: SearchSpace, partition: GroupPartition, delta: float,
@@ -318,9 +323,10 @@ def compute_tables(space: SearchSpace, partition: GroupPartition, delta: float,
                        benefit=benefit, degree=degree)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaceScan:
-    """Stability flags and welfare for every network in a space."""
+    """Stability flags and welfare for every network in a space; scans
+    compare and hash by identity."""
 
     space: SearchSpace
     stable: np.ndarray   # (K,) bool
@@ -331,29 +337,96 @@ class SpaceScan:
 
 
 def _utilities(tables: SpaceTables, society: Society, rows: slice = slice(None)) -> np.ndarray:
-    """util[r, v]: node v's payoff in network ``rows[r]`` of the tables, for a
-    slice of networks (all by default).
+    """util[v, r]: node v's payoff in network ``rows[r]`` of the tables, for a
+    contiguous slice of networks (all by default), node-major: one
+    contiguous column per node.
 
-    Each entry is ``benefit[g] * weight[g]`` for group 0, plus the same
-    product for groups 1 to m - 1 in order, minus ``cost * degree``: the
+    Each column is ``benefit[rows, v, 0] * w[v, 0]``, plus the same product
+    for groups 1 to m - 1 in order, minus ``cost * degree[rows, v]``: the
     scalar `model._level_sum`'s doubles in its order, so the two engines
-    agree bitwise for every m.  The rows are computed ``_BLOCK`` at a time
-    with one block-sized scratch, so the terms stay in cache.
+    agree bitwise for every m.  Once a two-group table holds its cached
+    columns (`_cache_columns`), each column is ``other * x + own - cost *
+    deg`` at F12 = x instead: the same doubles, since v's weight for its own
+    group is exactly 1 and one addition commutes.  The rows are computed
+    ``_BLOCK`` at a time, so the terms stay in cache.
     """
-    coord = society.coordination.as_array()
-    weights = coord[np.array(tables.partition.membership)]  # (n, m)
-    cost = society.params.cost
-    benefit, degree = tables.benefit[rows], tables.degree[rows]
-    util = np.empty(degree.shape, dtype=np.float64)
-    term = np.empty_like(util[:_BLOCK])
-    for start in range(0, len(util), _BLOCK):
-        block, out = benefit[start:start + _BLOCK], util[start:start + _BLOCK]
-        scratch = term[:len(out)]
-        np.multiply(block[..., 0], weights[:, 0], out=out)
-        for g in range(1, weights.shape[1]):
-            out += np.multiply(block[..., g], weights[:, g], out=scratch)
-        out -= np.multiply(degree[start:start + _BLOCK], cost, out=scratch)
+    start, stop, _ = rows.indices(len(tables.degree))
+    n, cost = tables.space.n, society.params.cost
+    util = np.empty((n, stop - start), dtype=np.float64)
+    blocks = [(first, min(first + _BLOCK, stop)) for first in range(start, stop, _BLOCK)]
+    if tables._columns:
+        x = society.coordination[0, 1]
+        own, other, degree = (tables._columns[name] for name in ("own", "other", "degree"))
+        scratch = np.empty((n, min(_BLOCK, stop - start)), dtype=np.float64)
+        for first, last in blocks:
+            out = util[:, first - start:last - start]
+            np.multiply(other[:, first:last], x, out=out)
+            out += own[:, first:last]
+            out -= np.multiply(degree[:, first:last], cost, out=scratch[:, :last - first])
+        return util
+    weights = [society.coordination.entries[g] for g in tables.partition.membership]
+    scratch = np.empty(min(_BLOCK, stop - start), dtype=np.float64)
+    for first, last in blocks:
+        benefit, degree = tables.benefit[first:last], tables.degree[first:last]
+        term = scratch[:last - first]
+        for v, w in enumerate(weights):
+            out = util[v, first - start:last - start]
+            np.multiply(benefit[:, v, 0], w[0], out=out)
+            for g in range(1, len(w)):
+                out += np.multiply(benefit[:, v, g], w[g], out=term)
+            out -= np.multiply(degree[:, v], cost, out=term)
     return util
+
+
+def _welfare(util: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[r] = util[0, r] + ... + util[n - 1, r], network r's welfare from
+    node-major ``util``, added as numpy's row sum of the row-major
+    ``util.T`` adds each row, so ``out`` is bitwise ``util.T.sum(axis=1)``.
+
+    That is numpy's pairwise sum of up to 128 terms (n <= 32 here), added
+    to the reduction's +0.0: left to right below 8 terms; from 8 on, eight
+    partial sums, partial j adding terms j, j + 8, ... of the first
+    ``n - n % 8``, then ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7))
+    and the last ``n % 8`` terms left to right.  Here each term is a node's
+    whole column, so every add is one pass over the networks, and the
+    partial sums take ``_BLOCK`` networks at a time.
+    """
+    n = len(util)
+    if n < 8:
+        out.fill(0.0)
+        for column in util:
+            out += column
+        return out
+    whole = n - n % 8
+    for first in range(0, util.shape[1], _BLOCK):
+        block = slice(first, first + _BLOCK)
+        partial = util[:8, block]
+        if whole > 8:
+            partial = partial + util[8:16, block]
+            for start in range(16, whole, 8):
+                partial += util[start:start + 8, block]
+        pairs = partial[0::2] + partial[1::2]  # p0 + p1, p2 + p3, p4 + p5, p6 + p7
+        halves = pairs[0::2] + pairs[1::2]
+        np.add(halves[0], halves[1], out=out[block])
+    for column in util[whole:]:
+        out += column
+    out += 0.0  # the reduction's start: turns a -0.0 sum into +0.0
+    return out
+
+
+def _cache_columns(tables: SpaceTables) -> None:
+    """Fill a two-group table's ``_columns``, unless it holds them: for each
+    node v, ``own[v]`` its benefit from its own group, ``other[v]`` from the
+    other group, and ``degree[v]``, each contiguous over the networks.  None
+    of them depends on the cost or F12."""
+    if tables._columns:
+        return
+    n, size = tables.space.n, tables.space.size
+    own, other = np.empty((n, size)), np.empty((n, size))
+    for v, g in enumerate(tables.partition.membership):
+        own[v] = tables.benefit[:, v, g]
+        other[v] = tables.benefit[:, v, 1 - g]
+    tables._columns.update(own=own, other=other, degree=np.ascontiguousarray(tables.degree.T))
 
 
 def _scan_pair(u_i: np.ndarray, u_j: np.ndarray, stable: np.ndarray, t: int) -> None:
@@ -440,7 +513,10 @@ def _stability_intervals(tables: SpaceTables, society: Society) -> tuple[np.ndar
 
     The margin argument.  A scanned change is the difference of two
     utilities, each at most five rounded operations on terms whose
-    magnitudes sum to at most ``S = (n - 1) * (1 + cost)``, so it is within
+    magnitudes sum to at most ``S = (n - 1) * (1 + cost)``: two weighted
+    benefits, their sum, ``cost * degree`` and the difference in the
+    kernel, four in the cached ``other * x + own - cost * deg``, whose
+    doubles are the kernel's (`_utilities`).  So it is within
     ``S * 2**-49`` of ``a + b * x``; ``eta = S * 2**-40`` leaves a factor of
     512 for the build's own rounding of ``a``, ``b`` and the crossings.  A
     sharp change has ``b >= 2 * eta / _MARGIN``, so it lies within ``eta``
@@ -517,17 +593,22 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
 
     Works through the space in chunks of ``1 << _CHUNK_BITS`` networks, or
     of ``_BLOCK`` when the intervals settled the flags and a chunk only sums
-    welfare.  Besides the tables it holds ``welfare``, ``stable``, one
-    chunk's utilities, and whole-space utility columns only for the
-    endpoints of free pairs whose bit lies above the chunk.
+    welfare.  Each chunk's utilities come node-major from `_utilities`, and
+    `_welfare` adds each network's column in numpy's row-sum order.  Besides
+    the tables it holds ``welfare``, ``stable``, one chunk's utilities, and
+    whole-space utility columns only for the endpoints of free pairs whose
+    bit lies above the chunk.
 
     A two-group table's second scan at one cost builds each network's F12
     stability interval (`_stability_intervals`) and keeps it on the
     tables.  That scan and every later one at that cost take all the flags
     from the intervals when no network has a NaN end or an end within
     `_MARGIN` of F12; it then holds no utility columns.  Otherwise the
-    whole scan is the per-pair scan.  Either way the flags and welfare are
-    those of a first scan.
+    whole scan is the per-pair scan.  The first scan the intervals settle
+    also caches the table's node-major ``own``, ``other`` and ``degree``
+    (`_cache_columns`, 4.25 MB on a 32,768-network table of 8 nodes), from
+    which every later scan, per-pair or interval, at any cost computes its
+    utilities.  Either way the flags and welfare are those of a first scan.
     """
     space, partition = tables.space, tables.partition
     params = society.params
@@ -545,6 +626,8 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
 
     size = space.size
     flags = _interval_flags(tables, society)
+    if flags is not None:
+        _cache_columns(tables)
     # the free pairs this scan decides: none when the intervals settled it
     pairs = list(enumerate(space.free_pairs)) if flags is None else []
     stable = np.ones(size, dtype=bool) if flags is None else flags
@@ -559,13 +642,8 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
     welfare = np.empty(size, dtype=np.float64)
     for start in range(0, size, chunk):
         stop = start + chunk
-        util = _utilities(tables, society, slice(start, stop))
-        util.sum(axis=1, out=welfare[start:stop])
-        if not pairs:
-            continue
-        # node-major, so each pair reads two contiguous columns
-        cols = np.ascontiguousarray(util.T)
-        del util
+        cols = _utilities(tables, society, slice(start, stop))
+        _welfare(cols, welfare[start:stop])
         for t, (i, j) in pairs[:low]:
             _scan_pair(cols[i], cols[j], stable[start:stop], t)
         for v, column in high.items():

@@ -52,7 +52,7 @@ from groupform.thresholds import (
 )
 
 from conftest import random_network, random_society
-from oracles import exact_payoff
+from oracles import exact_payoff, reference_utilities
 from test_efficiency import random_forest_instance
 
 
@@ -327,6 +327,13 @@ def test_exact_integer_decisions_on_the_full_space_workload(full7_tables):
     assert float(scan.welfare[scan.stable].min()) == pytest.approx(float(stable_min), rel=1e-12)
     assert float(scan.welfare.max()) == pytest.approx(float(best), rel=1e-12)
     assert poa_from_scan(scan) == pytest.approx(float(poa), rel=1e-12)
+
+
+def test_full_space_welfare_is_the_reference_row_sum(full7_tables):
+    # the scan sums each network's utility columns in numpy's row-sum order
+    society = Society(FULL7_PARTITION, CoordinationMatrix.uniform(2, 0.3), FULL7_PARAMS)
+    expected = reference_utilities(full7_tables, society).sum(axis=1)
+    assert scan_space(full7_tables, society).welfare.tobytes() == expected.tobytes()
 
 
 def test_exact_integer_decisions_on_the_sweep_workload():

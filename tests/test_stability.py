@@ -382,7 +382,7 @@ class TestEngineAgainstDefinition:
             for row in rng.sample(range(window), 250):
                 network = space.network_for(start + row)
                 for v in range(partition.n):
-                    if payoff(network, v, society) != util[row, v]:
+                    if payoff(network, v, society) != util[v, row]:
                         mismatches.append((start + row, v))
         assert mismatches == []
 
@@ -403,7 +403,7 @@ class TestEngineAgainstDefinition:
         util = _utilities(compute_tables(space, partition, PARAMS.delta), society)
         mismatches = [(k, v) for k in rng.sample(range(space.size), 300)
                       for v in range(partition.n)
-                      if payoff(space.network_for(k), v, society) != util[k, v]]
+                      if payoff(space.network_for(k), v, society) != util[v, k]]
         assert mismatches == []
 
     def test_worker_split_changes_nothing(self, monkeypatch):
@@ -490,14 +490,16 @@ class TestEngineAgainstReference:
         tables = compute_tables(interconnection_space(society.partition), society.partition,
                                 PARAMS.delta)
         assert tables.space.size < stability._BLOCK
-        assert np.array_equal(_utilities(tables, society), reference_utilities(tables, society))
+        util = _utilities(tables, society)
+        assert util.flags.c_contiguous  # node-major: one contiguous column per node
+        assert np.array_equal(util, reference_utilities(tables, society).T)
 
     def test_utilities_of_a_slice_off_the_block_grid(self, tables_3_5):
         # 9,000 rows from row 1,000: two whole blocks and a partial one
         society = society_3_5(0.45)
         util = _utilities(tables_3_5, society, slice(1000, 10000))
-        assert util.shape == (9000, 8)
-        assert np.array_equal(util, reference_utilities(tables_3_5, society)[1000:10000])
+        assert util.shape == (8, 9000) and util.flags.c_contiguous
+        assert np.array_equal(util, reference_utilities(tables_3_5, society)[1000:10000].T)
 
     # the four stable bounds (0.2, 0.4, 8/15, 0.8), 0.32 with its real ties,
     # and an interior point of the 3-link regime
@@ -634,6 +636,126 @@ class TestStabilityIntervals:
         assert builds == [] and tables._intervals == {}
 
 
+class TestCachedColumns:
+    """The first scan of a two-group table that the F12 intervals settle
+    caches node-major ``own``, ``other`` and ``degree`` columns on the
+    tables; every later scan computes its utilities from them, with the
+    flags and welfare of a first scan."""
+
+    @pytest.fixture
+    def caches(self, monkeypatch) -> list:
+        calls = []
+        cache = stability._cache_columns
+
+        def spy(tables):
+            calls.append(tables)
+            return cache(tables)
+        monkeypatch.setattr(stability, "_cache_columns", spy)
+        return calls
+
+    @staticmethod
+    def sweep_tables() -> SpaceTables:
+        partition = GroupPartition.from_sizes([3, 5])
+        return compute_tables(interconnection_space(partition), partition, PARAMS.delta)
+
+    def test_built_once_and_kept_across_rows_and_costs(self):
+        tables = self.sweep_tables()
+        scan_space(tables, society_3_5(0.1))  # a first scan: per-pair
+        assert tables._columns == {}
+        scan_space(tables, society_3_5(0.3))  # the intervals settle it
+        assert stability._interval_flags(tables, society_3_5(0.3)) is not None
+        cached = dict(tables._columns)
+        assert sorted(cached) == ["degree", "other", "own"]
+        for f12, cost in [(0.4, 0.2), (0.6, 0.2), (0.3, 0.1), (0.7, 0.1), (0.5, 0.2)]:
+            society = TestStabilityIntervals.society((3, 5), PARAMS.delta, cost, f12)
+            scan_space(tables, society)
+            assert tables._columns.keys() == cached.keys()
+            assert all(tables._columns[name] is cached[name] for name in cached)
+
+    def test_columns_equal_the_tables(self):
+        tables = self.sweep_tables()
+        for f12 in (0.1, 0.3):
+            scan_space(tables, society_3_5(f12))
+        group = np.array(tables.partition.membership)
+        nodes = np.arange(tables.space.n)
+        expected = {"own": tables.benefit[:, nodes, group].T,
+                    "other": tables.benefit[:, nodes, 1 - group].T,
+                    "degree": tables.degree.T}
+        for name, column in tables._columns.items():
+            assert column.flags.c_contiguous and column.dtype == expected[name].dtype
+            assert column.tobytes() == np.ascontiguousarray(expected[name]).tobytes(), name
+
+    def test_one_scan_commands_first_scans_and_three_groups_never_build(self, caches):
+        partition = GroupPartition.from_sizes([3, 5])
+        space = interconnection_space(partition)
+        for f12 in (0.1, 0.3, 0.8):
+            enumerate_stable(space, society_3_5(f12))
+            efficient_search(space, society_3_5(f12))
+            price_of_anarchy(space, society_3_5(f12))
+        tables = compute_tables(space, partition, PARAMS.delta)
+        scan_space(tables, society_3_5(0.3))
+        assert tables._columns == {}
+        partition = GroupPartition.from_sizes([3, 3, 3])
+        space = SearchSpace(kind="interconnection", n=9,
+                            fixed_edges=frozenset(partition.intra_pairs()),
+                            free_pairs=tuple(partition.cross_pairs()[::3]))
+        tables = compute_tables(space, partition, PARAMS.delta)
+        for f12 in (0.1, 0.3, 0.8):
+            scan_space(tables, Society(partition, CoordinationMatrix.uniform(3, f12), PARAMS))
+        assert tables._columns == {} and caches == []
+
+    @pytest.mark.parametrize("f12", [0.2, 0.4, 0.8])
+    def test_per_pair_scans_from_the_columns_equal_a_first_scan(self, f12):
+        tables = self.sweep_tables()
+        for x in (0.1, 0.3):
+            scan_space(tables, society_3_5(x))
+        assert tables._columns
+        society = society_3_5(f12)
+        assert stability._interval_flags(tables, society) is None  # an end within the margin
+        scan = scan_space(tables, society)
+        expected = TestStabilityIntervals.first_scan(tables, society)
+        assert np.array_equal(scan.stable, expected.stable)
+        assert scan.welfare.tobytes() == expected.welfare.tobytes()
+
+
+class TestColumnWelfare:
+    """`_welfare` sums node-major columns as numpy's row sum of the
+    row-major array sums each row, bit for bit."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 4096])
+    def test_column_sum_is_numpys_row_sum(self, rows):
+        rng = np.random.default_rng(rows)
+        zeros = rng.choice([0.0, -0.0], size=(rows, 32))
+        spread = rng.standard_normal((rows, 32)) * 10.0 ** rng.integers(-8, 8, size=(rows, 32))
+        mixed = np.where(rng.random((rows, 32)) < 0.5, zeros, spread)
+        for values in (spread, zeros, mixed, -np.abs(zeros)):
+            for n in range(1, 33):
+                row_major = np.ascontiguousarray(values[:, :n])
+                out = stability._welfare(np.ascontiguousarray(row_major.T), np.empty(rows))
+                assert out.tobytes() == row_major.sum(axis=1).tobytes(), n
+
+    def test_sweep_welfare_is_the_reference_row_sum(self):
+        # every fourth sweep row: the first scan, the interval build, the
+        # per-pair scans at 0.2, 0.4 and 0.8, and interval scans between
+        tables = TestCachedColumns.sweep_tables()
+        for f12 in _grid(0.0, 1.0, 0.005)[::4]:
+            society = society_3_5(f12)
+            expected = reference_utilities(tables, society).sum(axis=1)
+            assert scan_space(tables, society).welfare.tobytes() == expected.tobytes(), f12
+        assert tables._columns  # the later rows summed cached columns
+
+
+class TestIdentity:
+    def test_tables_and_scans_compare_and_hash_by_identity(self):
+        partition = GroupPartition.from_sizes([3, 3])
+        space = interconnection_space(partition)
+        tables, twin = (compute_tables(space, partition, PARAMS.delta) for _ in range(2))
+        assert tables != twin and tables == tables
+        scan, twin_scan = (scan_space(t, society_3_3(0.3)) for t in (tables, twin))
+        assert scan != twin_scan and scan == scan
+        assert len({tables, twin, scan, twin_scan}) == 4
+
+
 class TestIntervalBuild:
     """`_stability_intervals` intersects every free pair's interval; it
     skips a pair only for networks already shown unstable on the domain."""
@@ -711,7 +833,7 @@ class TestIntervalBuild:
         without, with_pair = (np.concatenate(flat)[order] for flat in (without, with_pair))
         cost, worst = Fraction(PARAMS.cost), Fraction(0)
         for x in _grid(0.0, 1.0, 0.005):
-            util = _utilities(tables, society_3_5(x)).ravel()
+            util = _utilities(tables, society_3_5(x)).T.ravel()
             change = util[with_pair] - util[without]
             for (own, other), top, bottom in zip(keys, np.maximum.reduceat(change, firsts),
                                                  np.minimum.reduceat(change, firsts)):
@@ -800,7 +922,7 @@ class TestEpsilonBandAudit:
         number of (network, pair) decisions with such an endpoint."""
         society = Society(tables.partition, CoordinationMatrix.uniform(2, float(f12_text)),
                           PARAMS)
-        util = _utilities(tables, society)
+        util = _utilities(tables, society).T
         idx = np.arange(tables.space.size)
         rows, decisions = [], 0
         for t, pair in enumerate(tables.space.free_pairs):
