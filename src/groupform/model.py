@@ -439,10 +439,8 @@ def _level_sum(balls: Sequence[int], i: int, society: Society) -> float:
     then minus degree * cost.  delta**k takes one multiply per level.
     `stability._tables_chunk` adds the same per-group terms in the same
     order, and `stability._utilities` weighs and adds the groups in the same
-    order, one node-major column per node with scalar weights, so both
-    engines agree bitwise for any number of groups.  Its cached two-group
-    form, ``other * x + own - cost * deg``, gives the same doubles: the own
-    group's weight is exactly 1, and one addition commutes.
+    order, one node-major column per node, so both engines agree bitwise
+    for any number of groups.
     """
     partition, params = society.partition, society.params
     delta = params.delta

@@ -209,9 +209,9 @@ class SpaceTables:
     interval at that cost: two float64 per network, which `scan_space`
     reads on every later scan at that cost.  They settle a scan whole or
     not at all: one NaN end, or one end within `_MARGIN` of F12, makes the
-    scan the per-pair scan.  The first scan they settle also fills
-    ``_columns`` (`_cache_columns`): node-major ``own``, ``other`` and
-    ``degree``, which hold for every cost and which every later scan reads.
+    scan the per-pair scan.  Their build first fills ``_columns``
+    (`_cache_columns`): node-major copies of ``benefit`` and ``degree``,
+    which hold for every cost and which every later scan reads.
     """
 
     space: SearchSpace
@@ -221,7 +221,7 @@ class SpaceTables:
     degree: np.ndarray   # (K, n) uint8
     # cost -> None after one scan, then (lo, hi); one cost at a time
     _intervals: dict = field(default_factory=dict, init=False, repr=False)
-    # "own", "other": (n, K) float64, "degree": (n, K) uint8; two groups only
+    # "benefit": (n, m, K) float64, "degree": (n, K) uint8; set by the interval build
     _columns: dict = field(default_factory=dict, init=False, repr=False)
 
 
@@ -336,45 +336,42 @@ class SpaceScan:
         return np.flatnonzero(self.stable)
 
 
+def _node_major(tables: SpaceTables) -> tuple[np.ndarray, np.ndarray]:
+    """``(benefit, degree)`` node-major, as ``(n, m, K)`` and ``(n, K)``: the
+    table's contiguous copy when it holds one (`_cache_columns`), strided
+    views of ``tables.benefit`` and ``tables.degree`` otherwise."""
+    if tables._columns:
+        return tables._columns["benefit"], tables._columns["degree"]
+    return tables.benefit.transpose(1, 2, 0), tables.degree.T
+
+
 def _utilities(tables: SpaceTables, society: Society, rows: slice = slice(None)) -> np.ndarray:
     """util[v, r]: node v's payoff in network ``rows[r]`` of the tables, for a
     contiguous slice of networks (all by default), node-major: one
     contiguous column per node.
 
-    Each column is ``benefit[rows, v, 0] * w[v, 0]``, plus the same product
-    for groups 1 to m - 1 in order, minus ``cost * degree[rows, v]``: the
-    scalar `model._level_sum`'s doubles in its order, so the two engines
-    agree bitwise for every m.  Once a two-group table holds its cached
-    columns (`_cache_columns`), each column is ``other * x + own - cost *
-    deg`` at F12 = x instead: the same doubles, since v's weight for its own
-    group is exactly 1 and one addition commutes.  The rows are computed
-    ``_BLOCK`` at a time, so the terms stay in cache.
+    Each column is ``benefit[v, 0, rows] * w[v, 0]``, plus the same product
+    for groups 1 to m - 1 in order, minus ``cost * degree[v, rows]``, with
+    v's weights ``w[v]`` for its group: the scalar `model._level_sum`'s
+    doubles in its order, so the two engines agree bitwise for every m.
+    The rows are computed ``_BLOCK`` at a time, all nodes at once, so the
+    terms stay in cache; the tables are read node-major (`_node_major`).
     """
     start, stop, _ = rows.indices(len(tables.degree))
     n, cost = tables.space.n, society.params.cost
+    benefit, degree = _node_major(tables)
+    entries = society.coordination.entries
+    weights = np.array([entries[g] for g in tables.partition.membership])  # (n, m)
     util = np.empty((n, stop - start), dtype=np.float64)
-    blocks = [(first, min(first + _BLOCK, stop)) for first in range(start, stop, _BLOCK)]
-    if tables._columns:
-        x = society.coordination[0, 1]
-        own, other, degree = (tables._columns[name] for name in ("own", "other", "degree"))
-        scratch = np.empty((n, min(_BLOCK, stop - start)), dtype=np.float64)
-        for first, last in blocks:
-            out = util[:, first - start:last - start]
-            np.multiply(other[:, first:last], x, out=out)
-            out += own[:, first:last]
-            out -= np.multiply(degree[:, first:last], cost, out=scratch[:, :last - first])
-        return util
-    weights = [society.coordination.entries[g] for g in tables.partition.membership]
-    scratch = np.empty(min(_BLOCK, stop - start), dtype=np.float64)
-    for first, last in blocks:
-        benefit, degree = tables.benefit[first:last], tables.degree[first:last]
-        term = scratch[:last - first]
-        for v, w in enumerate(weights):
-            out = util[v, first - start:last - start]
-            np.multiply(benefit[:, v, 0], w[0], out=out)
-            for g in range(1, len(w)):
-                out += np.multiply(benefit[:, v, g], w[g], out=term)
-            out -= np.multiply(degree[:, v], cost, out=term)
+    scratch = np.empty((n, min(_BLOCK, stop - start)), dtype=np.float64)
+    for first in range(start, stop, _BLOCK):
+        block = slice(first, min(first + _BLOCK, stop))
+        out = util[:, first - start:block.stop - start]
+        term = scratch[:, :out.shape[1]]
+        np.multiply(benefit[:, 0, block], weights[:, 0:1], out=out)
+        for g in range(1, weights.shape[1]):
+            out += np.multiply(benefit[:, g, block], weights[:, g:g + 1], out=term)
+        out -= np.multiply(degree[:, block], cost, out=term)
     return util
 
 
@@ -385,8 +382,8 @@ def _welfare(util: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     That is numpy's pairwise sum of up to 128 terms (n <= 32 here), added
     to the reduction's +0.0: left to right below 8 terms; from 8 on, eight
-    partial sums, partial j adding terms j, j + 8, ... of the first
-    ``n - n % 8``, then ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7))
+    partial sums, sum j adding terms j, j + 8, ... of the first
+    ``n - n % 8``, then ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
     and the last ``n % 8`` terms left to right.  Here each term is a node's
     whole column, so every add is one pass over the networks, and the
     partial sums take ``_BLOCK`` networks at a time.
@@ -400,12 +397,12 @@ def _welfare(util: np.ndarray, out: np.ndarray) -> np.ndarray:
     whole = n - n % 8
     for first in range(0, util.shape[1], _BLOCK):
         block = slice(first, first + _BLOCK)
-        partial = util[:8, block]
+        sums = util[:8, block]
         if whole > 8:
-            partial = partial + util[8:16, block]
+            sums = sums + util[8:16, block]
             for start in range(16, whole, 8):
-                partial += util[start:start + 8, block]
-        pairs = partial[0::2] + partial[1::2]  # p0 + p1, p2 + p3, p4 + p5, p6 + p7
+                sums += util[start:start + 8, block]
+        pairs = sums[0::2] + sums[1::2]  # s0 + s1, s2 + s3, s4 + s5, s6 + s7
         halves = pairs[0::2] + pairs[1::2]
         np.add(halves[0], halves[1], out=out[block])
     for column in util[whole:]:
@@ -415,18 +412,12 @@ def _welfare(util: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _cache_columns(tables: SpaceTables) -> None:
-    """Fill a two-group table's ``_columns``, unless it holds them: for each
-    node v, ``own[v]`` its benefit from its own group, ``other[v]`` from the
-    other group, and ``degree[v]``, each contiguous over the networks.  None
-    of them depends on the cost or F12."""
-    if tables._columns:
-        return
-    n, size = tables.space.n, tables.space.size
-    own, other = np.empty((n, size)), np.empty((n, size))
-    for v, g in enumerate(tables.partition.membership):
-        own[v] = tables.benefit[:, v, g]
-        other[v] = tables.benefit[:, v, 1 - g]
-    tables._columns.update(own=own, other=other, degree=np.ascontiguousarray(tables.degree.T))
+    """Fill the table's ``_columns``, unless it holds them: contiguous
+    node-major copies of ``benefit``, ``(n, m, K)``, and ``degree``,
+    ``(n, K)``, which every later `_node_major` reads."""
+    if not tables._columns:
+        tables._columns.update(benefit=np.ascontiguousarray(tables.benefit.transpose(1, 2, 0)),
+                               degree=np.ascontiguousarray(tables.degree.T))
 
 
 def _scan_pair(u_i: np.ndarray, u_j: np.ndarray, stable: np.ndarray, t: int) -> None:
@@ -502,9 +493,9 @@ def _stability_intervals(tables: SpaceTables, society: Society) -> tuple[np.ndar
     F12 in ``[lo, hi]`` at the society's cost, up to the margin below; NaN
     ends mark a network with no trusted interval.
 
-    For node v of group g, util = own + x * other - cost * degree at F12 = x,
-    with own the benefit from group g (weight exactly 1) and other the
-    benefit from the other group, so adding a pair changes each endpoint's
+    For node v of group g, util = B_g + x * B_h - cost * degree at F12 = x,
+    with B_g its benefit from group g (weight exactly 1) and B_h from the
+    other group h, so adding a pair changes each endpoint's
     payoff by ``a + b * x``.  Adding a link never lengthens a path, so
     ``b >= 0``; `_pair_changes` only grows with each endpoint's change, so
     the pair toggles a network without it on an upper half-line of x and
@@ -514,9 +505,8 @@ def _stability_intervals(tables: SpaceTables, society: Society) -> tuple[np.ndar
     The margin argument.  A scanned change is the difference of two
     utilities, each at most five rounded operations on terms whose
     magnitudes sum to at most ``S = (n - 1) * (1 + cost)``: two weighted
-    benefits, their sum, ``cost * degree`` and the difference in the
-    kernel, four in the cached ``other * x + own - cost * deg``, whose
-    doubles are the kernel's (`_utilities`).  So it is within
+    benefits, their sum, ``cost * degree`` and the difference
+    (`_utilities`).  So it is within
     ``S * 2**-49`` of ``a + b * x``; ``eta = S * 2**-40`` leaves a factor of
     512 for the build's own rounding of ``a``, ``b`` and the crossings.  A
     sharp change has ``b >= 2 * eta / _MARGIN``, so it lies within ``eta``
@@ -530,6 +520,7 @@ def _stability_intervals(tables: SpaceTables, society: Society) -> tuple[np.ndar
     """
     space, group = tables.space, tables.partition.membership
     cost = society.params.cost
+    benefit, _ = _node_major(tables)
     eta = 2.0 ** -40 * (space.n - 1) * (1.0 + cost)
     lo = np.full(space.size, _DOMAIN[0])
     hi = np.full(space.size, _DOMAIN[1])
@@ -548,8 +539,8 @@ def _stability_intervals(tables: SpaceTables, society: Society) -> tuple[np.ndar
             present = absent | (1 << t)
             changes = []
             for v in (i, j):
-                gain = tables.benefit[present, v] - tables.benefit[absent, v]  # (N, 2)
-                changes.append((gain[:, group[v]] - cost, gain[:, 1 - group[v]]))
+                gain = benefit[v][:, present] - benefit[v][:, absent]  # (2, N)
+                changes.append((gain[group[v]] - cost, gain[1 - group[v]]))
             for side, (pair_lo, pair_hi) in zip((absent, present),
                                                _pair_intervals(*changes, eta)):
                 lo[side] = np.maximum(lo[side], pair_lo)  # NaN propagates
@@ -559,7 +550,8 @@ def _stability_intervals(tables: SpaceTables, society: Society) -> tuple[np.ndar
 
 def _intervals_for(tables: SpaceTables, society: Society):
     """The cached ``(lo, hi)`` for the society's cost, built on the second
-    scan at that cost; None on a first scan or for m != 2, which take the
+    scan at that cost, after the table's node-major copy
+    (`_cache_columns`); None on a first scan or for m != 2, which take the
     per-pair path."""
     if tables.partition.m != 2:
         return None
@@ -568,6 +560,7 @@ def _intervals_for(tables: SpaceTables, society: Society):
         cache.clear()
         cache[cost] = None
     elif cache[cost] is None:
+        _cache_columns(tables)
         cache[cost] = _stability_intervals(tables, society)
     return cache[cost]
 
@@ -604,11 +597,11 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
     tables.  That scan and every later one at that cost take all the flags
     from the intervals when no network has a NaN end or an end within
     `_MARGIN` of F12; it then holds no utility columns.  Otherwise the
-    whole scan is the per-pair scan.  The first scan the intervals settle
-    also caches the table's node-major ``own``, ``other`` and ``degree``
-    (`_cache_columns`, 4.25 MB on a 32,768-network table of 8 nodes), from
-    which every later scan, per-pair or interval, at any cost computes its
-    utilities.  Either way the flags and welfare are those of a first scan.
+    whole scan is the per-pair scan.  The interval build first copies the
+    table node-major (`_cache_columns`, 4.25 MB on a 32,768-network table
+    of 8 nodes), and from then on every scan, per-pair or interval, at any
+    cost reads that copy.  Either way the flags and welfare are those of a
+    first scan.
     """
     space, partition = tables.space, tables.partition
     params = society.params
@@ -626,8 +619,6 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
 
     size = space.size
     flags = _interval_flags(tables, society)
-    if flags is not None:
-        _cache_columns(tables)
     # the free pairs this scan decides: none when the intervals settled it
     pairs = list(enumerate(space.free_pairs)) if flags is None else []
     stable = np.ones(size, dtype=bool) if flags is None else flags

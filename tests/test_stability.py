@@ -637,10 +637,9 @@ class TestStabilityIntervals:
 
 
 class TestCachedColumns:
-    """The first scan of a two-group table that the F12 intervals settle
-    caches node-major ``own``, ``other`` and ``degree`` columns on the
-    tables; every later scan computes its utilities from them, with the
-    flags and welfare of a first scan."""
+    """The interval build of a two-group table first copies ``benefit`` and
+    ``degree`` node-major onto the tables; every later scan computes its
+    utilities from that copy, with the flags and welfare of a first scan."""
 
     @pytest.fixture
     def caches(self, monkeypatch) -> list:
@@ -658,32 +657,40 @@ class TestCachedColumns:
         partition = GroupPartition.from_sizes([3, 5])
         return compute_tables(interconnection_space(partition), partition, PARAMS.delta)
 
-    def test_built_once_and_kept_across_rows_and_costs(self):
+    def test_built_once_and_kept_across_rows_and_costs(self, monkeypatch):
+        build, seen = stability._stability_intervals, []
+
+        def spy(tables, society):
+            seen.append(dict(tables._columns))
+            return build(tables, society)
+        monkeypatch.setattr(stability, "_stability_intervals", spy)
         tables = self.sweep_tables()
         scan_space(tables, society_3_5(0.1))  # a first scan: per-pair
-        assert tables._columns == {}
-        scan_space(tables, society_3_5(0.3))  # the intervals settle it
+        assert tables._columns == {} and seen == []
+        scan_space(tables, society_3_5(0.3))  # builds the intervals, which settle it
         assert stability._interval_flags(tables, society_3_5(0.3)) is not None
         cached = dict(tables._columns)
-        assert sorted(cached) == ["degree", "other", "own"]
+        assert sorted(cached) == ["benefit", "degree"]
         for f12, cost in [(0.4, 0.2), (0.6, 0.2), (0.3, 0.1), (0.7, 0.1), (0.5, 0.2)]:
             society = TestStabilityIntervals.society((3, 5), PARAMS.delta, cost, f12)
             scan_space(tables, society)
             assert tables._columns.keys() == cached.keys()
             assert all(tables._columns[name] is cached[name] for name in cached)
+        # one build per cost, 0.2 and then 0.1, each reading the one copy
+        assert len(seen) == 2
+        assert all(copy[name] is cached[name] for copy in seen for name in cached)
 
     def test_columns_equal_the_tables(self):
         tables = self.sweep_tables()
         for f12 in (0.1, 0.3):
             scan_space(tables, society_3_5(f12))
-        group = np.array(tables.partition.membership)
-        nodes = np.arange(tables.space.n)
-        expected = {"own": tables.benefit[:, nodes, group].T,
-                    "other": tables.benefit[:, nodes, 1 - group].T,
-                    "degree": tables.degree.T}
-        for name, column in tables._columns.items():
-            assert column.flags.c_contiguous and column.dtype == expected[name].dtype
-            assert column.tobytes() == np.ascontiguousarray(expected[name]).tobytes(), name
+        expected = {"benefit": tables.benefit.transpose(1, 2, 0), "degree": tables.degree.T}
+        assert tables._columns.keys() == expected.keys()
+        for name, copy in tables._columns.items():
+            assert copy.flags.c_contiguous and copy.dtype == expected[name].dtype, name
+            assert copy.shape == expected[name].shape, name
+            assert copy.tobytes() == np.ascontiguousarray(expected[name]).tobytes(), name
+        assert tables.benefit.flags.c_contiguous and tables.degree.flags.c_contiguous
 
     def test_one_scan_commands_first_scans_and_three_groups_never_build(self, caches):
         partition = GroupPartition.from_sizes([3, 5])
@@ -718,6 +725,44 @@ class TestCachedColumns:
         assert scan.welfare.tobytes() == expected.welfare.tobytes()
 
 
+class TestKernelSources:
+    """`_utilities` reads a table's node-major copy when it holds one and
+    strided views of the table otherwise; both give the same bytes."""
+
+    @pytest.fixture(scope="class")
+    def tables_3_5(self) -> tuple[SpaceTables, SpaceTables]:
+        copied, fresh = (TestCachedColumns.sweep_tables() for _ in range(2))
+        for f12 in (0.1, 0.3):
+            scan_space(copied, society_3_5(f12))  # the second scan copies the table
+        assert copied._columns and not fresh._columns
+        return copied, fresh
+
+    @pytest.mark.parametrize("cost", [0.2, 0.1])
+    @pytest.mark.parametrize("rows", [slice(None), slice(1000, 10000)])
+    def test_copy_and_strided_views_agree_on_the_sweep(self, tables_3_5, cost, rows):
+        copied, fresh = tables_3_5
+        for f12 in _grid(0.0, 1.0, 0.005)[::8]:
+            society = TestStabilityIntervals.society((3, 5), PARAMS.delta, cost, f12)
+            assert (_utilities(copied, society, rows).tobytes()
+                    == _utilities(fresh, society, rows).tobytes()), f12
+        assert not fresh._columns
+
+    def test_copy_and_strided_views_agree_for_three_groups(self):
+        partition = GroupPartition.from_sizes([3, 3, 3])
+        space = SearchSpace(kind="interconnection", n=9,
+                            fixed_edges=frozenset(partition.intra_pairs()),
+                            free_pairs=tuple(partition.cross_pairs()[::3]))
+        copied, fresh = (compute_tables(space, partition, PARAMS.delta) for _ in range(2))
+        stability._cache_columns(copied)
+        assert copied._columns["benefit"].shape == (9, 3, space.size)
+        society = Society(partition, CoordinationMatrix.from_upper_triangle(3, [0.1, 0.35, 0.7]),
+                          PARAMS)
+        for rows in (slice(None), slice(100, 700)):
+            util = _utilities(copied, society, rows)
+            assert util.tobytes() == _utilities(fresh, society, rows).tobytes()
+            assert np.array_equal(util, reference_utilities(fresh, society)[rows].T)
+
+
 class TestColumnWelfare:
     """`_welfare` sums node-major columns as numpy's row sum of the
     row-major array sums each row, bit for bit."""
@@ -742,7 +787,7 @@ class TestColumnWelfare:
             society = society_3_5(f12)
             expected = reference_utilities(tables, society).sum(axis=1)
             assert scan_space(tables, society).welfare.tobytes() == expected.tobytes(), f12
-        assert tables._columns  # the later rows summed cached columns
+        assert tables._columns  # the later rows read the node-major copy
 
 
 class TestIdentity:
