@@ -133,10 +133,9 @@ def cmd_eval(scenario: Scenario, args: argparse.Namespace, out) -> int:
     society = scenario.society
     text = Path(args.network).read_text(encoding="ascii")
     network = parse_edge_list(text, society.n)
-    values = payoffs(network, society)
-    for node, value in enumerate(values):
+    for node, value in enumerate(payoffs(network, society)):
         print(f"node {node}: payoff {_fmt(value)}", file=out)
-    print(f"welfare: {_fmt(float(values.sum()))}", file=out)
+    print(f"welfare: {_fmt(welfare(network, society))}", file=out)
     return 0
 
 

@@ -23,6 +23,10 @@ import numpy as np
 # EPSILON only absorbs float rounding, and every decision it settles is an
 # exact tie in rational arithmetic.
 EPSILON = 1e-9
+# The most nodes of any network or group-size partition: an all-pairs
+# stability check makes about n**2 / 2 BFS-backed decisions, which take
+# seconds at 1,024 nodes, and a larger size is refused before it is built.
+NODE_CAP = 1024
 
 
 class ValidationError(ValueError):
@@ -30,9 +34,11 @@ class ValidationError(ValueError):
 
 
 def checked_count(n) -> int:
-    """The node count as an int, refused unless it is a non-negative integer."""
+    """The node count as an int, refused unless it is an integer in 0..NODE_CAP."""
     if not (isinstance(n, Integral) and n >= 0):
         raise ValidationError(f"node count must be a non-negative integer, got {n!r}")
+    if n > NODE_CAP:
+        raise ValidationError(f"node count {n} is above the cap of {NODE_CAP} nodes")
     return int(n)
 
 
@@ -160,6 +166,7 @@ class GroupPartition:
         """Contiguous partition: group 0 gets nodes 0..s0-1, and so on."""
         # checked here too: a trailing size <= 0 would give no node at all
         sizes = checked_sizes(sizes)
+        checked_count(sum(sizes))  # before one entry per node is built
         return cls(tuple(g for g, s in enumerate(sizes) for _ in range(s)))
 
     @cached_property
@@ -476,8 +483,12 @@ def payoffs(network: Network, society: Society) -> np.ndarray:
 
 
 def welfare(network: Network, society: Society) -> float:
-    """Total value of the network: the sum of all individual payoffs."""
-    return float(payoffs(network, society).sum())
+    """The sum of all payoffs, added left to right from 0.0 as the table
+    engine adds them (from Python 3.12 on, builtin ``sum`` compensates)."""
+    total = 0.0
+    for i in range(network.n):
+        total += payoff(network, i, society)
+    return total
 
 
 def in_invariant_set(network: Network, partition: GroupPartition) -> bool:

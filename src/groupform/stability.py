@@ -377,37 +377,13 @@ def _utilities(tables: SpaceTables, society: Society, rows: slice = slice(None))
 
 def _welfare(util: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out[r] = util[0, r] + ... + util[n - 1, r], network r's welfare from
-    node-major ``util``, added as numpy's row sum of the row-major
-    ``util.T`` adds each row, so ``out`` is bitwise ``util.T.sum(axis=1)``.
-
-    That is numpy's pairwise sum of up to 128 terms (n <= 32 here), added
-    to the reduction's +0.0: left to right below 8 terms; from 8 on, eight
-    partial sums, sum j adding terms j, j + 8, ... of the first
-    ``n - n % 8``, then ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
-    and the last ``n % 8`` terms left to right.  Here each term is a node's
-    whole column, so every add is one pass over the networks, and the
-    partial sums take ``_BLOCK`` networks at a time.
+    node-major ``util``, added left to right from 0.0: the order of
+    `model.welfare`, so the two engines agree bitwise.  Each term is a
+    node's whole column, so every add is one pass over the networks.
     """
-    n = len(util)
-    if n < 8:
-        out.fill(0.0)
-        for column in util:
-            out += column
-        return out
-    whole = n - n % 8
-    for first in range(0, util.shape[1], _BLOCK):
-        block = slice(first, first + _BLOCK)
-        sums = util[:8, block]
-        if whole > 8:
-            sums = sums + util[8:16, block]
-            for start in range(16, whole, 8):
-                sums += util[start:start + 8, block]
-        pairs = sums[0::2] + sums[1::2]  # s0 + s1, s2 + s3, s4 + s5, s6 + s7
-        halves = pairs[0::2] + pairs[1::2]
-        np.add(halves[0], halves[1], out=out[block])
-    for column in util[whole:]:
+    out.fill(0.0)
+    for column in util:
         out += column
-    out += 0.0  # the reduction's start: turns a -0.0 sum into +0.0
     return out
 
 
@@ -587,7 +563,7 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
     Works through the space in chunks of ``1 << _CHUNK_BITS`` networks, or
     of ``_BLOCK`` when the intervals settled the flags and a chunk only sums
     welfare.  Each chunk's utilities come node-major from `_utilities`, and
-    `_welfare` adds each network's column in numpy's row-sum order.  Besides
+    `_welfare` adds the node columns left to right from 0.0.  Besides
     the tables it holds ``welfare``, ``stable``, one chunk's utilities, and
     whole-space utility columns only for the endpoints of free pairs whose
     bit lies above the chunk.

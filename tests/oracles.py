@@ -168,6 +168,16 @@ def reference_utilities(tables: SpaceTables, society: Society) -> np.ndarray:
     return util
 
 
+def reference_welfare(tables: SpaceTables, society: Society) -> np.ndarray:
+    """Each network's welfare: its nodes' `reference_utilities`, added one
+    node at a time, left to right from 0.0, as `model.welfare` adds them."""
+    util = reference_utilities(tables, society)
+    welfare = np.zeros(len(util))
+    for v in range(util.shape[1]):
+        welfare = welfare + util[:, v]
+    return welfare
+
+
 def reference_stable(tables: SpaceTables, society: Society) -> np.ndarray:
     """Pairwise stability of every network in the tables, each free pair's
     partner network reached by an explicit index gather."""

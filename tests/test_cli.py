@@ -4,6 +4,8 @@ import os
 import runpy
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -650,6 +652,24 @@ class TestInputErrors:
         assert code == 1
         assert text == ""
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["dynamics", "efficient"])
+    @pytest.mark.parametrize("size", [300_000_000, 10**30], ids=["3e8", "1e30"])
+    def test_huge_group_size_exits_one_at_once(self, tmp_path, capsys, command, size):
+        # refused on the sizes' sum, before one partition entry per node
+        scenario = write(tmp_path, "s.scn", SCENARIO_3_5.replace("3, 5", f"3, {size}"))
+        started = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code, text = run_cli([command, "--scenario", scenario])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - started < 2.0
+        assert peak < 1 << 20
+        assert code == 1 and text == ""
+        assert capsys.readouterr().err == (
+            f"error: node count {size + 3} is above the cap of 1024 nodes\n")
 
     def test_seed_zero_runs(self, tmp_path):
         scenario = write(tmp_path, "s.scn", SCENARIO_3_5)

@@ -112,6 +112,10 @@ PROBES = [
      "node count must be a non-negative integer, got 2.5"),
     ("uniform-draws-fractional-count", lambda: SeededUniform(1).pairs(2.5),
      "node count must be a non-negative integer, got 2.5"),
+    ("network-count-above-cap", lambda: Network.empty(1025),
+     "node count 1025 is above the cap of 1024 nodes"),
+    ("partition-sizes-above-cap", lambda: GroupPartition.from_sizes([3, 300_000_000]),
+     "node count 300000003 is above the cap of 1024 nodes"),
     # coordination matrix shape
     ("matrix-flat-row", lambda: CoordinationMatrix([1.0, 0.2]),
      "coordination matrix must be 2x2"),
@@ -146,7 +150,7 @@ def _validation_raises() -> list[str]:
     "out of range", "invalid for n=", "self-loop", "nodes, the society has",
     "must be in (0, 1)", "must be in [0, 1]", ">= 3 members",
     "node ids must be integers", "group sizes must be integers",
-    "non-negative integer", "is not a pair", "must be a sequence",
+    "non-negative integer", "is not a pair", "must be a sequence", "above the cap of",
 ])
 def test_each_rule_is_raised_from_one_place(text):
     found = [statement for statement in _validation_raises() if text in statement]

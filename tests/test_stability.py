@@ -1,6 +1,8 @@
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from groupform.model import (
     ValidationError,
     all_pairs,
     payoff,
+    payoffs,
     welfare,
 )
 from groupform.stability import (
@@ -56,6 +59,7 @@ from oracles import (
     reference_stable,
     reference_tables_chunk,
     reference_utilities,
+    reference_welfare,
 )
 
 PARAMS = ModelParams(0.5, 0.2)
@@ -358,8 +362,21 @@ class TestEngineAgainstDefinition:
         scan = scan_space(tables, society)
         for _ in range(10):
             mask = rng.randrange(space.size)
-            assert scan.welfare[mask] == pytest.approx(
-                welfare(space.network_for(mask), society), abs=1e-9)
+            assert scan.welfare[mask] == welfare(space.network_for(mask), society)
+
+    @pytest.mark.parametrize("f12", [0.2, 0.45, 0.8])
+    def test_scan_welfare_equals_model_welfare_at_eight_nodes(self, f12):
+        # Both engines add a network's payoffs left to right from 0.0.  At
+        # eight nodes the order shows in the last bit: the same payoffs
+        # added right to left differ on some of the sampled networks.
+        society = society_3_5(f12)
+        space = interconnection_space(society.partition)
+        scan = scan_space(compute_tables(space, society.partition, PARAMS.delta), society)
+        masks = random.Random(f12).sample(range(space.size), 200)
+        networks = [space.network_for(k) for k in masks]
+        assert [scan.welfare[k] for k in masks] == [welfare(g, society) for g in networks]
+        assert any(reduce(operator.add, payoffs(g, society)[::-1].tolist(), 0.0)
+                   != scan.welfare[k] for k, g in zip(masks, networks))
 
     @pytest.mark.parametrize("delta", [0.5, 0.45])
     @pytest.mark.parametrize("f12", [0.3, 0.37, 0.71])
@@ -434,7 +451,7 @@ class TestEngineAgainstReference:
         reference = SpaceTables(space, partition, delta, benefit, degree)
         scan = scan_space(tables, society)
         assert np.array_equal(scan.stable, reference_stable(reference, society))
-        assert np.array_equal(scan.welfare, reference_utilities(reference, society).sum(axis=1))
+        assert np.array_equal(scan.welfare, reference_welfare(reference, society))
 
     # Lanes are uint8 up to 8 nodes (inter-3+5 sets node 7, the top bit),
     # uint16 up to 16 and uint32 up to 32, which no workload space reaches:
@@ -764,28 +781,30 @@ class TestKernelSources:
 
 
 class TestColumnWelfare:
-    """`_welfare` sums node-major columns as numpy's row sum of the
-    row-major array sums each row, bit for bit."""
+    """`_welfare` adds each network's node-major columns left to right from
+    0.0, bit for bit."""
 
     @pytest.mark.parametrize("rows", [1, 7, 4096])
-    def test_column_sum_is_numpys_row_sum(self, rows):
+    def test_column_sum_is_the_left_to_right_sum(self, rows):
         rng = np.random.default_rng(rows)
         zeros = rng.choice([0.0, -0.0], size=(rows, 32))
         spread = rng.standard_normal((rows, 32)) * 10.0 ** rng.integers(-8, 8, size=(rows, 32))
         mixed = np.where(rng.random((rows, 32)) < 0.5, zeros, spread)
         for values in (spread, zeros, mixed, -np.abs(zeros)):
             for n in range(1, 33):
-                row_major = np.ascontiguousarray(values[:, :n])
+                row_major = values[:, :n]
                 out = stability._welfare(np.ascontiguousarray(row_major.T), np.empty(rows))
-                assert out.tobytes() == row_major.sum(axis=1).tobytes(), n
+                expected = np.array([reduce(operator.add, row, 0.0)
+                                     for row in row_major.tolist()])
+                assert out.tobytes() == expected.tobytes(), n
 
-    def test_sweep_welfare_is_the_reference_row_sum(self):
+    def test_sweep_welfare_is_the_reference_welfare(self):
         # every fourth sweep row: the first scan, the interval build, the
         # per-pair scans at 0.2, 0.4 and 0.8, and interval scans between
         tables = TestCachedColumns.sweep_tables()
         for f12 in _grid(0.0, 1.0, 0.005)[::4]:
             society = society_3_5(f12)
-            expected = reference_utilities(tables, society).sum(axis=1)
+            expected = reference_welfare(tables, society)
             assert scan_space(tables, society).welfare.tobytes() == expected.tobytes(), f12
         assert tables._columns  # the later rows read the node-major copy
 
