@@ -10,7 +10,6 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -27,6 +26,7 @@ from .model import (
     Network,
     Society,
     ValidationError,
+    _left_sum,
     _parse_pairs,
     format_edge_list,
     parse_edge_list,
@@ -133,9 +133,10 @@ def cmd_eval(scenario: Scenario, args: argparse.Namespace, out) -> int:
     society = scenario.society
     text = Path(args.network).read_text(encoding="ascii")
     network = parse_edge_list(text, society.n)
-    for node, value in enumerate(payoffs(network, society)):
+    values = payoffs(network, society).tolist()
+    for node, value in enumerate(values):
         print(f"node {node}: payoff {_fmt(value)}", file=out)
-    print(f"welfare: {_fmt(welfare(network, society))}", file=out)
+    print(f"welfare: {_fmt(_left_sum(values))}", file=out)  # welfare's order, no second BFS
     return 0
 
 
@@ -298,16 +299,11 @@ def cmd_sweep(scenario: Scenario, args: argparse.Namespace, out) -> int:
     if scenario.partition.m != 2:
         raise ValidationError("sweeps need exactly two groups")
 
-    @lru_cache(maxsize=1)  # sweeps vary one axis; one live table is enough
-    def tables(space: stab.SearchSpace, partition: GroupPartition, delta: float):
-        tables.cache_clear()  # free the old table before building the next
-        return stab.compute_tables(space, partition, delta)
-
     def scan_at(society: Society) -> Optional[stab.SpaceScan]:
         try:
             space = SPACES[scenario.space](society.partition)
-            return stab.scan_space(tables(space, society.partition, society.params.delta),
-                                   society)
+            tables = stab.compute_tables(space, society.partition, society.params.delta)
+            return stab.scan_space(tables, society)
         except stab.CapExceededError:
             return None
 

@@ -153,6 +153,7 @@ class GroupPartition:
             object.__setattr__(self, "membership", tuple(map(index, self.membership)))
         except TypeError:
             raise ValidationError(f"membership must be integers, got {self.membership!r}") from None
+        checked_count(self.n)
         if self.n < 3:
             raise ValidationError(f"need at least 3 nodes, got {self.n}")
         for node, g in enumerate(self.membership):
@@ -482,13 +483,19 @@ def payoffs(network: Network, society: Society) -> np.ndarray:
     return np.array([payoff(network, i, society) for i in range(network.n)])
 
 
-def welfare(network: Network, society: Society) -> float:
-    """The sum of all payoffs, added left to right from 0.0 as the table
-    engine adds them (from Python 3.12 on, builtin ``sum`` compensates)."""
+def _left_sum(values: Iterable[float]) -> float:
+    """The values added left to right from 0.0, the one welfare order, which
+    the table engine follows too (from Python 3.12 on, builtin ``sum``
+    compensates)."""
     total = 0.0
-    for i in range(network.n):
-        total += payoff(network, i, society)
+    for value in values:
+        total += value
     return total
+
+
+def welfare(network: Network, society: Society) -> float:
+    """The sum of all payoffs, in `_left_sum`'s order."""
+    return _left_sum(payoff(network, i, society) for i in range(network.n))
 
 
 def in_invariant_set(network: Network, partition: GroupPartition) -> bool:

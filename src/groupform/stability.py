@@ -16,7 +16,9 @@ formation needs both endpoints' consent.  Both exits change no decision.
 Enumeration walks a declared search space as a bitmask range.  Payoff
 tables for the whole space are built once with vectorized batched BFS,
 after which each network's stability reduces to table lookups at the
-single-bit-toggled neighbor masks.
+single-bit-toggled neighbor masks.  `compute_tables` remembers its last
+table and each table its last scan, so stable, efficient and poa on one
+society in one process build and scan once.
 
 Two-group sweeps over the cross weight F12 scan one table many times.  For
 a fixed table and cost every payoff change is affine in F12, so each
@@ -202,7 +204,9 @@ class SpaceTables:
     group g in the k-th network of the space; degree[k, v] is v's degree.
     Payoffs for any coordination matrix and cost then follow by weighting,
     so a sweep over those reuses one table.  Tables compare and hash by
-    identity.
+    identity, and ``benefit`` and ``degree`` are read-only: `compute_tables`
+    hands the same table to every caller with equal arguments.  ``_scan``
+    remembers the last scan (`scan_space`) and the society it was made for.
 
     For two groups, ``_intervals`` remembers the cost of the last scan and,
     once a second scan at that cost has come, each network's F12 stability
@@ -223,6 +227,8 @@ class SpaceTables:
     _intervals: dict = field(default_factory=dict, init=False, repr=False)
     # "benefit": (n, m, K) float64, "degree": (n, K) uint8; set by the interval build
     _columns: dict = field(default_factory=dict, init=False, repr=False)
+    # society -> its SpaceScan; one society at a time
+    _scan: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def _tables_chunk(space: SearchSpace, partition: GroupPartition, delta: float,
@@ -285,6 +291,10 @@ def _tables_chunk(space: SearchSpace, partition: GroupPartition, delta: float,
     return benefit.transpose(2, 0, 1), degree.T
 
 
+# (space, partition, delta, workers) -> SpaceTables; the last table built
+_last_tables: dict = {}
+
+
 def compute_tables(space: SearchSpace, partition: GroupPartition, delta: float,
                    workers: int = 1) -> SpaceTables:
     """Build the whole-space payoff tables, chunked over the bitmask range.
@@ -292,6 +302,13 @@ def compute_tables(space: SearchSpace, partition: GroupPartition, delta: float,
     Chunks are contiguous; with workers > 1 they are computed in parallel
     processes and written back in canonical order, so the result never
     depends on the worker count.
+
+    The last table is remembered: a call whose four arguments equal the
+    last call's returns the same `SpaceTables`, so stable, efficient and
+    poa on one society in one process build it once.  Any other call drops
+    it before building, so at most one table is alive.  The worker count
+    is part of the key, so a workers=2 build is a build, never the
+    workers=1 table again.
     """
     if space.n != partition.n:
         raise ValidationError(f"search space has {space.n} nodes, "
@@ -303,6 +320,10 @@ def compute_tables(space: SearchSpace, partition: GroupPartition, delta: float,
     if space.n > 32:
         raise CapExceededError("table BFS packs each node set into one lane "
                                "of at most 32 bits; n <= 32")
+    key = (space, partition, delta, workers)
+    if key in _last_tables:
+        return _last_tables[key]
+    _last_tables.clear()  # free the old table before building the next
     size = space.size
     benefit = np.empty((size, space.n, partition.m), dtype=np.float64)
     degree = np.empty((size, space.n), dtype=np.uint8)
@@ -319,8 +340,10 @@ def compute_tables(space: SearchSpace, partition: GroupPartition, delta: float,
         for start, stop, (b, d) in zip(starts, stops, mapper(build, starts, stops)):
             benefit[start:stop] = b
             degree[start:stop] = d
-    return SpaceTables(space=space, partition=partition, delta=delta,
-                       benefit=benefit, degree=degree)
+    benefit.flags.writeable = degree.flags.writeable = False
+    tables = _last_tables[key] = SpaceTables(space=space, partition=partition, delta=delta,
+                                             benefit=benefit, degree=degree)
+    return tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -578,6 +601,11 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
     of 8 nodes), and from then on every scan, per-pair or interval, at any
     cost reads that copy.  Either way the flags and welfare are those of a
     first scan.
+
+    The table remembers its last scan: for a society equal to that scan's,
+    the same `SpaceScan` is returned, with its read-only ``stable`` and
+    ``welfare``, and nothing is scanned.  So one society scanned twice
+    never makes a second scan at its cost, nor the copy above.
     """
     space, partition = tables.space, tables.partition
     params = society.params
@@ -593,6 +621,9 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
             "interconnection spaces require cost below the clique-formation bound "
             f"(cost={params.cost}, bound={shortcut_gain(tables.delta)})")
 
+    if society in tables._scan:
+        return tables._scan[society]
+    tables._scan.clear()  # free the old scan before making the next
     size = space.size
     flags = _interval_flags(tables, society)
     # the free pairs this scan decides: none when the intervals settled it
@@ -617,7 +648,9 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
             column[start:stop] = cols[v]
     for t, (i, j) in high_pairs:
         _scan_pair(high[i], high[j], stable, t)
-    return SpaceScan(space=space, stable=stable, welfare=welfare)
+    stable.flags.writeable = welfare.flags.writeable = False
+    scan = tables._scan[society] = SpaceScan(space=space, stable=stable, welfare=welfare)
+    return scan
 
 
 def _scan_for(space: SearchSpace, society: Society) -> SpaceScan:

@@ -10,6 +10,7 @@ from groupform.model import (
     Network,
     Society,
 )
+from groupform import stability
 from groupform.stability import full_graph_space
 
 settings.register_profile(
@@ -23,6 +24,12 @@ settings.load_profile("default")
 
 # Partitions with every group size >= 3 and n <= 8, so exhaustive checks stay cheap.
 SMALL_SIZE_CHOICES = [(3,), (4,), (5,), (6,), (7,), (8,), (3, 3), (3, 4), (3, 5), (4, 4)]
+
+
+@pytest.fixture(autouse=True)
+def fresh_tables():
+    """Each test starts with no table remembered by `compute_tables`."""
+    stability._last_tables.clear()
 
 
 def random_society(rng: random.Random, max_groups: int = 2) -> Society:

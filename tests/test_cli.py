@@ -14,7 +14,7 @@ import groupform.cli
 import groupform.stability as stab
 import groupform.thresholds as th
 from groupform.cli import main, parse_scenario
-from groupform.model import Network, ValidationError, parse_edge_list
+from groupform.model import Network, ValidationError, parse_edge_list, welfare
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -108,6 +108,22 @@ class TestEval:
         code, text = run_cli(["eval", "--scenario", scenario, "--network", network])
         assert code == 0
         assert "welfare: 0" in text
+
+    def test_one_payoff_per_node_and_welfare_in_its_order(self, tmp_path, monkeypatch):
+        scenario = write(tmp_path, "s.scn", SCENARIO_3_5)
+        network = write(tmp_path, "net.edges", "0 1\n1 2\n2 3\n3 4\n4 7\n5 6\n")
+        society = parse_scenario(SCENARIO_3_5).society
+        graph = parse_edge_list(Path(network).read_text(encoding="ascii"), society.n)
+        expected = welfare(graph, society)
+        calls, payoff = [], groupform.model.payoff
+
+        def spy(network, i, society):
+            calls.append(i)
+            return payoff(network, i, society)
+        monkeypatch.setattr(groupform.model, "payoff", spy)
+        code, text = run_cli(["eval", "--scenario", scenario, "--network", network])
+        assert code == 0 and calls == list(range(8))
+        assert text.endswith(f"welfare: {expected:.12g}\n")
 
     def test_malformed_edge_line_exits_one(self, tmp_path, capsys):
         scenario = write(tmp_path, "s.scn", SCENARIO_3_5)
@@ -587,6 +603,69 @@ class TestPoaCommand:
         assert code == 0
         assert "space: interconnection (32768 networks)" in text
         assert "price of anarchy: 1.02564" in text
+
+
+class TestOneProcess:
+    def test_stable_efficient_and_poa_share_one_build_and_one_scan(self, tmp_path,
+                                                                   monkeypatch):
+        monkeypatch.setattr(stab, "_CHUNK_BITS", 12)  # 8 chunks per build
+        chunks, scans, interval_builds = [], [], []
+        build = stab._tables_chunk
+        flags = stab._interval_flags
+        intervals = stab._stability_intervals
+
+        def chunk_spy(space, partition, delta, start, stop):
+            chunks.append(start)
+            return build(space, partition, delta, start, stop)
+
+        def flags_spy(tables, society):  # once per scan that does work
+            scans.append(society)
+            return flags(tables, society)
+
+        def intervals_spy(tables, society):
+            interval_builds.append(society)
+            return intervals(tables, society)
+        monkeypatch.setattr(stab, "_tables_chunk", chunk_spy)
+        monkeypatch.setattr(stab, "_interval_flags", flags_spy)
+        monkeypatch.setattr(stab, "_stability_intervals", intervals_spy)
+        scenario = write(tmp_path, "s.scn", SCENARIO_3_5)
+        commands = [[command, "--scenario", scenario]
+                    for command in ("stable", "efficient", "poa")]
+        outputs = [run_cli(argv) for argv in commands]
+        assert chunks == list(range(0, 1 << 15, 1 << 12))
+        assert len(scans) == 1 and interval_builds == []
+        fresh = []
+        for argv in commands:  # each command in a process of its own
+            stab._last_tables.clear()
+            fresh.append(run_cli(argv))
+        assert outputs == fresh and [code for code, _ in outputs] == [0, 0, 0]
+
+    @pytest.mark.parametrize("parameter, start, stop, step, builds", [
+        ("F12", "0", "1", "0.005", 1),  # the checked-in sweep: one table, 201 rows
+        ("cost", "0.1", "0.2", "0.05", 1),
+        ("delta", "0.5", "0.6", "0.05", 3),  # a table per row
+    ])
+    def test_a_sweep_builds_each_distinct_table_once(self, monkeypatch, parameter, start,
+                                                      stop, step, builds):
+        monkeypatch.setattr(stab, "_CHUNK_BITS", 12)  # 8 chunks per build
+        chunks, scans = [], []
+        build, flags = stab._tables_chunk, stab._interval_flags
+
+        def chunk_spy(space, partition, delta, first, last):
+            chunks.append(first)
+            return build(space, partition, delta, first, last)
+
+        def flags_spy(tables, society):
+            scans.append(society)
+            return flags(tables, society)
+        monkeypatch.setattr(stab, "_tables_chunk", chunk_spy)
+        monkeypatch.setattr(stab, "_interval_flags", flags_spy)
+        scenario = str(ROOT / "scenarios" / "two_groups_boundary.scn")
+        code, text = run_cli(["sweep", "--scenario", scenario, "--parameter", parameter,
+                              "--from", start, "--to", stop, "--step", step])
+        assert code == 0
+        assert chunks == list(range(0, 1 << 15, 1 << 12)) * builds
+        assert len(scans) == len(text.splitlines()) - 1
 
 
 class TestInputErrors:

@@ -116,6 +116,8 @@ PROBES = [
      "node count 1025 is above the cap of 1024 nodes"),
     ("partition-sizes-above-cap", lambda: GroupPartition.from_sizes([3, 300_000_000]),
      "node count 300000003 is above the cap of 1024 nodes"),
+    ("partition-membership-above-cap", lambda: GroupPartition(tuple([0] * 1500 + [1] * 1500)),
+     "node count 3000 is above the cap of 1024 nodes"),
     # coordination matrix shape
     ("matrix-flat-row", lambda: CoordinationMatrix([1.0, 0.2]),
      "coordination matrix must be 2x2"),

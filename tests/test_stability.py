@@ -1,6 +1,7 @@
 import operator
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 from functools import reduce
 
@@ -542,8 +543,10 @@ class TestStabilityIntervals:
         return scan_space(fresh, society)
 
     def assert_second_scans_match(self, tables: SpaceTables, society_at, grid) -> None:
-        for _ in range(2):  # the per-pair scan, then the interval build
-            scan_space(tables, society_at(grid[0]))
+        # the per-pair scan, then the interval build: two distinct societies,
+        # since a table returns its last scan again for an equal one
+        for f12 in grid[:2]:
+            scan_space(tables, society_at(f12))
         cost = society_at(grid[0]).params.cost
         assert tables._intervals[cost] is not None
         for f12 in grid:
@@ -578,8 +581,8 @@ class TestStabilityIntervals:
         # near the ends keeps the flags equal there
         tables = compute_tables(interconnection_space(GroupPartition.from_sizes([3, 5])),
                                 GroupPartition.from_sizes([3, 5]), PARAMS.delta)
-        for _ in range(2):
-            scan_space(tables, society_3_5(0.5))
+        for f12 in (0.5, 0.6):
+            scan_space(tables, society_3_5(f12))
         lo, hi = tables._intervals[PARAMS.cost]
         ends = np.unique(np.concatenate([lo, hi]))
         ends = ends[(0 < ends) & (ends < 1)]
@@ -629,11 +632,16 @@ class TestStabilityIntervals:
         partition = GroupPartition.from_sizes([3, 5])
         space = interconnection_space(partition)
         for f12 in (0.1, 0.3, 0.8):
+            stability._last_tables.clear()  # each society in a process of its own
             enumerate_stable(space, society_3_5(f12))
             efficient_search(space, society_3_5(f12))
             price_of_anarchy(space, society_3_5(f12))
-        scan_space(compute_tables(space, partition, PARAMS.delta), society_3_5(0.3))
+            scan_space(compute_tables(space, partition, PARAMS.delta), society_3_5(f12))
         assert builds == []
+        # a second society at the cost is the table's second scan, as in a sweep
+        enumerate_stable(space, society_3_5(0.3))
+        price_of_anarchy(space, society_3_5(0.3))
+        assert builds == [PARAMS.cost]
 
     def test_second_scan_builds_once(self, builds):
         partition = GroupPartition.from_sizes([3, 5])
@@ -713,9 +721,11 @@ class TestCachedColumns:
         partition = GroupPartition.from_sizes([3, 5])
         space = interconnection_space(partition)
         for f12 in (0.1, 0.3, 0.8):
+            stability._last_tables.clear()  # each society in a process of its own
             enumerate_stable(space, society_3_5(f12))
             efficient_search(space, society_3_5(f12))
             price_of_anarchy(space, society_3_5(f12))
+        stability._last_tables.clear()
         tables = compute_tables(space, partition, PARAMS.delta)
         scan_space(tables, society_3_5(0.3))
         assert tables._columns == {}
@@ -748,7 +758,9 @@ class TestKernelSources:
 
     @pytest.fixture(scope="class")
     def tables_3_5(self) -> tuple[SpaceTables, SpaceTables]:
-        copied, fresh = (TestCachedColumns.sweep_tables() for _ in range(2))
+        copied = TestCachedColumns.sweep_tables()
+        stability._last_tables.clear()  # so that `fresh` is a second table
+        fresh = TestCachedColumns.sweep_tables()
         for f12 in (0.1, 0.3):
             scan_space(copied, society_3_5(f12))  # the second scan copies the table
         assert copied._columns and not fresh._columns
@@ -769,7 +781,9 @@ class TestKernelSources:
         space = SearchSpace(kind="interconnection", n=9,
                             fixed_edges=frozenset(partition.intra_pairs()),
                             free_pairs=tuple(partition.cross_pairs()[::3]))
-        copied, fresh = (compute_tables(space, partition, PARAMS.delta) for _ in range(2))
+        copied = compute_tables(space, partition, PARAMS.delta)
+        stability._last_tables.clear()  # so that `fresh` is a second table
+        fresh = compute_tables(space, partition, PARAMS.delta)
         stability._cache_columns(copied)
         assert copied._columns["benefit"].shape == (9, 3, space.size)
         society = Society(partition, CoordinationMatrix.from_upper_triangle(3, [0.1, 0.35, 0.7]),
@@ -813,11 +827,82 @@ class TestIdentity:
     def test_tables_and_scans_compare_and_hash_by_identity(self):
         partition = GroupPartition.from_sizes([3, 3])
         space = interconnection_space(partition)
-        tables, twin = (compute_tables(space, partition, PARAMS.delta) for _ in range(2))
+        tables = compute_tables(space, partition, PARAMS.delta)
+        stability._last_tables.clear()  # so that `twin` is built anew
+        twin = compute_tables(space, partition, PARAMS.delta)
         assert tables != twin and tables == tables
         scan, twin_scan = (scan_space(t, society_3_3(0.3)) for t in (tables, twin))
         assert scan != twin_scan and scan == scan
         assert len({tables, twin, scan, twin_scan}) == 4
+
+
+class TestMemo:
+    """`compute_tables` returns its last table again for an equal argument
+    tuple, and a table its last scan for an equal society; anything else is
+    built anew, a table only after the old one is freed."""
+
+    def test_a_hit_returns_the_identical_table_and_scan(self):
+        partition = GroupPartition.from_sizes([3, 5])
+        tables = compute_tables(interconnection_space(partition), partition, PARAMS.delta)
+        scan = scan_space(tables, society_3_5(0.3))
+        # equal arguments, each made anew
+        again = compute_tables(interconnection_space(GroupPartition.from_sizes([3, 5])),
+                               GroupPartition.from_sizes([3, 5]), 0.5, workers=1)
+        assert again is tables
+        assert scan_space(again, society_3_5(0.3)) is scan
+        assert stability._scan_for(interconnection_space(partition), society_3_5(0.3)) is scan
+
+    @pytest.mark.parametrize("changed", ["delta", "partition", "space", "workers"])
+    def test_another_argument_builds_anew_after_freeing_the_old_table(self, monkeypatch,
+                                                                      changed):
+        partition = GroupPartition.from_sizes([3, 3])
+        args = {"space": full_graph_space(6), "partition": partition, "delta": 0.5,
+                "workers": 1}
+        other = {"delta": 0.45, "partition": GroupPartition((0, 1, 0, 1, 0, 1)),
+                 "space": interconnection_space(partition), "workers": 2}
+        old = weakref.ref(compute_tables(**args))
+        build, old_alive_at_build = stability._tables_chunk, []
+
+        def spy(*chunk_args):
+            old_alive_at_build.append(old() is not None)
+            return build(*chunk_args)
+        monkeypatch.setattr(stability, "_tables_chunk", spy)
+        args[changed] = other[changed]
+        tables = compute_tables(**args)
+        assert old_alive_at_build == [False]  # one chunk, built once the old table was freed
+        assert old() is None
+        space, partition, delta = args["space"], args["partition"], args["delta"]
+        assert (tables.space, tables.partition, tables.delta) == (space, partition, delta)
+        benefit, degree = build(space, partition, delta, 0, space.size)
+        assert np.array_equal(tables.benefit, benefit) and np.array_equal(tables.degree, degree)
+        assert compute_tables(**args) is tables
+
+    def test_another_society_scans_anew_as_a_first_scan_would(self):
+        # cost 0.2 per pair, then the interval build; cost 0.1 per pair, then
+        # its intervals; cost 0.2 again, per pair
+        partition = GroupPartition.from_sizes([3, 5])
+        tables = compute_tables(interconnection_space(partition), partition, PARAMS.delta)
+        previous = None
+        for cost, f12 in [(0.2, 0.3), (0.2, 0.35), (0.1, 0.35), (0.1, 0.5), (0.2, 0.3)]:
+            society = TestStabilityIntervals.society((3, 5), PARAMS.delta, cost, f12)
+            scan = scan_space(tables, society)
+            assert scan is not previous
+            expected = TestStabilityIntervals.first_scan(tables, society)
+            assert scan.stable.tobytes() == expected.stable.tobytes(), (cost, f12)
+            assert scan.welfare.tobytes() == expected.welfare.tobytes(), (cost, f12)
+            assert scan_space(tables, society) is scan
+            previous = scan
+
+    def test_tables_and_scans_are_read_only(self):
+        partition = GroupPartition.from_sizes([3, 5])
+        tables = compute_tables(interconnection_space(partition), partition, PARAMS.delta)
+        first = scan_space(tables, society_3_5(0.3))  # per pair
+        second = scan_space(tables, society_3_5(0.6))  # flags off the intervals
+        assert stability._interval_flags(tables, society_3_5(0.6)) is not None
+        for array in (tables.benefit, tables.degree, first.stable, first.welfare,
+                      second.stable, second.welfare):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 class TestIntervalBuild:
