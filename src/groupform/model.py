@@ -256,9 +256,6 @@ class CoordinationMatrix:
                 rows[a][b] = rows[b][a] = next(it)
         return cls(rows)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
-
     def __getitem__(self, key: tuple[int, int]) -> float:
         return self.entries[key[0]][key[1]]
 

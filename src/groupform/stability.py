@@ -22,11 +22,13 @@ society in one process build and scan once.
 
 Two-group sweeps over the cross weight F12 scan one table many times.  For
 a fixed table and cost every payoff change is affine in F12, so each
-network is stable on one F12 interval.  From the second scan of a table at
-one cost on, `scan_space` reads every network's flag off that interval
-(`_stability_intervals`), unless some network has a NaN end or an end
-within 1e-6 of the scanned F12: then the whole scan is the per-pair scan.
-On the checked-in sweep that happens on 3 of its 201 rows.
+network is stable on one F12 interval.  A scan whose table remembers a
+scan at the same cost is the second at that cost: it builds the intervals
+(`_stability_intervals`), intersecting every free pair's interval over
+every network.  From then on `scan_space` reads every network's flag off
+its interval, unless some network has a NaN end or an end within 1e-6 of
+the scanned F12: then the whole scan is the per-pair scan.  On the
+checked-in sweep that happens on 3 of its 201 rows.
 """
 
 from __future__ import annotations
@@ -208,14 +210,16 @@ class SpaceTables:
     hands the same table to every caller with equal arguments.  ``_scan``
     remembers the last scan (`scan_space`) and the society it was made for.
 
-    For two groups, ``_intervals`` remembers the cost of the last scan and,
-    once a second scan at that cost has come, each network's F12 stability
-    interval at that cost: two float64 per network, which `scan_space`
-    reads on every later scan at that cost.  They settle a scan whole or
-    not at all: one NaN end, or one end within `_MARGIN` of F12, makes the
-    scan the per-pair scan.  Their build first fills ``_columns``
-    (`_cache_columns`): node-major copies of ``benefit`` and ``degree``,
-    which hold for every cost and which every later scan reads.
+    For two groups, ``_intervals`` holds each network's F12 stability
+    interval at one cost: two float64 per network, which `scan_space` reads
+    on every scan at that cost.  They are built on the second scan at a
+    cost, which is read off ``_scan``: the remembered scan was made at the
+    same cost.  The build intersects every free pair's interval over every
+    network.  They settle a scan whole or not at all: one NaN end, or one
+    end within `_MARGIN` of F12, makes the scan the per-pair scan.  Their
+    build first fills ``_columns`` (`_cache_columns`): node-major copies of
+    ``benefit`` and ``degree``, which hold for every cost and which every
+    later scan reads.
     """
 
     space: SearchSpace
@@ -223,7 +227,7 @@ class SpaceTables:
     delta: float
     benefit: np.ndarray  # (K, n, m) float64
     degree: np.ndarray   # (K, n) uint8
-    # cost -> None after one scan, then (lo, hi); one cost at a time
+    # cost -> (lo, hi), built intervals only; one cost at a time
     _intervals: dict = field(default_factory=dict, init=False, repr=False)
     # "benefit": (n, m, K) float64, "degree": (n, K) uint8; set by the interval build
     _columns: dict = field(default_factory=dict, init=False, repr=False)
@@ -499,7 +503,8 @@ def _stability_intervals(tables: SpaceTables, society: Society) -> tuple[np.ndar
     ``b >= 0``; `_pair_changes` only grows with each endpoint's change, so
     the pair toggles a network without it on an upper half-line of x and
     one with it on a lower half-line.  A network's interval is the
-    intersection of every free pair's (`_pair_intervals`).
+    intersection of every free pair's (`_pair_intervals`), taken for every
+    network.
 
     The margin argument.  A scanned change is the difference of two
     utilities, each at most five rounded operations on terms whose
@@ -523,17 +528,11 @@ def _stability_intervals(tables: SpaceTables, society: Society) -> tuple[np.ndar
     eta = 2.0 ** -40 * (space.n - 1) * (1.0 + cost)
     lo = np.full(space.size, _DOMAIN[0])
     hi = np.full(space.size, _DOMAIN[1])
-    # Intra-group pairs first: below the clique bound each one toggles every
-    # network without it at every F12, which settles half the networks.
-    pairs = sorted(enumerate(space.free_pairs), key=lambda tp: group[tp[1][0]] != group[tp[1][1]])
-    for t, (i, j) in pairs:
-        # Once lo > hi, or an end is NaN, further pairs change no flag: the
-        # network is unstable wherever x is off its ends by the margin.  So
-        # pair t skips a network whose partner is in that state too.
-        live = np.flatnonzero((lo <= hi).reshape(space.size >> (t + 1), 2, 1 << t).any(axis=1))
-        for first in range(0, live.size, _BLOCK):
+    half = np.arange(space.size >> 1)
+    for t, (i, j) in enumerate(space.free_pairs):
+        for first in range(0, half.size, _BLOCK):
             # the networks without pair t, and their partners with it
-            r = live[first:first + _BLOCK]
+            r = half[first:first + _BLOCK]
             absent = (r >> t << (t + 1)) | (r & ((1 << t) - 1))
             present = absent | (1 << t)
             changes = []
@@ -547,32 +546,27 @@ def _stability_intervals(tables: SpaceTables, society: Society) -> tuple[np.ndar
     return lo, hi
 
 
-def _intervals_for(tables: SpaceTables, society: Society):
-    """The cached ``(lo, hi)`` for the society's cost, built on the second
-    scan at that cost, after the table's node-major copy
-    (`_cache_columns`); None on a first scan or for m != 2, which take the
-    per-pair path."""
+def _interval_flags(tables: SpaceTables, society: Society) -> np.ndarray | None:
+    """Stability flags at the society's F12 from the table's intervals at its
+    cost, or None when they do not settle the whole scan: for m != 2, on a
+    first scan at the cost, or when any network has a NaN end or an end
+    within `_MARGIN` of F12.
+
+    A cost with no intervals drops any other cost's.  Its intervals are
+    built, after the table's node-major copy (`_cache_columns`), when the
+    scan the table remembers in ``_scan``, which `scan_space` replaces only
+    after this call, was made at the same cost: so the second scan at a
+    cost builds them."""
     if tables.partition.m != 2:
         return None
     cache, cost = tables._intervals, society.params.cost
     if cost not in cache:
         cache.clear()
-        cache[cost] = None
-    elif cache[cost] is None:
+        if not any(seen.params.cost == cost for seen in tables._scan):
+            return None
         _cache_columns(tables)
         cache[cost] = _stability_intervals(tables, society)
-    return cache[cost]
-
-
-def _interval_flags(tables: SpaceTables, society: Society) -> np.ndarray | None:
-    """Stability flags at the society's F12 from the cached intervals, or
-    None when they do not settle the whole scan: on a first scan at the
-    cost, for m != 2, or when any network has a NaN end or an end within
-    `_MARGIN` of F12."""
-    intervals = _intervals_for(tables, society)
-    if intervals is None:
-        return None
-    lo, hi = intervals
+    lo, hi = cache[cost]
     x = society.coordination[0, 1]
     # a NaN end compares False, so it fails the test as a near end does
     if not ((np.abs(lo - x) > _MARGIN) & (np.abs(hi - x) > _MARGIN)).all():
@@ -591,8 +585,10 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
     whole-space utility columns only for the endpoints of free pairs whose
     bit lies above the chunk.
 
-    A two-group table's second scan at one cost builds each network's F12
-    stability interval (`_stability_intervals`) and keeps it on the
+    A two-group table's second scan at one cost, known as such because the
+    scan the table remembers (below) was made at that cost, builds each
+    network's F12 stability interval (`_stability_intervals`), intersecting
+    every free pair's interval over every network, and keeps it on the
     tables.  That scan and every later one at that cost take all the flags
     from the intervals when no network has a NaN end or an end within
     `_MARGIN` of F12; it then holds no utility columns.  Otherwise the
@@ -623,9 +619,9 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
 
     if society in tables._scan:
         return tables._scan[society]
+    flags = _interval_flags(tables, society)  # reads the old scan's cost
     tables._scan.clear()  # free the old scan before making the next
     size = space.size
-    flags = _interval_flags(tables, society)
     # the free pairs this scan decides: none when the intervals settled it
     pairs = list(enumerate(space.free_pairs)) if flags is None else []
     stable = np.ones(size, dtype=bool) if flags is None else flags

@@ -179,7 +179,7 @@ class TestExpandMatrix:
     def test_equal_sizes_match_block_construction(self):
         coordination = CoordinationMatrix([[1.0, 0.7], [0.7, 1.0]])
         w = node_weights(Society(GroupPartition.from_sizes([3, 3]), coordination, PARAMS))
-        blocks = np.kron(coordination.as_array(), np.ones((3, 3))) - np.eye(6)
+        blocks = np.kron(np.array(coordination.entries), np.ones((3, 3))) - np.eye(6)
         assert np.allclose(w, blocks, atol=0)
 
     def test_dimension_mismatch(self):

@@ -548,7 +548,7 @@ class TestStabilityIntervals:
         for f12 in grid[:2]:
             scan_space(tables, society_at(f12))
         cost = society_at(grid[0]).params.cost
-        assert tables._intervals[cost] is not None
+        assert list(tables._intervals) == [cost]
         for f12 in grid:
             society = society_at(f12)
             scan, expected = scan_space(tables, society), self.first_scan(tables, society)
@@ -615,6 +615,15 @@ class TestStabilityIntervals:
             grid = [0.1, 0.3, 0.45, 0.6, 0.9]
             self.assert_second_scans_match(
                 tables, lambda f12: self.society((3, 5), PARAMS.delta, cost, f12), grid)
+            assert list(tables._intervals) == [cost]
+
+    def test_a_first_scan_at_a_cost_holds_no_intervals(self):
+        partition = GroupPartition.from_sizes([3, 5])
+        tables = compute_tables(interconnection_space(partition), partition, PARAMS.delta)
+        for cost in (0.2, 0.1, 0.2):
+            scan_space(tables, self.society((3, 5), PARAMS.delta, cost, 0.3))
+            assert tables._intervals == {}  # per pair, and the other cost's dropped
+            scan_space(tables, self.society((3, 5), PARAMS.delta, cost, 0.6))
             assert list(tables._intervals) == [cost]
 
     @pytest.fixture
@@ -906,8 +915,8 @@ class TestMemo:
 
 
 class TestIntervalBuild:
-    """`_stability_intervals` intersects every free pair's interval; it
-    skips a pair only for networks already shown unstable on the domain."""
+    """`_stability_intervals` intersects every free pair's interval over
+    every network, skipping none."""
 
     @pytest.fixture(scope="class")
     def full_3_3(self):
@@ -915,7 +924,7 @@ class TestIntervalBuild:
         tables = compute_tables(full_graph_space(6), society.partition, PARAMS.delta)
         return tables, society
 
-    def test_skipping_settled_networks_changes_no_live_interval(self, full_3_3):
+    def test_every_network_intersects_every_free_pair(self, full_3_3):
         tables, society = full_3_3
         space, group = tables.space, society.partition.membership
         lo, hi = stability._stability_intervals(tables, society)
@@ -933,10 +942,10 @@ class TestIntervalBuild:
                                                stability._pair_intervals(*changes, eta)):
                 full_lo[side] = np.maximum(full_lo[side], pair_lo)
                 full_hi[side] = np.minimum(full_hi[side], pair_hi)
-        live = full_lo <= full_hi
-        assert 0 < np.count_nonzero(live) < space.size
-        assert np.array_equal(lo <= hi, live)
-        assert np.array_equal(lo[live], full_lo[live]) and np.array_equal(hi[live], full_hi[live])
+        # networks unstable at every F12 are intersected too, not skipped
+        assert 0 < np.count_nonzero(full_lo <= full_hi) < space.size
+        assert np.array_equal(lo, full_lo, equal_nan=True)
+        assert np.array_equal(hi, full_hi, equal_nan=True)
 
     def test_an_untrusted_pair_interval_leaves_its_networks_untrusted(self, monkeypatch,
                                                                       full_3_3):
