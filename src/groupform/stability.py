@@ -24,11 +24,10 @@ Two-group sweeps over the cross weight F12 scan one table many times.  For
 a fixed table and cost every payoff change is affine in F12, so each
 network is stable on one F12 interval.  A scan whose table remembers a
 scan at the same cost is the second at that cost: it builds the intervals
-(`_stability_intervals`), intersecting every free pair's interval over
-every network.  From then on `scan_space` reads every network's flag off
-its interval, unless some network has a NaN end or an end within 1e-6 of
-the scanned F12: then the whole scan is the per-pair scan.  On the
-checked-in sweep that happens on 3 of its 201 rows.
+(`_stability_intervals`).  From then on `scan_space` reads every
+network's flag off its interval, unless some network has a NaN end or an
+end within 1e-6 of the scanned F12: then the whole scan is the per-pair
+scan.  On the checked-in sweep that happens on 3 of its 201 rows.
 """
 
 from __future__ import annotations
@@ -213,13 +212,12 @@ class SpaceTables:
     For two groups, ``_intervals`` holds each network's F12 stability
     interval at one cost: two float64 per network, which `scan_space` reads
     on every scan at that cost.  They are built on the second scan at a
-    cost, which is read off ``_scan``: the remembered scan was made at the
-    same cost.  The build intersects every free pair's interval over every
-    network.  They settle a scan whole or not at all: one NaN end, or one
-    end within `_MARGIN` of F12, makes the scan the per-pair scan.  Their
-    build first fills ``_columns`` (`_cache_columns`): node-major copies of
-    ``benefit`` and ``degree``, which hold for every cost and which every
-    later scan reads.
+    cost: `scan_space` reads the cost of the scan in ``_scan`` before it
+    replaces that scan.  They settle a scan whole or not at all: one NaN
+    end, or one end within `_MARGIN` of F12, makes the scan the per-pair
+    scan.  Their build first fills ``_columns`` (`_cache_columns`):
+    node-major copies of ``benefit`` and ``degree``, which hold for every
+    cost and which every later scan reads.
     """
 
     space: SearchSpace
@@ -503,8 +501,7 @@ def _stability_intervals(tables: SpaceTables, society: Society) -> tuple[np.ndar
     ``b >= 0``; `_pair_changes` only grows with each endpoint's change, so
     the pair toggles a network without it on an upper half-line of x and
     one with it on a lower half-line.  A network's interval is the
-    intersection of every free pair's (`_pair_intervals`), taken for every
-    network.
+    intersection of every free pair's (`_pair_intervals`).
 
     The margin argument.  A scanned change is the difference of two
     utilities, each at most five rounded operations on terms whose
@@ -528,11 +525,17 @@ def _stability_intervals(tables: SpaceTables, society: Society) -> tuple[np.ndar
     eta = 2.0 ** -40 * (space.n - 1) * (1.0 + cost)
     lo = np.full(space.size, _DOMAIN[0])
     hi = np.full(space.size, _DOMAIN[1])
-    half = np.arange(space.size >> 1)
-    for t, (i, j) in enumerate(space.free_pairs):
-        for first in range(0, half.size, _BLOCK):
+    # Intra-group pairs first: below the clique bound each one toggles every
+    # network without it at every F12, which settles half the networks.
+    pairs = sorted(enumerate(space.free_pairs), key=lambda tp: group[tp[1][0]] != group[tp[1][1]])
+    for t, (i, j) in pairs:
+        # Once lo > hi, or an end is NaN, further pairs change no flag: the
+        # network is unstable wherever x is off its ends by the margin.  So
+        # pair t skips a network whose partner is in that state too.
+        live = np.flatnonzero((lo <= hi).reshape(space.size >> (t + 1), 2, 1 << t).any(axis=1))
+        for first in range(0, live.size, _BLOCK):
             # the networks without pair t, and their partners with it
-            r = half[first:first + _BLOCK]
+            r = live[first:first + _BLOCK]
             absent = (r >> t << (t + 1)) | (r & ((1 << t) - 1))
             present = absent | (1 << t)
             changes = []
@@ -548,25 +551,13 @@ def _stability_intervals(tables: SpaceTables, society: Society) -> tuple[np.ndar
 
 def _interval_flags(tables: SpaceTables, society: Society) -> np.ndarray | None:
     """Stability flags at the society's F12 from the table's intervals at its
-    cost, or None when they do not settle the whole scan: for m != 2, on a
-    first scan at the cost, or when any network has a NaN end or an end
-    within `_MARGIN` of F12.
-
-    A cost with no intervals drops any other cost's.  Its intervals are
-    built, after the table's node-major copy (`_cache_columns`), when the
-    scan the table remembers in ``_scan``, which `scan_space` replaces only
-    after this call, was made at the same cost: so the second scan at a
-    cost builds them."""
-    if tables.partition.m != 2:
+    cost, or None when they do not settle the whole scan: when the table
+    holds none at that cost (`scan_space` builds them), or when any network
+    has a NaN end or an end within `_MARGIN` of F12."""
+    intervals = tables._intervals.get(society.params.cost)
+    if intervals is None:
         return None
-    cache, cost = tables._intervals, society.params.cost
-    if cost not in cache:
-        cache.clear()
-        if not any(seen.params.cost == cost for seen in tables._scan):
-            return None
-        _cache_columns(tables)
-        cache[cost] = _stability_intervals(tables, society)
-    lo, hi = cache[cost]
+    lo, hi = intervals
     x = society.coordination[0, 1]
     # a NaN end compares False, so it fails the test as a near end does
     if not ((np.abs(lo - x) > _MARGIN) & (np.abs(hi - x) > _MARGIN)).all():
@@ -587,11 +578,10 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
 
     A two-group table's second scan at one cost, known as such because the
     scan the table remembers (below) was made at that cost, builds each
-    network's F12 stability interval (`_stability_intervals`), intersecting
-    every free pair's interval over every network, and keeps it on the
-    tables.  That scan and every later one at that cost take all the flags
-    from the intervals when no network has a NaN end or an end within
-    `_MARGIN` of F12; it then holds no utility columns.  Otherwise the
+    network's F12 stability interval (`_stability_intervals`) and keeps it
+    on the tables.  That scan and every later one at that cost take all
+    the flags from the intervals when no network has a NaN end or an end
+    within `_MARGIN` of F12; it then holds no utility columns.  Otherwise the
     whole scan is the per-pair scan.  The interval build first copies the
     table node-major (`_cache_columns`, 4.25 MB on a 32,768-network table
     of 8 nodes), and from then on every scan, per-pair or interval, at any
@@ -619,9 +609,15 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
 
     if society in tables._scan:
         return tables._scan[society]
-    flags = _interval_flags(tables, society)  # reads the old scan's cost
+    last = next(iter(tables._scan), None)  # the society of the last scan
     tables._scan.clear()  # free the old scan before making the next
+    if last is None or last.params.cost != params.cost:
+        tables._intervals.clear()  # a first scan at this cost: per pair
+    elif partition.m == 2 and not tables._intervals:
+        _cache_columns(tables)  # the second: build the F12 intervals
+        tables._intervals[params.cost] = _stability_intervals(tables, society)
     size = space.size
+    flags = _interval_flags(tables, society)
     # the free pairs this scan decides: none when the intervals settled it
     pairs = list(enumerate(space.free_pairs)) if flags is None else []
     stable = np.ones(size, dtype=bool) if flags is None else flags

@@ -545,9 +545,12 @@ class TestStabilityIntervals:
     def assert_second_scans_match(self, tables: SpaceTables, society_at, grid) -> None:
         # the per-pair scan, then the interval build: two distinct societies,
         # since a table returns its last scan again for an equal one
-        for f12 in grid[:2]:
-            scan_space(tables, society_at(f12))
         cost = society_at(grid[0]).params.cost
+        built = cost in tables._intervals
+        scan_space(tables, society_at(grid[0]))
+        # a first scan at a cost builds none, and drops another cost's
+        assert list(tables._intervals) == ([cost] if built else [])
+        scan_space(tables, society_at(grid[1]))
         assert list(tables._intervals) == [cost]
         for f12 in grid:
             society = society_at(f12)
@@ -576,6 +579,27 @@ class TestStabilityIntervals:
         self.assert_second_scans_match(
             tables, lambda f12: self.society(sizes, delta, cost, f12), grid)
 
+    # On a full space, whose intra-group pairs settle most networks unstable
+    # at every F12, the rows that fall back to the per-pair scan are the grid
+    # points within the margin of a stable bound, and 0 near the clique bound.
+    @pytest.mark.parametrize("cost, rows", [
+        (0.2, [0.2, 0.4, 8 / 15, 0.8]),
+        (0.25 - 2 * EPSILON, [0.0, 0.25 - 2 * EPSILON, 0.25, 0.5 - 4 * EPSILON, 0.5,
+                              2 / 3 - 16 / 3 * EPSILON, 1 - 8 * EPSILON, 1.0]),
+    ], ids=["cost-0.2", "cost-at-clique-bound"])
+    def test_full_space_rows_that_scan_pair_by_pair(self, cost, rows):
+        sizes, params = (3, 3), ModelParams(PARAMS.delta, cost)
+        tables = compute_tables(full_graph_space(6), GroupPartition.from_sizes(sizes),
+                                params.delta)
+        bounds = [*stable_boundaries(*sizes, params), *efficient_boundaries(*sizes, params)]
+        grid = sorted({k / 40 for k in range(41)} | {b for b in bounds if b <= 1})
+        societies = [self.society(sizes, params.delta, cost, f12) for f12 in grid]
+        for society in societies[:2]:
+            scan_space(tables, society)
+        per_pair = [f12 for f12, society in zip(grid, societies)
+                    if stability._interval_flags(tables, society) is None]
+        assert per_pair == pytest.approx(rows, rel=0, abs=1e-12)
+
     def test_flags_at_the_interval_ends_equal_the_pair_rule(self):
         # at an end the float rule may go either way; only the fallback
         # near the ends keeps the flags equal there
@@ -597,7 +621,8 @@ class TestStabilityIntervals:
         grid = (0.1, 0.6, 0.9)  # no interval end within the margin of these
         for f12 in grid:
             scan_space(tables, society_3_5(f12))
-            assert stability._interval_flags(tables, society_3_5(f12)) is not None
+            # the first scan at the cost is per pair and builds no intervals
+            assert (stability._interval_flags(tables, society_3_5(f12)) is None) == (f12 == 0.1)
         lo, hi = tables._intervals[PARAMS.cost]
         if untrusted == "every network":
             lo[:] = hi[:] = np.nan
@@ -615,15 +640,6 @@ class TestStabilityIntervals:
             grid = [0.1, 0.3, 0.45, 0.6, 0.9]
             self.assert_second_scans_match(
                 tables, lambda f12: self.society((3, 5), PARAMS.delta, cost, f12), grid)
-            assert list(tables._intervals) == [cost]
-
-    def test_a_first_scan_at_a_cost_holds_no_intervals(self):
-        partition = GroupPartition.from_sizes([3, 5])
-        tables = compute_tables(interconnection_space(partition), partition, PARAMS.delta)
-        for cost in (0.2, 0.1, 0.2):
-            scan_space(tables, self.society((3, 5), PARAMS.delta, cost, 0.3))
-            assert tables._intervals == {}  # per pair, and the other cost's dropped
-            scan_space(tables, self.society((3, 5), PARAMS.delta, cost, 0.6))
             assert list(tables._intervals) == [cost]
 
     @pytest.fixture
@@ -915,8 +931,8 @@ class TestMemo:
 
 
 class TestIntervalBuild:
-    """`_stability_intervals` intersects every free pair's interval over
-    every network, skipping none."""
+    """`_stability_intervals` intersects every free pair's interval; it
+    skips a pair only for networks already shown unstable on the domain."""
 
     @pytest.fixture(scope="class")
     def full_3_3(self):
@@ -924,7 +940,7 @@ class TestIntervalBuild:
         tables = compute_tables(full_graph_space(6), society.partition, PARAMS.delta)
         return tables, society
 
-    def test_every_network_intersects_every_free_pair(self, full_3_3):
+    def test_skipping_settled_networks_changes_no_live_interval(self, full_3_3):
         tables, society = full_3_3
         space, group = tables.space, society.partition.membership
         lo, hi = stability._stability_intervals(tables, society)
@@ -942,10 +958,10 @@ class TestIntervalBuild:
                                                stability._pair_intervals(*changes, eta)):
                 full_lo[side] = np.maximum(full_lo[side], pair_lo)
                 full_hi[side] = np.minimum(full_hi[side], pair_hi)
-        # networks unstable at every F12 are intersected too, not skipped
-        assert 0 < np.count_nonzero(full_lo <= full_hi) < space.size
-        assert np.array_equal(lo, full_lo, equal_nan=True)
-        assert np.array_equal(hi, full_hi, equal_nan=True)
+        live = full_lo <= full_hi
+        assert 0 < np.count_nonzero(live) < space.size
+        assert np.array_equal(lo <= hi, live)
+        assert np.array_equal(lo[live], full_lo[live]) and np.array_equal(hi[live], full_hi[live])
 
     def test_an_untrusted_pair_interval_leaves_its_networks_untrusted(self, monkeypatch,
                                                                       full_3_3):
