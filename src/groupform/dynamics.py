@@ -142,7 +142,7 @@ class DynamicsTrace:
 
 
 def step(network: Network, pair: tuple[int, int], society: Society, *,
-         memo: Optional[dict[int, tuple[float, tuple[int, ...]]]] = None,
+         memo: Optional[dict[int, tuple[Optional[float], tuple[int, ...]]]] = None,
          ) -> tuple[Network, Action]:
     """Resolve one activated pair against the current network.
 
@@ -151,13 +151,14 @@ def step(network: Network, pair: tuple[int, int], society: Society, *,
     or both are indifferent.  An existing link is cut as soon as one side
     strictly gains from cutting it.
 
-    ``memo`` maps each node to ``(payoff, balls)`` in ``network``: its
-    payoff, and its cumulative BFS balls, where ``balls[k]`` is the bitmask
-    of nodes within k hops of it (`model._balls`).  An endpoint missing from
-    it is filled by one BFS.  A caller that keeps one memo while the network
-    stays the same, and empties it when the network changes, skips that BFS;
-    the balls also decide a missing link with no BFS on the network with
-    the link.
+    ``memo`` maps nodes to ``(payoff, balls)`` in ``network``: the payoff
+    (None until first read), and the cumulative BFS balls, where
+    ``balls[k]`` is the bitmask of nodes within k hops (`model._balls`).  An
+    endpoint missing from it is filled by one BFS.  On return it describes
+    the returned network, since a change carries it over
+    (`stability._resolve`), so a caller that keeps one memo for a whole run
+    skips most BFS; the balls also decide a missing link with no BFS on the
+    network with the link.
     """
     i, j = checked_pair(*_two_items(pair), network.n)
     resolved = _resolve(network, i, j, society, {} if memo is None else memo)
@@ -173,6 +174,13 @@ def run(start: Network, selector: PairSelector, society: Society,
     The full stability verification runs after as many consecutive
     unchanged periods as there are node pairs, and once more when the run
     stops for any other reason.
+
+    A decision depends only on the network and the pair, so the run keeps
+    what it knows across periods: one `step` memo for the whole run, which
+    each change carries to the new network, and the pairs decided
+    unchanged since the last change.  A period that draws such a pair again
+    is a no-change period without a `step` call, and the verification skips
+    those pairs and reads the same memo.
     """
     try:
         max_steps = operator.index(max_steps)
@@ -190,13 +198,18 @@ def run(start: Network, selector: PairSelector, society: Society,
     steps: list[TraceStep] = []
     quiet = 0
     memo: dict = {}  # (payoff, balls) in the current network, by node
+    settled: set[tuple[int, int]] = set()  # pairs decided unchanged since the last change
 
     for period, pair in zip(range(1, max_steps + 1), selector.pairs(start.n)):
-        network, action = step(network, pair, society, memo=memo)
+        if pair in settled:
+            action = Action.NO_CHANGE
+        else:
+            network, action = step(network, pair, society, memo=memo)
         if action is Action.NO_CHANGE:
             quiet += 1
+            settled.add(pair)
         else:
-            memo.clear()
+            settled.clear()
             quiet = 0
             delta = 1 if action is Action.ADDED else -1
             if partition.membership[pair[0]] != partition.membership[pair[1]]:
@@ -205,12 +218,12 @@ def run(start: Network, selector: PairSelector, society: Society,
                 intra += delta
         steps.append(TraceStep(period, pair, action, intra, inter))
         if quiet >= window:
-            if is_pairwise_stable(network, society):
+            if is_pairwise_stable(network, society, memo=memo, settled=settled):
                 converged = True
                 break
             quiet = 0  # verified unstable; wait for another quiet stretch
     else:
-        converged = is_pairwise_stable(network, society)
+        converged = is_pairwise_stable(network, society, memo=memo, settled=settled)
     return DynamicsTrace(steps=tuple(steps), final=network, converged=converged)
 
 

@@ -413,22 +413,30 @@ def _balls(masks, source: int) -> tuple[int, ...]:
         balls.append(ball)
 
 
-def _added_balls(balls_i: tuple[int, ...], balls_j: tuple[int, ...]) -> list[int]:
-    """Node i's BFS balls once the link (i, j) is added, from both
-    endpoints' balls before the add.
+def _added_balls(balls_v: tuple[int, ...], balls_far: tuple[int, ...],
+                 near: int = 0) -> tuple[int, ...]:
+    """Node v's BFS balls once the link (i, j) is added, from the balls
+    before the add of v and of the end farther from v, where ``near`` is
+    v's hop count to the nearer end (0 when v is an end).
 
-    Adding a link only shortens paths, through d'_i = min(d_i, 1 + d_j), so
-    i's new ball k is ``balls_i[k] | balls_j[k - 1]``: exactly the balls
-    `_balls` would yield on the network with the link.
+    Adding a link only shortens paths: d'(v, x) = min(d(v, x),
+    d(v, i) + 1 + d(j, x), d(v, j) + 1 + d(i, x)), so v's new ball k is
+    ``balls_v[k] | balls_j[k - 1 - d(v, i)] | balls_i[k - 1 - d(v, j)]``.
+    The nearer end's term lies inside ``balls_v[k]``, which leaves
+    ``balls_v[k] | balls_far[k - 1 - near]``: exactly the balls `_balls`
+    would yield on the network with the link.  The far term adds nothing
+    when the far end lies at most near + 1 hops from v, so v's balls
+    change only when its hop counts to i and j differ by two or more, or
+    just one end is reachable from it.
     """
-    last_i, last_j = len(balls_i) - 1, len(balls_j) - 1
-    ball = balls_i[0]
-    balls = [ball]
-    hop = 1
+    last_v, last_far = len(balls_v) - 1, len(balls_far) - 1
+    balls = list(balls_v[:near + 1])
+    ball = balls[-1]
+    hop = near + 1
     while True:
-        merged = balls_i[min(hop, last_i)] | balls_j[min(hop - 1, last_j)]
+        merged = balls_v[min(hop, last_v)] | balls_far[min(hop - 1 - near, last_far)]
         if merged == ball:
-            return balls
+            return tuple(balls)
         balls.append(merged)
         ball = merged
         hop += 1

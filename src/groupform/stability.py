@@ -33,6 +33,7 @@ scan.  On the checked-in sweep that happens on 3 of its 201 rows.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -135,21 +136,27 @@ def _pair_changes(present, du_i, du_j):
 
 
 def _resolve(network: Network, i: int, j: int, society: Society,
-             memo: dict[int, tuple[float, tuple[int, ...]]]) -> Network:
+             memo: dict[int, tuple[float | None, tuple[int, ...]]]) -> Network:
     """The network after pair (i, j), in range with i < j (as
     `model.checked_pair` returns it), is activated: toggled when the pair
     rule changes it, ``network`` itself otherwise.
 
     A present link below its link bound (`thresholds.below_link_bound`) is
     kept with no search at all: the cut would cost each endpoint more
-    benefit than the link cost it saves.  ``memo`` maps nodes to their payoff and BFS balls
-    (`model._balls`) in ``network``; an endpoint missing from it is filled
-    by one BFS, its payoff read off the balls by `model._level_sum` as
-    `payoff` does.  Any other present link's endpoints are re-evaluated on
-    the network without it.  A missing link's are read off the merged balls
+    benefit than the link cost it saves.  ``memo`` maps nodes to their
+    payoff and BFS balls (`model._balls`) in ``network``, the payoff None
+    until first read; an endpoint missing from it is filled by one BFS, and
+    a payoff is read off the balls by `model._level_sum` as `payoff` does.
+    Any other present link's endpoints are re-evaluated on the network
+    without it.  A missing link's are read off the merged balls
     (`model._added_balls`), which equal a BFS's on the network with the
     link; when i strictly loses, the link is refused before j's change is
     computed, since the consent rule then refuses it whatever j gains.
+
+    On return ``memo`` describes the returned network.  An add gives every
+    remembered node its merged balls, with its payoff unread, and i and j
+    the payoffs just computed; a cut keeps only the nodes at equal hop
+    counts from i and j (`_carry_memo`).
     """
     check_network_size(network, society)
     masks = network.neighbor_masks
@@ -160,27 +167,92 @@ def _resolve(network: Network, i: int, j: int, society: Society,
             return network
     for node in (i, j):
         if node not in memo:
-            balls = _balls(masks, node)
-            memo[node] = _level_sum(balls, node, society), balls
-    (u_i, balls_i), (u_j, balls_j) = memo[i], memo[j]
+            memo[node] = None, _balls(masks, node)
+    u_i = _memo_payoff(memo, i, society)
     if present:
         toggled = network._toggled(i, j)
         du_i = payoff(toggled, i, society) - u_i
-        du_j = payoff(toggled, j, society) - u_j
-        return toggled if _pair_changes(True, du_i, du_j) else network
-    du_i = _level_sum(_added_balls(balls_i, balls_j), i, society) - u_i
-    if not _pair_changes(False, du_i, math.inf):
+        du_j = payoff(toggled, j, society) - _memo_payoff(memo, j, society)
+        if not _pair_changes(True, du_i, du_j):
+            return network
+        _carry_memo(memo, i, j, added=False)
+        return toggled
+    balls_i, balls_j = memo[i][1], memo[j][1]
+    added_i = _added_balls(balls_i, balls_j)
+    new_i = _level_sum(added_i, i, society)
+    if not _pair_changes(False, new_i - u_i, math.inf):
         return network
-    du_j = _level_sum(_added_balls(balls_j, balls_i), j, society) - u_j
-    return network._toggled(i, j) if _pair_changes(False, du_i, du_j) else network
+    added_j = _added_balls(balls_j, balls_i)
+    new_j = _level_sum(added_j, j, society)
+    if not _pair_changes(False, new_i - u_i, new_j - _memo_payoff(memo, j, society)):
+        return network
+    _carry_memo(memo, i, j, added=True)
+    memo[i], memo[j] = (new_i, added_i), (new_j, added_j)
+    return network._toggled(i, j)
 
 
-def is_pairwise_stable(network: Network, society: Society) -> bool:
-    """No profitable unilateral cut and no mutually agreeable missing link."""
+def _memo_payoff(memo: dict, node: int, society: Society) -> float:
+    """A remembered node's payoff, read off its balls on first use."""
+    u, balls = memo[node]
+    if u is None:
+        u = _level_sum(balls, node, society)
+        memo[node] = u, balls
+    return u
+
+
+def _carry_memo(memo: dict, i: int, j: int, added: bool) -> None:
+    """Move a `_resolve` memo that holds i and j from a network to the one
+    with the pair (i, j) toggled, keeping every entry that stays exact.
+
+    On an add, every remembered node v at ``near`` hops from one end and at
+    least near + 2 from the other, or unreachable from it, gets the merged
+    balls of `model._added_balls`, its payoff unread; i and j are such
+    nodes, and the link shortens no path from any other node.  On a cut,
+    only the nodes at equal hop counts from i and j stay, unreachable ones
+    included: no shortest path from them runs through the link.
+    """
+    balls_i, balls_j = memo[i][1], memo[j][1]
+    if added:
+        for near_balls, far_balls in ((balls_i, balls_j), (balls_j, balls_i)):
+            last = len(far_balls) - 1
+            previous = 0
+            for near, ball in enumerate(near_balls):
+                moved = ball & ~previous & ~far_balls[min(near + 1, last)]
+                previous = ball
+                while moved:
+                    bit = moved & -moved
+                    moved ^= bit
+                    v = bit.bit_length() - 1
+                    if v in memo:
+                        memo[v] = None, _added_balls(memo[v][1], far_balls, near)
+        return
+    kept = ~balls_i[-1]  # i and j share one component; the rest keep their balls
+    previous_i = previous_j = 0
+    for ball_i, ball_j in zip(balls_i, balls_j):
+        kept |= (ball_i & ~previous_i) & (ball_j & ~previous_j)
+        previous_i, previous_j = ball_i, ball_j
+    for v in [v for v in memo if not kept >> v & 1]:
+        del memo[v]
+
+
+def is_pairwise_stable(network: Network, society: Society, *,
+                       memo: dict | None = None,
+                       settled: Collection[tuple[int, int]] = frozenset()) -> bool:
+    """No profitable unilateral cut and no mutually agreeable missing link.
+
+    A caller that has already decided some pairs (i < j) of ``network``
+    unchanged passes them as ``settled``, and they are not decided again.
+    ``memo`` is a `_resolve` memo of ``network`` to read and fill, as a
+    dynamics run keeps one; a pair found to change would carry it to
+    another network, so it is emptied before False is returned.
+    """
     check_network_size(network, society)
-    memo: dict[int, tuple[float, tuple[int, ...]]] = {}
-    return all(_resolve(network, i, j, society, memo) is network
-               for i, j in all_pairs(network.n))
+    memo = {} if memo is None else memo
+    for i, j in all_pairs(network.n):
+        if (i, j) not in settled and _resolve(network, i, j, society, memo) is not network:
+            memo.clear()
+            return False
+    return True
 
 
 def defeats(candidate: Network, network: Network, society: Society) -> bool:

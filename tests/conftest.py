@@ -9,8 +9,9 @@ from groupform.model import (
     ModelParams,
     Network,
     Society,
+    payoff,
 )
-from groupform import stability
+from groupform import model, stability
 from groupform.stability import full_graph_space
 
 settings.register_profile(
@@ -54,3 +55,13 @@ def two_groups_3_5() -> Society:
         CoordinationMatrix.uniform(2, 0.4),
         ModelParams(0.5, 0.2),
     )
+
+
+def assert_memo_on(memo, network, society):
+    """Each `_resolve` memo entry is ``(payoff, balls)`` on ``network``: the
+    balls of a fresh BFS, and `payoff` bit for bit, as read now where the
+    payoff is still unread (None)."""
+    for v, (u, balls) in memo.items():
+        assert balls == model._balls(network.neighbor_masks, v), v
+        read = model._level_sum(balls, v, society) if u is None else u
+        assert read == payoff(network, v, society), v

@@ -28,7 +28,7 @@ from groupform.model import (
 )
 from groupform.stability import is_pairwise_stable
 
-from conftest import random_network, random_society
+from conftest import assert_memo_on, random_network, random_society
 
 PARAMS = ModelParams(0.5, 0.2)
 
@@ -86,10 +86,9 @@ class TestStep:
     def test_missing_link_is_decided_from_the_memo_alone(self, monkeypatch, f12, expected):
         society = two_group_society([3, 5], f12)
         network = Network.disjoint_cliques(society.partition)
-        memo = {}
-        # missing pairs memoise both endpoints; a kept present link needs no BFS
-        step(network, (0, 4), society, memo=memo)
-        step(network, (1, 3), society, memo=memo)
+        # both endpoints remembered, 3's payoff still unread
+        memo = {0: (payoff(network, 0, society), model._balls(network.neighbor_masks, 0)),
+                3: (None, model._balls(network.neighbor_masks, 3))}
         built = []
 
         def no_bfs(*args):
@@ -106,6 +105,8 @@ class TestStep:
         assert action is expected
         # the network with the link is built only when the link is added
         assert built == ([(0, 3)] if expected is Action.ADDED else [])
+        monkeypatch.undo()
+        assert_memo_on(memo, network.with_edge(0, 3) if built else network, society)
 
     def test_network_of_another_size_rejected(self):
         society = two_group_society([4, 4], 0.45)
@@ -234,6 +235,29 @@ class TestPinnedStreams:
         assert trace.converged
         assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == self.TRACE_SHA256[seed]
 
+    def test_stream_one_call_counts(self, monkeypatch):
+        # run carries its memo across changes and skips the pairs decided
+        # unchanged since the last one; re-deciding them, or dropping the
+        # memo on each change, raises these counts (23,338 steps, 27,194
+        # `_resolve` calls and 10,815 BFS when it did both)
+        counts = dict.fromkeys(["step", "_resolve", "_balls"], 0)
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+        for module, name in [(dynamics, "step"), (dynamics, "_resolve"), (stability, "_resolve"),
+                             (stability, "_balls"), (model, "_balls")]:
+            counted(module, name)
+        society = Society(GroupPartition.from_sizes([15] * 4),
+                          CoordinationMatrix.uniform(4, 0.15), PARAMS)
+        trace = run(Network.empty(60), SeededUniform(1), society, DEFAULT_MAX_STEPS)
+        assert len(trace.steps) == 23338
+        assert counts == {"step": 19101, "_resolve": 20513, "_balls": 3383}
+
 
 class TestTraceMechanics:
     def test_identical_seeds_give_identical_traces(self):
@@ -261,11 +285,29 @@ class TestTraceMechanics:
         assert network.edges == trace.final.edges
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-    def test_run_matches_a_loop_of_public_steps(self, seed):
-        # run keeps the current payoffs between periods and must drop them
-        # whenever a period changes the network, cross removals included
+    def test_run_matches_a_loop_of_public_steps(self, monkeypatch, seed):
+        # run keeps one memo for the whole run, carried over every change,
+        # cross removals included, so after every step and every
+        # verification each entry must equal a fresh (payoff, balls) on the
+        # network of the moment
         society = two_group_society([4, 4], 0.45)
+        checked = []
+
+        def checked_step(network, pair, society, *, memo):
+            result = step(network, pair, society, memo=memo)
+            assert_memo_on(memo, result[0], society)
+            checked.append(len(memo))
+            return result
+
+        def checked_verification(network, society, *, memo, settled):
+            stable = is_pairwise_stable(network, society, memo=memo, settled=settled)
+            assert_memo_on(memo, network, society)
+            return stable
+        monkeypatch.setattr(dynamics, "step", checked_step)
+        monkeypatch.setattr(dynamics, "is_pairwise_stable", checked_verification)
         trace = run(Network.empty(8), SeededUniform(seed), society, max_steps=5000)
+        monkeypatch.undo()
+        assert max(checked) > 2  # entries outlive the pair that filled them
         membership = society.partition.membership
         assert any(s.action is Action.REMOVED and membership[s.pair[0]] != membership[s.pair[1]]
                    for s in trace.steps)
@@ -282,10 +324,17 @@ class TestTraceMechanics:
         network = Network.disjoint_cliques(society.partition)
         memo = {}
         result = step(network, (5, 1), society, memo=memo)
-        assert result == step(network, (5, 1), society)
-        # each entry is (payoff, balls); the payoff part is the current payoff
-        assert {v: entry[0] for v, entry in memo.items()} == {
-            v: payoff(network, v, society) for v in (1, 5)}
+        assert result == step(network, (5, 1), society) == (network.with_edge(1, 5), Action.ADDED)
+        # the add carries both endpoints' entries to the returned network,
+        # with the payoffs the decision computed
+        assert set(memo) == {1, 5} and None not in (memo[1][0], memo[5][0])
+        assert_memo_on(memo, result[0], society)
+        # a refusal on 1's strict loss leaves the memo on its network, with
+        # 1's payoff read and 4's not
+        memo = {}
+        assert step(result[0], (1, 4), society, memo=memo) == (result[0], Action.NO_CHANGE)
+        assert set(memo) == {1, 4} and memo[1][0] is not None and memo[4][0] is None
+        assert_memo_on(memo, result[0], society)
 
     def test_csv_layout(self):
         society = two_group_society([3, 4], 0.3)

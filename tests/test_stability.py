@@ -1280,6 +1280,8 @@ class TestExactReferee:
             changes = _resolve(network, i, j, society, memo) is not network
             assert changes == self.exact_changes(network.has_edge(i, j), du_i, du_j), \
                 (i, j, du_i, du_j)
+            if changes:
+                memo = {}  # the memo now describes the toggled network
 
     @pytest.mark.parametrize("sizes, tenths", [([3, 4], [8]), ([4, 5], [8]),
                                                ([3, 3, 4], [8, 3, 10])])
