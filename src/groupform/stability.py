@@ -58,8 +58,9 @@ from .thresholds import below_clique_bound, below_link_bound, shortcut_gain
 FREE_BITS_CAP = 22
 _CHUNK_BITS = 16
 # F12 stability intervals: a scan with any interval end within _MARGIN of
-# its F12 is the per-pair scan; interval ends are clipped to _DOMAIN, which
-# holds every weight in [0, 1] with room to spare.
+# its F12 is the per-pair scan.  _DOMAIN, which holds every weight in [0, 1]
+# with room to spare, seeds every interval and bounds the flat-change test;
+# the pair ends that narrow an interval are not clipped to it.
 _MARGIN = 1e-6
 _DOMAIN = (-0.25, 1.25)
 # networks per block of the utility kernel and the interval build
@@ -130,6 +131,9 @@ def _pair_changes(present, du_i, du_j):
     change from toggling the pair: a present link is cut when one side
     strictly gains; a missing link forms when one side strictly gains and
     neither strictly loses.  Broadcasts over numpy arrays.
+
+    The rule is monotone in each change: raising ``du_i`` or ``du_j`` never
+    turns a change into no change.  The F12 interval build rests on that.
     """
     return (((du_i > EPSILON) | (du_j > EPSILON))
             & (present | ((du_i >= -EPSILON) & (du_j >= -EPSILON))))
@@ -510,55 +514,39 @@ def _scan_pair(u_i: np.ndarray, u_j: np.ndarray, stable: np.ndarray, t: int) -> 
 
 
 def _pair_intervals(change_i, change_j, eta: float):
-    """One free pair's stable F12 interval for each network of a block:
-    ``(lo, hi)`` arrays for the networks without the pair, then for their
-    partners with it.
+    """One free pair's half-line ends for each network of a block:
+    ``(form, keep)`` arrays, the networks without the pair being left
+    unchanged for F12 <= ``form`` and their partners with it for F12 >=
+    ``keep``.
 
     ``change_i`` and ``change_j`` hold each endpoint's payoff change from
     adding the pair as ``(a, b)`` arrays, the change at F12 = x being
-    ``a + b * x``.  The cut side's change is its negation.  The four
-    crossings of +-EPSILON cut `_DOMAIN` into segments on which no
-    comparison of the consent rule changes, and `_pair_changes` decides each
-    segment at its midpoint.  The pair leaves a network unchanged on the
-    union of the segments it keeps, from ``lo`` to ``hi``: +inf and -inf
-    when it keeps none.  The interval is NaN (no trusted interval) when that
-    union is not one interval, or when a change is not sharp: its slope
-    ``b`` is below ``2 * eta / _MARGIN`` and a bound lies within ``eta`` of
-    its values on the domain.
+    ``a + b * x`` with ``b >= 0``; the cut side's change is its negation.
+    An endpoint gains from the add above its gain crossing
+    ``(EPSILON - a) / b`` and loses below its loss crossing
+    ``(-EPSILON - a) / b``, an infinity when ``b`` is 0.  So the cut is
+    refused from the later loss crossing on, ``keep``, and the add is
+    refused up to ``form = max(min(gain_i, gain_j), keep)``.  Both are NaN
+    (no trusted end) when a change is not sharp: its slope ``b`` is below
+    ``2 * eta / _MARGIN`` and a bound lies within ``eta`` of its values on
+    `_DOMAIN`.
     """
     low, high = _DOMAIN
     slope_min = 2 * eta / _MARGIN
-    crossings, sharp = [], True
+    gains, losses, sharp = [], [], True
     for a, b in (change_i, change_j):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            gains.append((EPSILON - a) / b)
+            losses.append((-EPSILON - a) / b)
         for bound in (EPSILON, -EPSILON):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                crossings.append((bound - a) / b)
             # a flat change is sharp when its comparison with `bound` cannot
             # differ anywhere on the domain
             constant = (bound < a + b * low - eta) | (bound > a + b * high + eta)
             sharp = sharp & ((b >= slope_min) | ((b >= 0) & constant))
-    # segment-major, (segment, network), so each reduction runs over rows
-    ends = np.empty((6, sharp.size))
-    ends[1:5] = crossings
-    for p, q in ((1, 2), (3, 4), (1, 3), (2, 4), (2, 3)):  # sorts ends[1:5]
-        ends[p], ends[q] = np.minimum(ends[p], ends[q]), np.maximum(ends[p], ends[q])
-    np.clip(ends, low, high, out=ends)  # a NaN crossing stays NaN: not sharp
-    ends[0], ends[5] = low, high
-    starts, stops = ends[:-1], ends[1:]
-    mid = (starts + stops) / 2
-    wide = stops > starts
-    (a_i, b_i), (a_j, b_j) = change_i, change_j
-    du_i, du_j = a_i + b_i * mid, a_j + b_j * mid
-    sides = []
-    for present, sign in ((False, 1.0), (True, -1.0)):
-        keep = wide & ~_pair_changes(present, sign * du_i, sign * du_j)
-        lo = np.where(keep, starts, np.inf).min(axis=0)
-        hi = np.where(keep, stops, -np.inf).max(axis=0)
-        split = (wide & ~keep & (starts >= lo) & (stops <= hi)).any(axis=0)
-        untrusted = split | ~sharp
-        lo[untrusted] = hi[untrusted] = np.nan
-        sides.append((lo, hi))
-    return sides
+    keep = np.maximum(*losses)
+    form = np.maximum(np.minimum(*gains), keep)
+    form[~sharp] = keep[~sharp] = np.nan
+    return form, keep
 
 
 def _stability_intervals(tables: SpaceTables, society: Society) -> tuple[np.ndarray, np.ndarray]:
@@ -572,8 +560,9 @@ def _stability_intervals(tables: SpaceTables, society: Society) -> tuple[np.ndar
     payoff by ``a + b * x``.  Adding a link never lengthens a path, so
     ``b >= 0``; `_pair_changes` only grows with each endpoint's change, so
     the pair toggles a network without it on an upper half-line of x and
-    one with it on a lower half-line.  A network's interval is the
-    intersection of every free pair's (`_pair_intervals`).
+    one with it on a lower half-line.  Each free pair therefore gives one
+    end per network (`_pair_intervals`): ``form`` lowers ``hi`` of the
+    networks without it, ``keep`` raises ``lo`` of those with it.
 
     The margin argument.  A scanned change is the difference of two
     utilities, each at most five rounded operations on terms whose
@@ -586,10 +575,12 @@ def _stability_intervals(tables: SpaceTables, society: Society) -> tuple[np.ndar
     of a bound only within ``_MARGIN / 2`` of its crossing, or never on the
     domain.  The rule is monotone in each change and each change in x, so
     the float rule at x decides between the affine rule's decisions at
-    ``x - _MARGIN / 2`` and ``x + _MARGIN / 2``, and both equal
-    ``lo <= x <= hi`` unless an end lies within `_MARGIN` of x.  When any
-    network has such an end, or a NaN end, `scan_space` runs the per-pair
-    scan over the whole table instead.
+    ``x - _MARGIN / 2`` and ``x + _MARGIN / 2``.  Both equal
+    ``lo <= x <= hi`` unless ``lo`` or ``hi`` lies within `_MARGIN` of x:
+    between them every pair's end is farther than that from x, and past
+    either end the pair that set it toggles the network at both points.
+    When any network has such an end, or a NaN end, `scan_space` runs the
+    per-pair scan over the whole table instead.
     """
     space, group = tables.space, tables.partition.membership
     cost = society.params.cost
@@ -614,10 +605,9 @@ def _stability_intervals(tables: SpaceTables, society: Society) -> tuple[np.ndar
             for v in (i, j):
                 gain = benefit[v][:, present] - benefit[v][:, absent]  # (2, N)
                 changes.append((gain[group[v]] - cost, gain[1 - group[v]]))
-            for side, (pair_lo, pair_hi) in zip((absent, present),
-                                               _pair_intervals(*changes, eta)):
-                lo[side] = np.maximum(lo[side], pair_lo)  # NaN propagates
-                hi[side] = np.minimum(hi[side], pair_hi)
+            form, keep = _pair_intervals(*changes, eta)
+            hi[absent] = np.minimum(hi[absent], form)  # NaN propagates
+            lo[present] = np.maximum(lo[present], keep)
     return lo, hi
 
 

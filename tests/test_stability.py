@@ -931,8 +931,9 @@ class TestMemo:
 
 
 class TestIntervalBuild:
-    """`_stability_intervals` intersects every free pair's interval; it
-    skips a pair only for networks already shown unstable on the domain."""
+    """`_stability_intervals` lowers ``hi`` to every free pair's ``form`` and
+    raises ``lo`` to its ``keep``; it skips a pair only for networks
+    already shown unstable on the domain."""
 
     @pytest.fixture(scope="class")
     def full_3_3(self):
@@ -954,10 +955,9 @@ class TestIntervalBuild:
             changes = [(gain[:, group[v]] - PARAMS.cost, gain[:, 1 - group[v]])
                        for v in (i, j)
                        for gain in [tables.benefit[present, v] - tables.benefit[absent, v]]]
-            for side, (pair_lo, pair_hi) in zip((absent, present),
-                                               stability._pair_intervals(*changes, eta)):
-                full_lo[side] = np.maximum(full_lo[side], pair_lo)
-                full_hi[side] = np.minimum(full_hi[side], pair_hi)
+            form, keep = stability._pair_intervals(*changes, eta)
+            full_hi[absent] = np.minimum(full_hi[absent], form)
+            full_lo[present] = np.maximum(full_lo[present], keep)
         live = full_lo <= full_hi
         assert 0 < np.count_nonzero(live) < space.size
         assert np.array_equal(lo <= hi, live)
@@ -969,15 +969,17 @@ class TestIntervalBuild:
         pair_intervals, marked = stability._pair_intervals, []
 
         def first_block_untrusted(change_i, change_j, eta):
-            sides = pair_intervals(change_i, change_j, eta)
+            form, keep = pair_intervals(change_i, change_j, eta)
             if not marked:
-                for lo, hi in sides:
-                    lo[:] = hi[:] = np.nan
-                marked.append(lo.size)
-            return sides
+                form[:] = keep[:] = np.nan
+                marked.append(form.size)
+            return form, keep
         monkeypatch.setattr(stability, "_pair_intervals", first_block_untrusted)
         lo, hi = stability._stability_intervals(tables, society)
-        assert np.count_nonzero(np.isnan(lo)) == np.count_nonzero(np.isnan(hi)) == 2 * marked[0]
+        # each network of the block gets a NaN at the end its side moves:
+        # ``hi`` without the pair, ``lo`` with it
+        assert np.count_nonzero(np.isnan(lo) | np.isnan(hi)) == 2 * marked[0]
+        assert np.count_nonzero(np.isnan(lo)) == np.count_nonzero(np.isnan(hi)) == marked[0]
 
     def test_scanned_changes_lie_within_the_margin_arguments_bound(self):
         # The margin argument of `_stability_intervals`: a scanned endpoint
@@ -1021,14 +1023,10 @@ class TestPairIntervals:
 
     ETA = 1e-12
 
-    @staticmethod
-    def changes(*pairs):
-        return tuple((np.array([a]), np.array([b])) for a, b in pairs)
-
-    def intervals(self, i, j):
-        (add_lo, add_hi), (cut_lo, cut_hi) = stability._pair_intervals(
-            *self.changes(i, j), self.ETA)
-        return (add_lo[0], add_hi[0]), (cut_lo[0], cut_hi[0])
+    def ends(self, i, j):
+        form, keep = stability._pair_intervals(
+            *((np.array([a]), np.array([b])) for a, b in (i, j)), self.ETA)
+        return form[0], keep[0]
 
     def test_sides_follow_the_rule_off_the_ends(self):
         rng = np.random.default_rng(7)
@@ -1036,31 +1034,41 @@ class TestPairIntervals:
         xs = np.linspace(low, high, 301)
         for _ in range(200):
             i, j = ((rng.uniform(-1, 1), rng.uniform(0, 2)) for _ in range(2))
-            for present, (lo, hi) in zip((False, True), self.intervals(i, j)):
+            form, keep = self.ends(i, j)
+            for present, unchanged, end in ((False, xs <= form, form), (True, xs >= keep, keep)):
                 sign = -1.0 if present else 1.0
                 rule = ~_pair_changes(present, sign * (i[0] + i[1] * xs),
                                       sign * (j[0] + j[1] * xs))
-                far = (np.abs(xs - lo) > stability._MARGIN) & (np.abs(xs - hi) > stability._MARGIN)
-                assert np.array_equal(rule[far], ((lo <= xs) & (xs <= hi))[far]), (i, j, present)
+                far = np.abs(xs - end) > stability._MARGIN
+                assert np.array_equal(rule[far], unchanged[far]), (i, j, present)
 
     def test_a_flat_change_near_a_bound_has_no_trusted_interval(self):
         slope = self.ETA  # far below 2 * eta / margin
-        add, cut = self.intervals((-EPSILON - 0.3 * slope, slope), (1.0, 1.0))
-        assert np.isnan([*add, *cut]).all()
+        assert np.isnan(self.ends((-EPSILON - 0.3 * slope, slope), (1.0, 1.0))).all()
+
+    def test_an_exact_flat_tie_has_no_trusted_interval(self):
+        # i's change sits on -EPSILON at every F12: its loss crossing is 0 / 0
+        assert np.isnan(self.ends((-EPSILON, 0.0), (1.0, 1.0))).all()
 
     def test_a_flat_change_away_from_every_bound_is_trusted(self):
-        # j gains for every F12; i's flat change stays 0, inside the band
-        add, cut = self.intervals((0.0, 0.0), (1.0, 1.0))
-        assert add == (np.inf, -np.inf)  # i is indifferent, j gains: formed
-        assert cut == stability._DOMAIN  # j would lose by the cut: kept
+        # j gains for every F12; i's flat change stays 0, inside the band:
+        # the pair is formed and kept on the whole domain
+        form, keep = self.ends((0.0, 0.0), (1.0, 1.0))
+        assert form < stability._DOMAIN[0] and keep < stability._DOMAIN[0]
 
-    def test_a_stable_set_of_two_pieces_has_no_trusted_interval(self, monkeypatch):
-        # a rule that is not monotone in the changes: toggle when exactly
-        # one endpoint gains
-        monkeypatch.setattr(stability, "_pair_changes",
-                            lambda present, du_i, du_j: (du_i > EPSILON) ^ (du_j > EPSILON))
-        add, _ = self.intervals((-0.3, 1.0), (-0.6, 1.0))
-        assert np.isnan(add).all()
+    def test_the_rule_is_monotone_in_each_change(self):
+        # the half-line ends rest on this: raising either endpoint's change
+        # from adding the pair never stops a formation and never starts a cut
+        values = np.array([-1.0, -1e-3, 0.0, 1e-3, 1.0,
+                           *(np.nextafter(bound, toward) for bound in (-EPSILON, EPSILON)
+                             for toward in (-np.inf, np.inf)),
+                           -EPSILON, EPSILON])
+        i, j, raised_i, raised_j = np.meshgrid(values, values, values, values, indexing="ij")
+        raised = (raised_i >= i) & (raised_j >= j)
+        formed = _pair_changes(False, i, j)
+        assert not (raised & formed & ~_pair_changes(False, raised_i, raised_j)).any()
+        cut = _pair_changes(True, -i, -j)
+        assert not (raised & ~cut & _pair_changes(True, -raised_i, -raised_j)).any()
 
 
 class TestFixpointEquivalence:
