@@ -1,9 +1,10 @@
 """Strategic network formation between coordinating groups.
 
 Library surface: the society data model and payoffs (`model`), closed-form
-regime bounds (`thresholds`), pairwise-stability checks and exhaustive
-enumeration (`stability`), welfare maximization (`efficiency`), link
-formation dynamics (`dynamics`), and the command-line front end (`cli`).
+regime bounds (`thresholds`), pairwise-stability checks (the multigroup
+clique-tree verdict among them) and exhaustive enumeration (`stability`),
+welfare maximization (`efficiency`), link formation dynamics (`dynamics`),
+and the command-line front end (`cli`).
 """
 
 from .model import (
@@ -30,7 +31,6 @@ from .thresholds import (
     clique_link_gain,
     efficient_boundaries,
     extra_link_gain,
-    minimally_connected_sufficient,
     redundancy_bounds,
     shortcut_gain,
     stability_efficiency_overlap,
@@ -45,6 +45,7 @@ from .stability import (
     full_graph_space,
     interconnection_space,
     is_pairwise_stable,
+    minimally_connected_sufficient,
     price_of_anarchy,
 )
 from .efficiency import (

@@ -193,8 +193,8 @@ def _classify_multigroup(scenario: Scenario, out) -> int:
                   f"redundant above {_fmt(lo)}, maximal above {_fmt(hi)}", file=out)
     for center in range(partition.m):
         tree = Network.star(partition.m, center)
-        ok = th.minimally_connected_sufficient(tree, society.coordination,
-                                               partition, params)
+        ok = stab.minimally_connected_sufficient(tree, society.coordination,
+                                                 partition, params)
         print(f"star centered on group {center}: minimally connected cliques "
               f"{'supported' if ok else 'not supported'}", file=out)
     return 0

@@ -315,7 +315,8 @@ class Network:
 
     @classmethod
     def disjoint_cliques(cls, partition: GroupPartition) -> "Network":
-        return cls(partition.n, partition.intra_pairs())
+        bits, group = partition.group_bits, partition.membership
+        return cls._from_masks(tuple(bits[group[v]] ^ 1 << v for v in range(partition.n)))
 
     @classmethod
     def star(cls, m: int, center: int = 0) -> "Network":

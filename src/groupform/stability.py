@@ -42,7 +42,9 @@ import numpy as np
 
 from .model import (
     EPSILON,
+    CoordinationMatrix,
     GroupPartition,
+    ModelParams,
     Network,
     Society,
     ValidationError,
@@ -53,7 +55,7 @@ from .model import (
     check_network_size,
     payoff,
 )
-from .thresholds import below_clique_bound, below_link_bound, shortcut_gain
+from .thresholds import _require_low_cost, below_clique_bound, below_link_bound, shortcut_gain
 
 FREE_BITS_CAP = 22
 _CHUNK_BITS = 16
@@ -269,6 +271,27 @@ def defeats(candidate: Network, network: Network, society: Society) -> bool:
         raise ValidationError("networks must differ in exactly one edge")
     (i, j), = changed
     return _resolve(network, i, j, society, {}) is not network
+
+
+def minimally_connected_sufficient(tree: Network, coordination: CoordinationMatrix,
+                                   partition: GroupPartition, params: ModelParams) -> bool:
+    """Whether cliques joined by single bridges along a group graph are
+    pairwise stable: ``tree`` is a `Network` whose nodes are the group ids.
+
+    The network is every intra-group pair plus, per edge of ``tree``, one
+    bridge between the lowest-indexed members of its two groups; the verdict
+    is `is_pairwise_stable` of it, every member pair included.
+    """
+    _require_low_cost(params)
+    if coordination.m != partition.m or tree.n != partition.m:
+        raise ValidationError("group graph, coordination matrix, and partition disagree")
+    if not tree.is_connected():
+        raise ValidationError("group graph must be connected")
+    lowest = [partition.membership.index(g) for g in range(partition.m)]
+    network = Network.disjoint_cliques(partition)
+    for a, b in tree.edges:
+        network = network.with_edge(lowest[a], lowest[b])
+    return is_pairwise_stable(network, Society(partition, coordination, params))
 
 
 # -- vectorized space tables ---------------------------------------------------

@@ -1,4 +1,7 @@
-"""Closed-form regime bounds for two-group and multigroup structures.
+"""Closed-form regime bounds: the two-group regimes, and the per-pair
+redundant and maximal bounds that `classify` prints for more groups.  The
+multigroup clique-tree verdict is no closed form; it is
+`stability.minimally_connected_sufficient`.
 
 Three gain factors drive every bound.  For a link into a clique of size s
 with one-hop benefit delta:
@@ -21,10 +24,7 @@ from typing import Optional
 
 from .model import (
     EPSILON,
-    CoordinationMatrix,
-    GroupPartition,
     ModelParams,
-    Network,
     ValidationError,
     check_weight,
     checked_delta,
@@ -219,57 +219,3 @@ def redundancy_bounds(s_a: int, s_b: int, params: ModelParams) -> tuple[float, f
     entries 1 and -1 of `stable_boundaries`."""
     bounds = stable_boundaries(s_a, s_b, params)
     return bounds[1], bounds[-1]
-
-
-def _bridge_toggle_gain(tree: Network, coordination: CoordinationMatrix,
-                        sizes: tuple[int, ...], delta: float,
-                        group: int, other: int) -> float:
-    """Benefit swing for `group`'s representative when the (group, other) bridge
-    toggles between present and absent, summed over every reachable group.
-
-    Distances are group-graph hops with the toggled edge added resp. removed;
-    an unreachable group contributes no benefit.
-    """
-    with_edge = tree.with_edge(group, other).distances_from(group)
-    without_edge = tree.without_edge(group, other).distances_from(group)
-    total = 0.0
-    for lam in range(tree.n):
-        if lam == group:
-            continue
-        # 0 < delta < 1, so delta ** math.inf is 0.0 for an unreachable group
-        total += (coordination[group, lam]
-                  * (delta ** with_edge[lam] - delta ** without_edge[lam])
-                  * (1.0 + (sizes[lam] - 1) * delta))
-    return total
-
-
-def minimally_connected_sufficient(tree: Network, coordination: CoordinationMatrix,
-                                   partition: GroupPartition, params: ModelParams) -> bool:
-    """Sufficiency check for cliques joined by single bridges along a group graph:
-    ``tree`` is a `Network` whose nodes are the group ids.
-
-    Every bridged pair must gain more than the link cost on both sides when
-    its bridge toggles on (and stay below the redundant-link bound); every
-    unbridged pair must fall short of the cost on at least one side.
-    """
-    _require_low_cost(params)
-    if coordination.m != partition.m or tree.n != partition.m:
-        raise ValidationError("group graph, coordination matrix, and partition disagree")
-    if not tree.is_connected():
-        raise ValidationError("group graph must be connected")
-    sizes = partition.sizes
-    c, delta = params.cost, params.delta
-    for a in range(tree.n):
-        for b in range(a + 1, tree.n):
-            gain_a = _bridge_toggle_gain(tree, coordination, sizes, delta, a, b)
-            gain_b = _bridge_toggle_gain(tree, coordination, sizes, delta, b, a)
-            if tree.has_edge(a, b):
-                redundant_lb, _ = redundancy_bounds(sizes[a], sizes[b], params)
-                if not (gain_a > c + EPSILON and gain_b > c + EPSILON):
-                    return False
-                if not coordination[a, b] < redundant_lb - EPSILON:
-                    return False
-            else:
-                if not (gain_a < c - EPSILON or gain_b < c - EPSILON):
-                    return False
-    return True

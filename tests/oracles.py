@@ -3,6 +3,7 @@ breadth-first-search and table machinery on purpose; the previous table
 engine, kept as the exact reference for the current one; and small
 test-only helpers that read the library's own structures."""
 
+import itertools
 import math
 from collections import deque
 from fractions import Fraction
@@ -103,6 +104,28 @@ def exact_payoff(network: Network, i: int, partition: GroupPartition,
             continue
         total += coordination[group[i]][group[k]] * delta ** int(hops)
     return total - network.degree(i) * cost
+
+
+def exact_pair_changes(present: bool, du_i: Fraction, du_j: Fraction) -> bool:
+    """The consent rule on exact payoff changes: a present link is cut when
+    one endpoint strictly gains; a missing link forms when one strictly gains
+    and neither strictly loses."""
+    if present:
+        return du_i > 0 or du_j > 0
+    return (du_i > 0 or du_j > 0) and du_i >= 0 and du_j >= 0
+
+
+def exact_pairwise_stable(network: Network, **exact) -> bool:
+    """No pair of ``network`` changes under `exact_pair_changes` of its
+    `exact_payoff` changes; ``exact`` holds `exact_payoff`'s keywords."""
+    before = [exact_payoff(network, v, **exact) for v in range(network.n)]
+    for i, j in itertools.combinations(range(network.n), 2):
+        present = network.has_edge(i, j)
+        toggled = network.without_edge(i, j) if present else network.with_edge(i, j)
+        if exact_pair_changes(present, *(exact_payoff(toggled, v, **exact) - before[v]
+                                         for v in (i, j))):
+            return False
+    return True
 
 
 # -- reference table engine ----------------------------------------------------

@@ -192,6 +192,17 @@ class TestClassify:
             "star centered on group 2: minimally connected cliques not supported\n"
             "star centered on group 3: minimally connected cliques not supported\n")
 
+    def test_multigroup_star_held_only_by_its_representatives_not_supported(self, tmp_path):
+        # the star centred on group 1 keeps every representative pair, but the
+        # members 1 and 9 of the end groups both gain from a direct link
+        scenario = write(tmp_path, "s.scn",
+                         "group_sizes = 4, 4, 3\nF = 0.149, 0.346, 0.227\n"
+                         "delta = 0.55\ncost = 0.2045813770983067\n")
+        code, text = run_cli(["classify", "--scenario", scenario])
+        assert code == 0
+        assert ("star centered on group 1: minimally connected cliques not supported\n"
+                in text)
+
 
 class TestSweep:
     def test_fig9_style_counts_and_determinism(self, tmp_path):
@@ -773,9 +784,9 @@ class TestScenarioFiles:
     @pytest.mark.parametrize("path", sorted((ROOT / "scenarios").glob("*.scn")),
                              ids=lambda path: path.name)
     def test_loads_and_classifies(self, path):
-        code, text = run_cli(["classify", "--scenario", str(path)])
-        assert code == 0
-        assert text
+        golden = ROOT / "tests" / "golden" / f"{path.stem}.classify.txt"
+        assert run_cli(["classify", "--scenario", str(path)]) == (
+            0, golden.read_text(encoding="ascii"))
 
 
 class TestModuleEntryPoint:

@@ -386,6 +386,10 @@ class TestInvariantSet:
         p = GroupPartition.from_sizes([3, 4])
         assert in_invariant_set(Network.disjoint_cliques(p), p)
 
+    def test_disjoint_cliques_are_the_intra_pairs(self):
+        p = GroupPartition([1, 0, 2, 1, 0, 2, 2, 1, 0, 1])
+        assert Network.disjoint_cliques(p) == Network(p.n, p.intra_pairs())
+
     def test_bridge_breaks_it(self):
         p = GroupPartition.from_sizes([3, 4])
         assert not in_invariant_set(Network.disjoint_cliques(p).with_edge(0, 3), p)

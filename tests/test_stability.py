@@ -55,6 +55,7 @@ from groupform.thresholds import (
 
 from conftest import random_network, random_society
 from oracles import (
+    exact_pair_changes,
     exact_payoff,
     free_mask_of,
     reference_stable,
@@ -1245,12 +1246,6 @@ class TestExactReferee:
                          "delta": delta, "cost": cost}
 
     @staticmethod
-    def exact_changes(present: bool, du_i: Fraction, du_j: Fraction) -> bool:
-        if present:
-            return du_i > 0 or du_j > 0
-        return (du_i > 0 or du_j > 0) and du_i >= 0 and du_j >= 0
-
-    @staticmethod
     def exact_deltas(network: Network, i: int, j: int, society: Society,
                      exact: dict) -> tuple[Fraction, Fraction]:
         """Both endpoints' exact payoff changes when (i, j) toggles, each
@@ -1286,7 +1281,7 @@ class TestExactReferee:
         for i, j in all_pairs(society.n):
             du_i, du_j = self.exact_deltas(network, i, j, society, exact)
             changes = _resolve(network, i, j, society, memo) is not network
-            assert changes == self.exact_changes(network.has_edge(i, j), du_i, du_j), \
+            assert changes == exact_pair_changes(network.has_edge(i, j), du_i, du_j), \
                 (i, j, du_i, du_j)
             if changes:
                 memo = {}  # the memo now describes the toggled network
@@ -1303,7 +1298,7 @@ class TestExactReferee:
             present = network.has_edge(*s.pair)
             du = self.exact_deltas(network, *s.pair, society, exact)
             ties += 0 in du
-            if self.exact_changes(present, *du):
+            if exact_pair_changes(present, *du):
                 expected = Action.REMOVED if present else Action.ADDED
                 network = (network.without_edge(*s.pair) if present
                            else network.with_edge(*s.pair))
@@ -1312,7 +1307,7 @@ class TestExactReferee:
             assert s.action is expected, (s.index, s.pair, du)
         assert network == trace.final
         assert ties, "no period reached the EPSILON band"
-        stable = not any(self.exact_changes(network.has_edge(i, j),
+        stable = not any(exact_pair_changes(network.has_edge(i, j),
                                             *self.exact_deltas(network, i, j, society, exact))
                          for i, j in all_pairs(society.n))
         assert trace.converged == stable

@@ -1,7 +1,9 @@
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from groupform.model import (
     EPSILON,
@@ -14,7 +16,6 @@ from groupform.model import (
 from groupform.thresholds import (
     RegimeKind,
     RegimeUndefinedError,
-    _bridge_toggle_gain,
     below_clique_bound,
     below_link_bound,
     classify_two_group_efficient,
@@ -22,12 +23,14 @@ from groupform.thresholds import (
     clique_link_gain,
     efficient_boundaries,
     extra_link_gain,
-    minimally_connected_sufficient,
     redundancy_bounds,
     shortcut_gain,
     stability_efficiency_overlap,
     stable_boundaries,
 )
+from groupform.stability import minimally_connected_sufficient
+
+from oracles import exact_pairwise_stable, exact_payoff
 
 PARAMS = ModelParams(0.5, 0.2)
 
@@ -334,6 +337,16 @@ class TestGroupGraph:
             Network.star(3).distances_from(source)
 
 
+def clique_tree(partition: GroupPartition, tree: Network) -> Network:
+    """Every intra-group pair, and per edge of the group graph ``tree`` a
+    bridge between the first members of its two groups."""
+    first = [min(partition.members(g)) for g in range(partition.m)]
+    bridges = [(first[a], first[b]) for a, b in tree.edges]
+    intra = [(i, j) for i in range(partition.n) for j in range(i + 1, partition.n)
+             if partition.membership[i] == partition.membership[j]]
+    return Network(partition.n, intra + bridges)
+
+
 class TestBridgeSufficiency:
     def test_two_group_reduction_matches_the_bridge_regime(self):
         # one tree edge between two groups: the check must accept exactly the
@@ -369,23 +382,78 @@ class TestBridgeSufficiency:
         coordination = CoordinationMatrix(rows)
         assert not minimally_connected_sufficient(tree, coordination, partition, PARAMS)
 
-    @pytest.mark.parametrize("f12, gain, sufficient", [(0.5, 0.25, False),
-                                                      (0.3, 0.15, True)])
-    def test_star_fails_when_an_unbridged_pair_gains_on_both_sides(
-            self, f12, gain, sufficient):
-        # both spokes hold (gains 0.3 and 0.55 or 0.45 > cost 0.2, F 0.3 below
-        # the redundant bound 0.4); the missing (1, 2) bridge would give each
-        # leaf representative `gain`, which beats the cost 0.2 only at F12 = 0.5
+    @pytest.mark.parametrize("f12, pair, gain", [(0.5, (3, 6), Fraction(1, 20)),
+                                                 (0.3, (4, 7), Fraction(1, 40))],
+                             ids=["representatives", "members"])
+    def test_star_fails_when_an_unbridged_pair_gains_on_both_sides(self, f12, pair, gain):
+        # both spokes hold (F 0.3 lies in the bridge band [0.2, 0.4)); the
+        # missing link `pair` between the leaf groups gains `gain` at both
+        # ends: the representatives 3 and 6 at F12 = 0.5, and at F12 = 0.3,
+        # where they fall short of the cost, the members 4 and 7, two hops
+        # farther apart
         partition = GroupPartition.from_sizes([3, 3, 3])
-        tree = Network.star(3, center=0)
         coordination = CoordinationMatrix([[1.0, 0.3, 0.3],
                                            [0.3, 1.0, f12],
                                            [0.3, f12, 1.0]])
-        for a, b in ((1, 2), (2, 1)):
-            assert _bridge_toggle_gain(tree, coordination, partition.sizes,
-                                       PARAMS.delta, a, b) == pytest.approx(gain)
+        exact = {"partition": partition,
+                 "coordination": [[Fraction(str(w)) for w in row]
+                                  for row in coordination.entries],
+                 "delta": Fraction(1, 2), "cost": Fraction(1, 5)}
+        network = clique_tree(partition, Network.star(3, center=0))
+        joined = network.with_edge(*pair)
+        assert [exact_payoff(joined, v, **exact) - exact_payoff(network, v, **exact)
+                for v in pair] == [gain, gain]
         assert minimally_connected_sufficient(
-            tree, coordination, partition, PARAMS) is sufficient
+            Network.star(3, center=0), coordination, partition, PARAMS) is False
+
+    def test_member_pair_breaks_a_star_the_representatives_hold(self):
+        # the star centred on group 1 is the path 0-1-2 with bridges (0, 4)
+        # and (4, 8); the members 1 and 9 of the end groups, four hops
+        # apart, both strictly gain from a direct link
+        partition = GroupPartition.from_sizes([4, 4, 3])
+        f01, f02, f12, delta, cost = map(Fraction, ["0.149", "0.346", "0.227", "0.55",
+                                                    "0.2045813770983067"])
+        coordination = CoordinationMatrix.from_upper_triangle(3, [float(f01), float(f02),
+                                                                  float(f12)])
+        params = ModelParams(float(delta), float(cost))
+        tree = Network.star(3, center=1)
+        assert minimally_connected_sufficient(tree, coordination, partition, params) is False
+        exact = {"partition": partition,
+                 "coordination": [[1, f01, f02], [f01, 1, f12], [f02, f12, 1]],
+                 "delta": delta, "cost": cost}
+        network = clique_tree(partition, tree)
+        joined = network.with_edge(1, 9)
+        assert all(exact_payoff(joined, v, **exact) > exact_payoff(network, v, **exact)
+                   for v in (1, 9))
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(st.lists(st.integers(3, 5), min_size=3, max_size=5), st.data())
+    def test_verdict_is_exact_pairwise_stability_of_the_clique_tree(self, sizes, data):
+        # a random group tree: each group after the first hangs off an
+        # earlier one, then the ids are shuffled.  Weights and cost are
+        # hundredths: the cost in [0.1, 0.23], below every drawn delta's
+        # clique bound, a tree edge's weight in [0.2, 0.45] and any other in
+        # [0, 0.2], where about a quarter of the trees hold (with uniform
+        # weights in [0, 0.6], about 1% of them).  The expected verdict
+        # decides every pair of the clique tree in rational arithmetic.
+        m = len(sizes)
+        order = data.draw(st.permutations(range(m)))
+        tree = Network(m, [(order[data.draw(st.integers(0, g - 1))], order[g])
+                           for g in range(1, m)])
+        delta = data.draw(st.sampled_from([Fraction(2, 5), Fraction(1, 2),
+                                           Fraction(11, 20), Fraction(3, 5)]))
+        cost = Fraction(data.draw(st.integers(10, 23)), 100)
+        weights = [[Fraction(1)] * m for _ in range(m)]
+        for a, b in itertools.combinations(range(m), 2):
+            hundredths = st.integers(20, 45) if tree.has_edge(a, b) else st.integers(0, 20)
+            weights[a][b] = weights[b][a] = Fraction(data.draw(hundredths), 100)
+        partition = GroupPartition.from_sizes(sizes)
+        coordination = CoordinationMatrix([[float(w) for w in row] for row in weights])
+        params = ModelParams(float(delta), float(cost))
+        assert below_clique_bound(params)
+        expected = exact_pairwise_stable(clique_tree(partition, tree), partition=partition,
+                                         coordination=weights, delta=delta, cost=cost)
+        assert minimally_connected_sufficient(tree, coordination, partition, params) is expected
 
     def test_five_equal_groups_star_premise(self):
         params = ModelParams(0.55, 0.2)
