@@ -258,12 +258,6 @@ def _sweep_row(value: float, society: Society, scan: Optional[stab.SpaceScan]) -
     tie = stable_pred.kind is th.RegimeKind.BOUNDARY_TIE
     partition = society.partition
     if scan is not None:
-        # An F12 sweep reuses one table, so from its second row on the scan
-        # reads every flag off the cached F12 stability intervals
-        # (`stab.scan_space`), except at an F12 within 1e-6 of an interval
-        # end, which takes the per-pair scan: 0.2, 0.4 and 0.8 of
-        # `scripts/two_group_sweep.py`'s 201 rows.  Either way the flags and
-        # welfare equal a per-pair scan's.
         # Cross links come only from free pairs, so a stable network's count
         # is read off its mask.  The efficient cell still builds its argmax
         # networks: a traced perfbench sweep requires the spans of both
@@ -273,14 +267,12 @@ def _sweep_row(value: float, society: Society, scan: Optional[stab.SpaceScan]) -
         best, argmax = eff.argmax_from_scan(scan)
         stable_cell = _count_cell(stable_counts, tie=tie)
         eff_cell = _count_cell([net.inter_count(partition) for net in argmax])
-        stable_welfares = scan.welfare[scan.stable]
-        stable_min = float(stable_welfares.min()) if stable_welfares.size else float("nan")
         try:
             poa = stab.poa_from_scan(scan)
         except stab.PoAUndefinedError:
             poa = float("nan")
         return (f"{_fmt(value)},{stable_cell},{eff_cell},"
-                f"{_fmt(stable_min)},{_fmt(best)},{_fmt(poa)}")
+                f"{_fmt(scan.stable_min)},{_fmt(best)},{_fmt(poa)}")
 
     # Space too large to enumerate: closed-form predictions, welfare columns empty.
     if tie:
@@ -301,9 +293,7 @@ def cmd_sweep(scenario: Scenario, args: argparse.Namespace, out) -> int:
 
     def scan_at(society: Society) -> Optional[stab.SpaceScan]:
         try:
-            space = SPACES[scenario.space](society.partition)
-            tables = stab.compute_tables(space, society.partition, society.params.delta)
-            return stab.scan_space(tables, society)
+            return stab._scan_for(SPACES[scenario.space](society.partition), society)
         except stab.CapExceededError:
             return None
 

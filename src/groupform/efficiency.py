@@ -1,17 +1,16 @@
 """Welfare-maximal structures and representative consolidation.
 
-Search reuses the stability engine's whole-space welfare vector, so an
-efficient structure is exact over its declared space.  Consolidation moves
-every cross-group link endpoint onto one representative per group, which
-can only shorten cross-group distances and therefore never lowers welfare
-when it applies cleanly.
+Search reads the answers of the stability engine's whole-space scan (the
+best welfare and the networks within EPSILON of it), so an efficient
+structure is exact over its declared space.  Consolidation moves every
+cross-group link endpoint onto one representative per group, which can
+only shorten cross-group distances and therefore never lowers welfare when
+it applies cleanly.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .model import EPSILON, GroupPartition, Network, Society, ValidationError
+from .model import GroupPartition, Network, Society, ValidationError
 from .stability import SearchSpace, SpaceScan, _scan_for
 
 
@@ -30,9 +29,7 @@ def efficient_search(space: SearchSpace, society: Society) -> tuple[float, list[
 
 
 def argmax_from_scan(scan: SpaceScan) -> tuple[float, list[Network]]:
-    best = float(scan.welfare.max())
-    masks = np.flatnonzero(scan.welfare >= best - EPSILON)
-    return best, [scan.space.network_for(int(m)) for m in masks]
+    return scan.best, [scan.space.network_for(int(m)) for m in scan.argmax_masks()]
 
 
 def _group_cliques_present(network: Network, partition: GroupPartition) -> bool:

@@ -449,8 +449,9 @@ def compute_tables(space: SearchSpace, partition: GroupPartition, delta: float,
 
 @dataclass(frozen=True, eq=False)
 class SpaceScan:
-    """Stability flags and welfare for every network in a space; scans
-    compare and hash by identity."""
+    """Stability flags and welfare for every network in a space, and the
+    answers every report reads off them: ``best``, ``argmax_masks()`` and
+    ``stable_min``.  Scans compare and hash by identity."""
 
     space: SearchSpace
     stable: np.ndarray   # (K,) bool
@@ -458,6 +459,21 @@ class SpaceScan:
 
     def stable_masks(self) -> np.ndarray:
         return np.flatnonzero(self.stable)
+
+    @cached_property
+    def best(self) -> float:
+        """The highest welfare."""
+        return float(self.welfare.max())
+
+    def argmax_masks(self) -> np.ndarray:
+        """The networks within EPSILON of ``best``, in bitmask order."""
+        return np.flatnonzero(self.welfare >= self.best - EPSILON)
+
+    @cached_property
+    def stable_min(self) -> float:
+        """The least welfare of a stable network; NaN when none is stable."""
+        stable_welfare = self.welfare[self.stable]
+        return float(stable_welfare.min()) if stable_welfare.size else math.nan
 
 
 def _node_major(tables: SpaceTables) -> tuple[np.ndarray, np.ndarray]:
@@ -752,11 +768,10 @@ def price_of_anarchy(space: SearchSpace, society: Society) -> float:
 
 
 def poa_from_scan(scan: SpaceScan) -> float:
-    stable_welfare = scan.welfare[scan.stable]
-    if stable_welfare.size == 0:
+    worst_stable = scan.stable_min
+    if math.isnan(worst_stable):
         raise PoAUndefinedError("no pairwise stable network in the search space")
-    worst_stable = float(stable_welfare.min())
     if worst_stable <= 0.0:
         raise PoAUndefinedError(
             f"minimum stable welfare {worst_stable} is not positive; ratio undefined")
-    return float(scan.welfare.max()) / worst_stable
+    return scan.best / worst_stable

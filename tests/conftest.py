@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -12,7 +13,10 @@ from groupform.model import (
     payoff,
 )
 from groupform import model, stability
-from groupform.stability import full_graph_space
+from groupform.efficiency import argmax_from_scan
+from groupform.stability import PoAUndefinedError, SpaceScan, full_graph_space, poa_from_scan
+
+from oracles import reduced_answers
 
 settings.register_profile(
     "default",
@@ -65,3 +69,23 @@ def assert_memo_on(memo, network, society):
         assert balls == model._balls(network.neighbor_masks, v), v
         read = model._level_sum(balls, v, society) if u is None else u
         assert read == payoff(network, v, society), v
+
+
+def assert_scan_answers(scan: SpaceScan) -> None:
+    """The scan's ``best``, ``argmax_masks()`` and ``stable_min`` are
+    `oracles.reduced_answers` bit for bit, and `argmax_from_scan` and
+    `poa_from_scan` report them."""
+    def bits(x: float) -> bytes:
+        return np.float64(x).tobytes()
+    best, argmax, stable_min = reduced_answers(scan)
+    assert bits(scan.best) == bits(best)
+    assert np.array_equal(scan.argmax_masks(), argmax)
+    assert bits(scan.stable_min) == bits(stable_min)
+    reported, networks = argmax_from_scan(scan)
+    assert bits(reported) == bits(best)
+    assert networks == [scan.space.network_for(int(mask)) for mask in argmax]
+    if stable_min > 0.0:
+        assert bits(poa_from_scan(scan)) == bits(best / stable_min)
+    else:  # no stable network (NaN), or a non-positive least stable welfare
+        with pytest.raises(PoAUndefinedError):
+            poa_from_scan(scan)

@@ -12,6 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from groupform.model import (
+    EPSILON,
     GroupPartition,
     Network,
     Society,
@@ -19,6 +20,7 @@ from groupform.model import (
 )
 from groupform.stability import (
     SearchSpace,
+    SpaceScan,
     SpaceTables,
     _pair_changes,
 )
@@ -215,6 +217,16 @@ def reference_stable(tables: SpaceTables, society: Society) -> np.ndarray:
         present = (idx >> t & 1).astype(bool)
         stable &= ~_pair_changes(present, du_i, du_j)
     return stable
+
+
+def reduced_answers(scan: SpaceScan) -> tuple[float, np.ndarray, float]:
+    """``(best, argmax, stable_min)`` reduced from ``scan.welfare`` written
+    out: the highest welfare, the masks within EPSILON of it in bitmask
+    order, and the least welfare of a stable network (NaN when none is)."""
+    best = float(scan.welfare.max())
+    stable_welfare = scan.welfare[scan.stable]
+    stable_min = float(stable_welfare.min()) if stable_welfare.size else math.nan
+    return best, np.flatnonzero(scan.welfare >= best - EPSILON), stable_min
 
 
 # -- test-only helpers over library structures ---------------------------------

@@ -51,7 +51,7 @@ from groupform.thresholds import (
     stable_boundaries,
 )
 
-from conftest import random_network, random_society
+from conftest import assert_scan_answers, random_network, random_society
 from oracles import exact_payoff, reference_welfare
 from test_efficiency import random_forest_instance
 
@@ -334,6 +334,12 @@ def test_full_space_welfare_is_the_reference_welfare(full7_tables):
     society = Society(FULL7_PARTITION, CoordinationMatrix.uniform(2, 0.3), FULL7_PARAMS)
     expected = reference_welfare(full7_tables, society)
     assert scan_space(full7_tables, society).welfare.tobytes() == expected.tobytes()
+
+
+def test_full_space_scan_answers_are_the_welfare_reductions(full7_tables):
+    # the enumerate_full7 society, whose scan stable, efficient and poa share
+    society = Society(FULL7_PARTITION, CoordinationMatrix.uniform(2, 0.3), FULL7_PARAMS)
+    assert_scan_answers(scan_space(full7_tables, society))
 
 
 def test_exact_integer_decisions_on_the_sweep_workload():

@@ -1,16 +1,18 @@
+import math
 import operator
 import random
 import tracemalloc
 import weakref
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupform import model, stability
-from groupform.cli import _grid, _sweep_row
+from groupform.cli import _grid, _society_at, _sweep_row, load_scenario
 from groupform.dynamics import Action, SeededUniform, run, step
 from groupform.efficiency import efficient_search
 from groupform.model import (
@@ -53,9 +55,10 @@ from groupform.thresholds import (
     stable_boundaries,
 )
 
-from conftest import random_network, random_society
+from conftest import assert_scan_answers, random_network, random_society
 from oracles import (
     exact_pair_changes,
+    exact_pairwise_stable,
     exact_payoff,
     free_mask_of,
     reference_stable,
@@ -64,6 +67,7 @@ from oracles import (
     reference_welfare,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 PARAMS = ModelParams(0.5, 0.2)
 
 
@@ -1019,6 +1023,58 @@ class TestIntervalBuild:
         assert 0 < worst <= (n - 1) * (1 + PARAMS.cost) * 2.0 ** -49
 
 
+class TestRegimeBoundaries:
+    """Over the whole F12 range of a two-group table at one cost, the stable
+    set changes only at the paper's bounds: the interior ends of the live
+    networks' F12 stability intervals are exactly `stable_boundaries`, each
+    within `_MARGIN`, and at each bound a network whose interval starts there
+    and one whose interval ends there change their verdict across it in
+    exact arithmetic."""
+
+    STEP = Fraction(1, 1000)
+
+    @pytest.mark.parametrize("sizes, delta, cost, full", [
+        ((3, 5), 0.5, 0.2, False),
+        ((4, 4), 0.5, 0.2, False),
+        ((3, 5), 0.05, 0.02, False),
+        ((3, 5), 0.95, 0.02, False),
+        ((3, 3), 0.5, 0.2, True),
+        ((3, 3), 0.5, 0.1, True),
+    ], ids=["3+5", "4+4", "delta-0.05", "delta-0.95", "full-3+3", "full-3+3-cost-0.1"])
+    def test_interval_ends_are_the_stable_boundaries(self, sizes, delta, cost, full):
+        partition, params = GroupPartition.from_sizes(sizes), ModelParams(delta, cost)
+        space = full_graph_space(partition.n) if full else interconnection_space(partition)
+        tables = compute_tables(space, partition, delta)
+        # the build reads the cost, not F12
+        society = Society(partition, CoordinationMatrix.uniform(2, 0.5), params)
+        lo, hi = stability._stability_intervals(tables, society)
+        assert not (np.isnan(lo).any() or np.isnan(hi).any())
+        live = np.flatnonzero(lo <= hi)
+        low, high = stability._DOMAIN
+        ends = np.concatenate([lo[live], hi[live]])
+        ends = ends[(low < ends) & (ends < high)]
+        bounds = np.array([b for b in stable_boundaries(*sizes, params) if low < b < high])
+        near = np.abs(ends[:, None] - bounds[None, :]) <= stability._MARGIN
+        assert near.any(axis=1).all()  # no end off a bound
+        assert near.any(axis=0).all()  # and an end at every bound
+
+        exact = dict(partition=partition, delta=Fraction(str(delta)), cost=Fraction(str(cost)))
+        wide = 2 * float(self.STEP)  # intervals reaching past the step inside
+
+        def stable_at(mask, f12: Fraction) -> bool:
+            return exact_pairwise_stable(space.network_for(int(mask)),
+                                         coordination=[[1, f12], [f12, 1]], **exact)
+        for bound in bounds:
+            x = Fraction(float(bound)).limit_denominator(10**6)
+            starts = live[(np.abs(lo[live] - bound) <= stability._MARGIN)
+                          & (hi[live] > bound + wide)]
+            stops = live[(np.abs(hi[live] - bound) <= stability._MARGIN)
+                         & (lo[live] < bound - wide)]
+            assert starts.size and stops.size, bound
+            assert stable_at(starts[0], x + self.STEP) and not stable_at(starts[0], x - self.STEP)
+            assert stable_at(stops[0], x - self.STEP) and not stable_at(stops[0], x + self.STEP)
+
+
 class TestPairIntervals:
     """`_pair_intervals` on hand-made changes ``a + b * x``."""
 
@@ -1356,6 +1412,29 @@ class TestEnginesAgreeAtTheStableBounds:
             assert not is_pairwise_stable(tables.space.network_for(int(k)), society), k
 
 
+class TestScanAnswers:
+    """A scan's best welfare, argmax set and least stable welfare, on the
+    scans the reports read (`conftest.assert_scan_answers`)."""
+
+    def test_every_row_of_the_checked_in_sweep(self):
+        scenario = load_scenario(str(ROOT / "scenarios" / "two_groups_boundary.scn"))
+        space = interconnection_space(scenario.society.partition)
+        lines = (ROOT / "out" / "two_group_sweep.csv").read_text(encoding="ascii").splitlines()
+        grid = _grid(0.0, 1.0, 0.005)
+        assert len(lines) == len(grid) + 1 == 202
+        for value, line in zip(grid, lines[1:]):
+            society = _society_at(scenario.society, "F12", value)
+            scan = stability._scan_for(space, society)  # the sweep's own path
+            assert_scan_answers(scan)
+            assert _sweep_row(value, society, scan) == line
+
+    def test_stable_min_is_nan_without_a_stable_network(self):
+        scan = SpaceScan(space=full_graph_space(3), stable=np.zeros(8, dtype=bool),
+                         welfare=np.arange(8.0))
+        assert math.isnan(scan.stable_min) and scan.best == 7.0
+        assert_scan_answers(scan)
+
+
 class TestPriceOfAnarchy:
     def test_single_group_aligned(self):
         society = Society(GroupPartition.from_sizes([5]),
@@ -1376,14 +1455,17 @@ class TestPriceOfAnarchy:
         scan = SpaceScan(space=full_graph_space(3),
                          stable=np.zeros(8, dtype=bool),
                          welfare=np.ones(8))
-        with pytest.raises(PoAUndefinedError):
+        with pytest.raises(PoAUndefinedError,
+                           match="^no pairwise stable network in the search space$"):
             poa_from_scan(scan)
 
     def test_undefined_on_nonpositive_stable_welfare(self):
         society = Society(GroupPartition.from_sizes([3]),
                           CoordinationMatrix.uniform(1, 0.0),
                           ModelParams(0.5, 0.6))
-        with pytest.raises(PoAUndefinedError):
+        # the empty network is the least stable one
+        with pytest.raises(PoAUndefinedError, match=r"^minimum stable welfare 0\.0 is not "
+                                                    r"positive; ratio undefined$"):
             price_of_anarchy(full_graph_space(3), society)
 
 
