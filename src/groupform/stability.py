@@ -22,12 +22,17 @@ society in one process build and scan once.
 
 Two-group sweeps over the cross weight F12 scan one table many times.  For
 a fixed table and cost every payoff change is affine in F12, so each
-network is stable on one F12 interval.  A scan whose table remembers a
-scan at the same cost is the second at that cost: it builds the intervals
-(`_stability_intervals`).  From then on `scan_space` reads every
+network is stable on one F12 interval, and every welfare is a line in
+F12.  A scan whose table remembers a scan at the same cost is the second
+at that cost: it builds the intervals (`_stability_intervals`) and the
+welfare lines (`_welfare_lines`).  From then on `scan_space` reads every
 network's flag off its interval, unless some network has a NaN end or an
 end within 1e-6 of the scanned F12: then the whole scan is the per-pair
-scan.  On the checked-in sweep that happens on 3 of its 201 rows.
+scan.  On such a line row the lines pick the few networks that can hold
+the best welfare, the networks within EPSILON of it and the least stable
+welfare, and the utility kernel runs on those alone; the whole welfare
+vector is computed only when read.  On the checked-in sweep 4 of its 201
+rows are per pair and 197 are line rows.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from collections.abc import Collection
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -309,14 +315,14 @@ class SpaceTables:
     remembers the last scan (`scan_space`) and the society it was made for.
 
     For two groups, ``_intervals`` holds each network's F12 stability
-    interval at one cost: two float64 per network, which `scan_space` reads
-    on every scan at that cost.  They are built on the second scan at a
-    cost: `scan_space` reads the cost of the scan in ``_scan`` before it
-    replaces that scan.  They settle a scan whole or not at all: one NaN
-    end, or one end within `_MARGIN` of F12, makes the scan the per-pair
-    scan.  Their build first fills ``_columns`` (`_cache_columns`):
-    node-major copies of ``benefit`` and ``degree``, which hold for every
-    cost and which every later scan reads.
+    interval and welfare line at one cost (`_AtCost`): four float64 per
+    network, which `scan_space` reads on every scan at that cost.  They are
+    built on the second scan at a cost: `scan_space` reads the cost of the
+    scan in ``_scan`` before it replaces that scan.  The intervals settle a
+    scan whole or not at all: one NaN end, or one end within `_MARGIN` of
+    F12, makes the scan the per-pair scan.  Their build first fills
+    ``_columns`` (`_cache_columns`): node-major copies of ``benefit`` and
+    ``degree``, which hold for every cost and which every later scan reads.
     """
 
     space: SearchSpace
@@ -324,12 +330,33 @@ class SpaceTables:
     delta: float
     benefit: np.ndarray  # (K, n, m) float64
     degree: np.ndarray   # (K, n) uint8
-    # cost -> (lo, hi), built intervals only; one cost at a time
+    # cost -> its `_AtCost`, built ones only; one cost at a time
     _intervals: dict = field(default_factory=dict, init=False, repr=False)
     # "benefit": (n, m, K) float64, "degree": (n, K) uint8; set by the interval build
     _columns: dict = field(default_factory=dict, init=False, repr=False)
     # society -> its SpaceScan; one society at a time
     _scan: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _arrays(self) -> SpaceTables:
+        """A table with these arrays and node-major copy but no memos: what a
+        line scan keeps to compute its welfare later, so that a table and
+        its last scan hold no reference cycle and a dropped table is freed
+        at once."""
+        arrays = SpaceTables(self.space, self.partition, self.delta, self.benefit, self.degree)
+        arrays._columns.update(self._columns)
+        return arrays
+
+
+class _AtCost(NamedTuple):
+    """A two-group table's F12 answers at one cost: each network is stable
+    for F12 in ``[lo, hi]`` (`_stability_intervals`), and its welfare at
+    F12 = x is ``base + slope * x`` to within `_line_radius`
+    (`_welfare_lines`)."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    base: np.ndarray
+    slope: np.ndarray
 
 
 def _tables_chunk(space: SearchSpace, partition: GroupPartition, delta: float,
@@ -450,29 +477,55 @@ def compute_tables(space: SearchSpace, partition: GroupPartition, delta: float,
 @dataclass(frozen=True, eq=False)
 class SpaceScan:
     """Stability flags and welfare for every network in a space, and the
-    answers every report reads off them: ``best``, ``argmax_masks()`` and
-    ``stable_min``.  Scans compare and hash by identity."""
+    answers every report reads: ``best``, ``argmax_masks()`` and
+    ``stable_min``.  Scans compare and hash by identity.
+
+    ``welfare_of`` gives the utility kernel's welfare of the networks at a
+    slice or an index array of rows.  ``welfare`` is computed through it on
+    first read, and ``welfare[k] == welfare_of(rows)[r]`` bitwise for
+    ``rows[r] == k``.  A line row of a sweep (`scan_space`) names the rows
+    that can hold each answer: ``top`` those that may lie within EPSILON of
+    the best welfare, ``low`` the stable ones that may hold the least stable
+    welfare.  The answers then read only those rows, and equal a whole
+    scan's.  None, the default, means every row (every stable row for
+    ``low``).
+    """
 
     space: SearchSpace
-    stable: np.ndarray   # (K,) bool
-    welfare: np.ndarray  # (K,) float64
+    stable: np.ndarray  # (K,) bool
+    welfare_of: Callable[[slice | np.ndarray], np.ndarray] = field(repr=False)
+    top: np.ndarray | None = field(default=None, repr=False)
+    low: np.ndarray | None = field(default=None, repr=False)
 
     def stable_masks(self) -> np.ndarray:
         return np.flatnonzero(self.stable)
 
     @cached_property
+    def welfare(self) -> np.ndarray:
+        """(K,) float64, read-only: every network's welfare."""
+        welfare = self.welfare_of(slice(None))
+        welfare.flags.writeable = False
+        return welfare
+
+    @cached_property
+    def _top_welfare(self) -> np.ndarray:
+        return self.welfare if self.top is None else self.welfare_of(self.top)
+
+    @cached_property
     def best(self) -> float:
         """The highest welfare."""
-        return float(self.welfare.max())
+        return float(self._top_welfare.max())
 
     def argmax_masks(self) -> np.ndarray:
         """The networks within EPSILON of ``best``, in bitmask order."""
-        return np.flatnonzero(self.welfare >= self.best - EPSILON)
+        hits = np.flatnonzero(self._top_welfare >= self.best - EPSILON)
+        return hits if self.top is None else self.top[hits]
 
     @cached_property
     def stable_min(self) -> float:
         """The least welfare of a stable network; NaN when none is stable."""
-        stable_welfare = self.welfare[self.stable]
+        stable_welfare = (self.welfare[self.stable] if self.low is None
+                          else self.welfare_of(self.low))
         return float(stable_welfare.min()) if stable_welfare.size else math.nan
 
 
@@ -485,28 +538,34 @@ def _node_major(tables: SpaceTables) -> tuple[np.ndarray, np.ndarray]:
     return tables.benefit.transpose(1, 2, 0), tables.degree.T
 
 
-def _utilities(tables: SpaceTables, society: Society, rows: slice = slice(None)) -> np.ndarray:
+def _utilities(tables: SpaceTables, society: Society,
+               rows: slice | np.ndarray = slice(None)) -> np.ndarray:
     """util[v, r]: node v's payoff in network ``rows[r]`` of the tables, for a
-    contiguous slice of networks (all by default), node-major: one
-    contiguous column per node.
+    contiguous slice of networks (all by default) or an index array of them,
+    node-major: one contiguous column per node.
 
     Each column is ``benefit[v, 0, rows] * w[v, 0]``, plus the same product
     for groups 1 to m - 1 in order, minus ``cost * degree[v, rows]``, with
     v's weights ``w[v]`` for its group: the scalar `model._level_sum`'s
-    doubles in its order, so the two engines agree bitwise for every m.
+    doubles in its order, so the two engines agree bitwise for every m, and
+    a network's column entries do not depend on the rows asked with it.
     The rows are computed ``_BLOCK`` at a time, all nodes at once, so the
-    terms stay in cache; the tables are read node-major (`_node_major`).
+    terms stay in cache; the tables are read node-major (`_node_major`), a
+    slice's block as a view and an index array's block gathered.
     """
-    start, stop, _ = rows.indices(len(tables.degree))
+    if isinstance(rows, slice):
+        rows = range(*rows.indices(len(tables.degree))[:2])
     n, cost = tables.space.n, society.params.cost
     benefit, degree = _node_major(tables)
     entries = society.coordination.entries
     weights = np.array([entries[g] for g in tables.partition.membership])  # (n, m)
-    util = np.empty((n, stop - start), dtype=np.float64)
-    scratch = np.empty((n, min(_BLOCK, stop - start)), dtype=np.float64)
-    for first in range(start, stop, _BLOCK):
-        block = slice(first, min(first + _BLOCK, stop))
-        out = util[:, first - start:block.stop - start]
+    util = np.empty((n, len(rows)), dtype=np.float64)
+    scratch = np.empty((n, min(_BLOCK, len(rows))), dtype=np.float64)
+    for first in range(0, len(rows), _BLOCK):
+        block = rows[first:first + _BLOCK]
+        if isinstance(block, range):
+            block = slice(block.start, block.stop)
+        out = util[:, first:first + _BLOCK]
         term = scratch[:, :out.shape[1]]
         np.multiply(benefit[:, 0, block], weights[:, 0:1], out=out)
         for g in range(1, weights.shape[1]):
@@ -650,15 +709,80 @@ def _stability_intervals(tables: SpaceTables, society: Society) -> tuple[np.ndar
     return lo, hi
 
 
+def _welfare_lines(tables: SpaceTables, society: Society) -> tuple[np.ndarray, np.ndarray]:
+    """``(base, slope)``: each network of a two-group table has welfare
+    ``base + slope * x`` at F12 = x and the society's cost, to within
+    `_line_radius`.  ``base`` adds each node's benefit from its own group
+    less ``cost * degree``, node by node; ``slope`` adds each node's
+    benefit from the other group.
+
+    The margin argument.  Let L be the exact line, from the table's doubles,
+    the cost and x.  Each of the n utilities the kernel adds is within
+    ``S * 2**-49`` of its own line, ``S = (n - 1) * (1 + cost)``, as
+    `_stability_intervals` shows for the changes, and the kernel adds them
+    left to right from 0.0 (`_welfare`): n - 1 rounded adds of partial
+    sums at most ``n * S`` in magnitude.  So the kernel's welfare is within
+    ``n * S * 2**-53 * (16 + n)`` of L.  The doubles ``base`` and ``slope``
+    take 2n and n - 1 rounded operations on terms of the same bound, and
+    ``base + slope * x`` two more, so the line a scan evaluates is within
+    ``n * S * 2**-53 * (2n + 2)`` of L.  Together that is below
+    ``n * S * 2**-46`` for n <= 32, the table cap; `_line_radius`, ``r =
+    n * S * 2**-44``, leaves a factor of 4 for the rounding of the
+    thresholds in `_line_rows`.
+    """
+    group, cost = tables.partition.membership, society.params.cost
+    benefit, degree = _node_major(tables)
+    base, slope = np.zeros(len(tables.degree)), np.zeros(len(tables.degree))
+    term = np.empty(len(tables.degree))
+    for v, g in enumerate(group):
+        base += np.subtract(benefit[v, g], np.multiply(degree[v], cost, out=term), out=term)
+        slope += benefit[v, 1 - g]
+    return base, slope
+
+
+def _line_radius(n: int, cost: float) -> float:
+    """``r``, the bound on |kernel welfare - evaluated line| that
+    `_welfare_lines` argues."""
+    return 2.0 ** -44 * n * (n - 1) * (1.0 + cost)
+
+
+def _line_rows(at_cost: _AtCost, stable: np.ndarray, x: float,
+               radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(top, low)`` of a line row at F12 = x (`SpaceScan`): the networks
+    whose line lies within ``EPSILON + 2 * radius`` of the highest line, and
+    the stable ones whose line lies within ``2 * radius`` of the least
+    stable line.
+
+    Every line is within ``radius`` of its kernel welfare.  So a network
+    within EPSILON of the best welfare is within EPSILON + 2 * radius of
+    the highest line, and the least stable welfare's network is within
+    2 * radius of the least stable line: ``top`` holds the best welfare
+    and the whole argmax set, ``low`` the least stable welfare.
+    """
+    line = np.multiply(at_cost.slope, x)
+    line += at_cost.base
+    top = np.flatnonzero(line >= line.max() - (EPSILON + 2 * radius))
+    if not stable.any():
+        return top, np.flatnonzero(stable)
+    line[~stable] = math.inf
+    return top, np.flatnonzero(line <= line.min() + 2 * radius)
+
+
+def _rows_welfare(tables: SpaceTables, society: Society, rows: slice | np.ndarray) -> np.ndarray:
+    """The welfare of the networks at ``rows`` (`_utilities`, `_welfare`)."""
+    util = _utilities(tables, society, rows)
+    return _welfare(util, np.empty(util.shape[1]))
+
+
 def _interval_flags(tables: SpaceTables, society: Society) -> np.ndarray | None:
     """Stability flags at the society's F12 from the table's intervals at its
     cost, or None when they do not settle the whole scan: when the table
     holds none at that cost (`scan_space` builds them), or when any network
     has a NaN end or an end within `_MARGIN` of F12."""
-    intervals = tables._intervals.get(society.params.cost)
-    if intervals is None:
+    at_cost = tables._intervals.get(society.params.cost)
+    if at_cost is None:
         return None
-    lo, hi = intervals
+    lo, hi = at_cost.lo, at_cost.hi
     x = society.coordination[0, 1]
     # a NaN end compares False, so it fails the test as a near end does
     if not ((np.abs(lo - x) > _MARGIN) & (np.abs(hi - x) > _MARGIN)).all():
@@ -669,25 +793,27 @@ def _interval_flags(tables: SpaceTables, society: Society) -> np.ndarray | None:
 def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
     """Evaluate stability and welfare of every network against one society.
 
-    Works through the space in chunks of ``1 << _CHUNK_BITS`` networks, or
-    of ``_BLOCK`` when the intervals settled the flags and a chunk only sums
-    welfare.  Each chunk's utilities come node-major from `_utilities`, and
-    `_welfare` adds the node columns left to right from 0.0.  Besides
-    the tables it holds ``welfare``, ``stable``, one chunk's utilities, and
-    whole-space utility columns only for the endpoints of free pairs whose
-    bit lies above the chunk.
+    A first scan is the per-pair scan.  It works through the space in
+    chunks of ``1 << _CHUNK_BITS`` networks.  Each chunk's utilities come
+    node-major from `_utilities`, and `_welfare` adds the node columns left
+    to right from 0.0.  Besides the tables it holds ``welfare``,
+    ``stable``, one chunk's utilities, and whole-space utility columns only
+    for the endpoints of free pairs whose bit lies above the chunk.
 
     A two-group table's second scan at one cost, known as such because the
     scan the table remembers (below) was made at that cost, builds each
-    network's F12 stability interval (`_stability_intervals`) and keeps it
-    on the tables.  That scan and every later one at that cost take all
-    the flags from the intervals when no network has a NaN end or an end
-    within `_MARGIN` of F12; it then holds no utility columns.  Otherwise the
-    whole scan is the per-pair scan.  The interval build first copies the
-    table node-major (`_cache_columns`, 4.25 MB on a 32,768-network table
-    of 8 nodes), and from then on every scan, per-pair or interval, at any
-    cost reads that copy.  Either way the flags and welfare are those of a
-    first scan.
+    network's F12 stability interval (`_stability_intervals`) and welfare
+    line (`_welfare_lines`) and keeps them on the tables.  That scan and
+    every later one at that cost take all the flags from the intervals when
+    no network has a NaN end or an end within `_MARGIN` of F12; otherwise
+    the whole scan is the per-pair scan.  Such a line row evaluates every
+    line once, picks the networks that can hold its answers
+    (`_line_rows`), and runs the utility kernel on those alone; its
+    ``welfare`` is computed through the same kernel when first read.  The
+    build first copies the table node-major (`_cache_columns`, 4.25 MB on a
+    32,768-network table of 8 nodes), and from then on every scan at any
+    cost reads that copy.  Either way the flags, the answers and the
+    welfare are those of a first scan.
 
     The table remembers its last scan: for a society equal to that scan's,
     the same `SpaceScan` is returned, with its read-only ``stable`` and
@@ -715,14 +841,21 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
     if last is None or last.params.cost != params.cost:
         tables._intervals.clear()  # a first scan at this cost: per pair
     elif partition.m == 2 and not tables._intervals:
-        _cache_columns(tables)  # the second: build the F12 intervals
-        tables._intervals[params.cost] = _stability_intervals(tables, society)
-    size = space.size
+        _cache_columns(tables)  # the second: build the F12 intervals and lines
+        tables._intervals[params.cost] = _AtCost(*_stability_intervals(tables, society),
+                                                 *_welfare_lines(tables, society))
     flags = _interval_flags(tables, society)
-    # the free pairs this scan decides: none when the intervals settled it
-    pairs = list(enumerate(space.free_pairs)) if flags is None else []
-    stable = np.ones(size, dtype=bool) if flags is None else flags
-    chunk = min(1 << _CHUNK_BITS if pairs else _BLOCK, size)
+    if flags is not None:  # a line row
+        flags.flags.writeable = False
+        top, low = _line_rows(tables._intervals[params.cost], flags,
+                              society.coordination[0, 1], _line_radius(space.n, params.cost))
+        scan = tables._scan[society] = SpaceScan(
+            space, flags, partial(_rows_welfare, tables._arrays(), society), top, low)
+        return scan
+    size = space.size
+    pairs = list(enumerate(space.free_pairs))
+    stable = np.ones(size, dtype=bool)
+    chunk = min(1 << _CHUNK_BITS, size)
     low = chunk.bit_length() - 1
     # A pair below bit `low` has both partner networks in every chunk; a
     # higher pair's partners lie in different chunks, so its endpoints keep
@@ -742,7 +875,7 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
     for t, (i, j) in high_pairs:
         _scan_pair(high[i], high[j], stable, t)
     stable.flags.writeable = welfare.flags.writeable = False
-    scan = tables._scan[society] = SpaceScan(space=space, stable=stable, welfare=welfare)
+    scan = tables._scan[society] = SpaceScan(space, stable, welfare.__getitem__)
     return scan
 
 

@@ -789,6 +789,18 @@ class TestScenarioFiles:
             0, golden.read_text(encoding="ascii"))
 
 
+    def test_four_by_four_sweep_is_its_pinned_golden(self, tmp_path):
+        # 101 rows of the 4+4 interconnection space (65,536 networks),
+        # written when every row still computed every network's welfare
+        golden = ROOT / "tests" / "golden"
+        out = tmp_path / "sweep.csv"
+        code, _ = run_cli(["sweep", "--scenario", str(golden / "four_by_four.scn"),
+                           "--parameter", "F12", "--from", "0", "--to", "1", "--step", "0.01",
+                           "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == (golden / "four_by_four.sweep.csv").read_bytes()
+
+
 class TestModuleEntryPoint:
     def test_python_m_matches_main(self):
         scenario = "scenarios/two_groups_boundary.scn"
@@ -832,14 +844,22 @@ class TestScripts:
         # The cached F12 intervals settle a scan whole or not at all.  The
         # per-pair scan runs on the table's first scan and wherever some
         # network's interval end lies within the margin of F12: at the
-        # stable bounds on the grid (the fourth, 8/15, is off it).
-        per_pair, interval_flags = [], stab._interval_flags
+        # stable bounds on the grid (the fourth, 8/15, is off it).  Every
+        # other row is a line row, whose answers the welfare lines pick.
+        per_pair, line_rows = [], []
+        interval_flags, rows_of = stab._interval_flags, stab._line_rows
 
         def spy(tables, society):
             flags = interval_flags(tables, society)
             if flags is None:
                 per_pair.append(society.coordination[0, 1])
             return flags
+
+        def line_spy(at_cost, stable, x, radius):
+            line_rows.append(x)
+            return rows_of(at_cost, stable, x, radius)
         monkeypatch.setattr(stab, "_interval_flags", spy)
+        monkeypatch.setattr(stab, "_line_rows", line_spy)
         self.assert_outputs_match(tmp_path, monkeypatch, "two_group_sweep.py", [])
         assert per_pair == [0.0, 0.2, 0.4, 0.8]
+        assert len(line_rows) == 197 and not set(per_pair) & set(line_rows)

@@ -1,3 +1,4 @@
+import gc
 import math
 import operator
 import random
@@ -612,7 +613,7 @@ class TestStabilityIntervals:
                                 GroupPartition.from_sizes([3, 5]), PARAMS.delta)
         for f12 in (0.5, 0.6):
             scan_space(tables, society_3_5(f12))
-        lo, hi = tables._intervals[PARAMS.cost]
+        lo, hi, _, _ = tables._intervals[PARAMS.cost]
         ends = np.unique(np.concatenate([lo, hi]))
         ends = ends[(0 < ends) & (ends < 1)]
         assert ends.size >= 5
@@ -628,7 +629,7 @@ class TestStabilityIntervals:
             scan_space(tables, society_3_5(f12))
             # the first scan at the cost is per pair and builds no intervals
             assert (stability._interval_flags(tables, society_3_5(f12)) is None) == (f12 == 0.1)
-        lo, hi = tables._intervals[PARAMS.cost]
+        lo, hi, _, _ = tables._intervals[PARAMS.cost]
         if untrusted == "every network":
             lo[:] = hi[:] = np.nan
         else:  # read off its NaN end, this network would be unstable at 0.6
@@ -689,6 +690,99 @@ class TestStabilityIntervals:
         for f12 in (0.1, 0.3, 0.8):
             scan_space(tables, Society(partition, CoordinationMatrix.uniform(3, f12), PARAMS))
         assert builds == [] and tables._intervals == {}
+
+
+class TestWelfareLines:
+    """On a line row (`scan_space`) the answers come from the networks that
+    the welfare lines pick (`stability._line_rows`), and the whole welfare
+    is computed on first read; all must equal a first scan's, bit for bit."""
+
+    def test_kernel_welfare_lies_within_the_line_radius(self):
+        # The margin argument of `_welfare_lines`, measured exactly at the 201
+        # points of the sweep.  With delta = 1/2 every benefit is a dyadic
+        # fraction of few bits, so each network's summed own-group benefit,
+        # other-group benefit and degree are exact and give its exact line.
+        partition = GroupPartition.from_sizes([3, 5])
+        tables = compute_tables(interconnection_space(partition), partition, PARAMS.delta)
+        n, nodes = partition.n, np.arange(partition.n)
+        group = np.array(partition.membership)
+        sums = np.stack([tables.benefit[:, nodes, group].sum(axis=1),
+                         tables.benefit[:, nodes, 1 - group].sum(axis=1),
+                         tables.degree.sum(axis=1, dtype=np.int64)], axis=1)
+        # group the networks by their exact line: each group's extreme
+        # welfares bound its error
+        keys, key_of = np.unique(sums, axis=0, return_inverse=True)
+        order = np.argsort(key_of.ravel(), kind="stable")
+        firsts = np.searchsorted(key_of.ravel()[order], np.arange(len(keys)))
+        base, slope = stability._welfare_lines(tables, society_3_5(0.0))
+        cost, worst_welfare, worst_line = Fraction(PARAMS.cost), Fraction(0), Fraction(0)
+
+        def worst_off(values: np.ndarray, exact: list) -> Fraction:
+            return max(abs(Fraction(value) - e)
+                       for reduce in (np.maximum.reduceat, np.minimum.reduceat)
+                       for value, e in zip(reduce(values[order], firsts).tolist(), exact))
+        for x in _grid(0.0, 1.0, 0.005):
+            exact = [Fraction(own) - cost * int(degree) + Fraction(other) * Fraction(x)
+                     for own, other, degree in keys]
+            welfare = stability._rows_welfare(tables, society_3_5(x), slice(None))
+            worst_welfare = max(worst_welfare, worst_off(welfare, exact))
+            worst_line = max(worst_line, worst_off(base + slope * x, exact))
+        radius = stability._line_radius(n, PARAMS.cost)
+        assert radius == n * (n - 1) * (1 + PARAMS.cost) * 2.0 ** -44
+        assert 0 < worst_welfare and worst_welfare + worst_line <= radius
+
+    def test_line_rows_pick_the_networks_within_the_margins(self):
+        radius = 1e-12
+        base = np.array([1.0, 2.0, 2.0 - EPSILON, 2.0 - 2 * EPSILON, 0.5, 0.5 + 1e-13])
+        slope = np.array([0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+        at_cost = stability._AtCost(np.zeros(6), np.ones(6), base - slope, slope)
+        stable = np.array([True, False, False, True, True, True])
+        top, low = stability._line_rows(at_cost, stable, 1.0, radius)
+        # within EPSILON + 2 * radius of the highest line 2.0, and within
+        # 2 * radius of the least stable line 0.5
+        assert top.tolist() == [1, 2] and low.tolist() == [4, 5]
+        top, low = stability._line_rows(at_cost, np.zeros(6, dtype=bool), 1.0, radius)
+        assert top.tolist() == [1, 2] and low.size == 0
+        scan = SpaceScan(space=full_graph_space(3), stable=np.zeros(8, dtype=bool),
+                         welfare_of=np.arange(8.0).__getitem__, top=np.array([6, 7]), low=low)
+        assert scan.best == 7.0 and scan.argmax_masks().tolist() == [7]
+        assert math.isnan(scan.stable_min)
+        assert_scan_answers(scan)
+
+    # the sweep's table, the other size splits, both delta extremes and a
+    # full space at two costs, each with its count of line rows among the
+    # 201: all but the first and those with an interval end within the margin
+    @pytest.mark.parametrize("sizes, delta, cost, full, rows", [
+        ((3, 5), 0.5, 0.2, False, 197),
+        ((4, 4), 0.5, 0.2, False, 196),
+        ((3, 4), 0.5, 0.2, False, 197),
+        ((3, 5), 0.05, 0.02, False, 200),
+        ((3, 5), 0.95, 0.02, False, 200),
+        ((3, 3), 0.5, 0.2, True, 197),
+        ((3, 3), 0.5, 0.1, True, 197),
+    ], ids=["3+5", "4+4", "3+4", "delta-0.05", "delta-0.95", "full-3+3", "full-3+3-cost-0.1"])
+    def test_line_rows_equal_first_scans(self, sizes, delta, cost, full, rows):
+        def bits(x: float) -> bytes:
+            return np.float64(x).tobytes()
+        partition = GroupPartition.from_sizes(sizes)
+        space = full_graph_space(partition.n) if full else interconnection_space(partition)
+        stability._last_tables.clear()
+        line_rows = 0
+        for f12 in _grid(0.0, 1.0, 0.005):
+            society = TestStabilityIntervals.society(sizes, delta, cost, f12)
+            scan = stability._scan_for(space, society)  # the sweep's own path
+            if scan.top is None:
+                continue
+            line_rows += 1
+            expected = TestStabilityIntervals.first_scan(
+                compute_tables(space, partition, delta), society)
+            assert expected.top is None
+            assert scan.stable.tobytes() == expected.stable.tobytes(), f12
+            assert bits(scan.best) == bits(expected.best), f12
+            assert np.array_equal(scan.argmax_masks(), expected.argmax_masks()), f12
+            assert bits(scan.stable_min) == bits(expected.stable_min), f12
+            assert scan.welfare.tobytes() == expected.welfare.tobytes(), f12
+        assert line_rows == rows
 
 
 class TestCachedColumns:
@@ -906,6 +1000,25 @@ class TestMemo:
         benefit, degree = build(space, partition, delta, 0, space.size)
         assert np.array_equal(tables.benefit, benefit) and np.array_equal(tables.degree, degree)
         assert compute_tables(**args) is tables
+
+    def test_a_table_with_a_line_row_is_freed_once_dropped(self):
+        # a line row keeps the table's arrays for its welfare, not the table,
+        # so the table and its remembered scan hold no reference cycle
+        partition = GroupPartition.from_sizes([3, 5])
+        tables = compute_tables(interconnection_space(partition), partition, PARAMS.delta)
+        for f12 in (0.3, 0.6):
+            scan = scan_space(tables, society_3_5(f12))
+        assert scan.top is not None  # a line row
+        expected = TestStabilityIntervals.first_scan(tables, society_3_5(0.6)).welfare
+        old = weakref.ref(tables)
+        del tables
+        gc.disable()  # freed by reference counts alone
+        try:
+            compute_tables(interconnection_space(partition), partition, 0.45)
+            assert old() is None
+        finally:
+            gc.enable()
+        assert scan.welfare.tobytes() == expected.tobytes()
 
     def test_another_society_scans_anew_as_a_first_scan_would(self):
         # cost 0.2 per pair, then the interval build; cost 0.1 per pair, then
@@ -1430,7 +1543,7 @@ class TestScanAnswers:
 
     def test_stable_min_is_nan_without_a_stable_network(self):
         scan = SpaceScan(space=full_graph_space(3), stable=np.zeros(8, dtype=bool),
-                         welfare=np.arange(8.0))
+                         welfare_of=np.arange(8.0).__getitem__)
         assert math.isnan(scan.stable_min) and scan.best == 7.0
         assert_scan_answers(scan)
 
@@ -1454,7 +1567,7 @@ class TestPriceOfAnarchy:
     def test_undefined_without_stable_networks(self):
         scan = SpaceScan(space=full_graph_space(3),
                          stable=np.zeros(8, dtype=bool),
-                         welfare=np.ones(8))
+                         welfare_of=np.ones(8).__getitem__)
         with pytest.raises(PoAUndefinedError,
                            match="^no pairwise stable network in the search space$"):
             poa_from_scan(scan)
