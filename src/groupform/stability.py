@@ -595,22 +595,6 @@ def _cache_columns(tables: SpaceTables) -> None:
                                degree=np.ascontiguousarray(tables.degree.T))
 
 
-def _scan_pair(u_i: np.ndarray, u_j: np.ndarray, stable: np.ndarray, t: int) -> None:
-    """Clear ``stable`` where the pair rule toggles free pair t, given its
-    endpoints' utilities over the same run of networks as ``stable``."""
-    # Network k and its partner k ^ (1 << t) sit at [:, 0] and [:, 1] of
-    # these views: the pair is absent on side 0 and present on side 1.
-    shape = (stable.size >> (t + 1), 2, 1 << t)
-    u_i, u_j = u_i.reshape(shape), u_j.reshape(shape)
-    side = stable.reshape(shape)
-    d_i = u_i[:, 1] - u_i[:, 0]
-    d_j = u_j[:, 1] - u_j[:, 0]
-    side[:, 0] &= ~_pair_changes(False, d_i, d_j)
-    # the cut side's change is exactly -d: fl(a - b) == -fl(b - a)
-    side[:, 1] &= ~_pair_changes(True, np.negative(d_i, out=d_i),
-                                 np.negative(d_j, out=d_j))
-
-
 def _pair_intervals(change_i, change_j, eta: float):
     """One free pair's half-line ends for each network of a block:
     ``(form, keep)`` arrays, the networks without the pair being left
@@ -796,9 +780,12 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
     A first scan is the per-pair scan.  It works through the space in
     chunks of ``1 << _CHUNK_BITS`` networks.  Each chunk's utilities come
     node-major from `_utilities`, and `_welfare` adds the node columns left
-    to right from 0.0.  Besides the tables it holds ``welfare``,
-    ``stable``, one chunk's utilities, and whole-space utility columns only
-    for the endpoints of free pairs whose bit lies above the chunk.
+    to right from 0.0.  Each free pair is decided only on the chunk's live
+    networks, those no earlier pair changes, as `_pair_changes` of each
+    endpoint's change to the partner network, gathered ``_BLOCK`` rows at a
+    time; a partner outside the chunk gets its utilities from `_utilities`
+    by index.  Besides the tables it holds ``welfare``, ``stable``, one
+    chunk's utilities and live rows, and one block's partner utilities.
 
     A two-group table's second scan at one cost, known as such because the
     scan the table remembers (below) was made at that cost, builds each
@@ -852,28 +839,37 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
         scan = tables._scan[society] = SpaceScan(
             space, flags, partial(_rows_welfare, tables._arrays(), society), top, low)
         return scan
-    size = space.size
-    pairs = list(enumerate(space.free_pairs))
-    stable = np.ones(size, dtype=bool)
-    chunk = min(1 << _CHUNK_BITS, size)
+    chunk = min(1 << _CHUNK_BITS, space.size)
     low = chunk.bit_length() - 1
-    # A pair below bit `low` has both partner networks in every chunk; a
-    # higher pair's partners lie in different chunks, so its endpoints keep
-    # whole-space columns and it is scanned after the loop.
-    high_pairs = pairs[low:]
-    high = {v: np.empty(size, dtype=np.float64)
-            for v in {v for _, pair in high_pairs for v in pair}}
-    welfare = np.empty(size, dtype=np.float64)
-    for start in range(0, size, chunk):
-        stop = start + chunk
-        cols = _utilities(tables, society, slice(start, stop))
-        _welfare(cols, welfare[start:stop])
-        for t, (i, j) in pairs[:low]:
-            _scan_pair(cols[i], cols[j], stable[start:stop], t)
-        for v, column in high.items():
-            column[start:stop] = cols[v]
-    for t, (i, j) in high_pairs:
-        _scan_pair(high[i], high[j], stable, t)
+    cross = space.cross_bits(partition)
+    # A network is stable only if no free pair changes it, so each chunk
+    # decides each pair on its live rows alone: those no earlier pair has
+    # changed.  Pairs below bit `low`, whose partner networks lie in the
+    # chunk, come first, and intra-group pairs first among them: below the
+    # clique bound each one halves the live set.  A higher pair's partners
+    # lie in another chunk; `_utilities` computes theirs.
+    pairs = sorted(enumerate(space.free_pairs), key=lambda tp: (tp[0] >= low, cross >> tp[0] & 1))
+    stable = np.zeros(space.size, dtype=bool)
+    welfare = np.empty(space.size, dtype=np.float64)
+    for start in range(0, space.size, chunk):
+        cols = _utilities(tables, society, slice(start, start + chunk))
+        _welfare(cols, welfare[start:start + chunk])
+        live = np.arange(chunk, dtype=np.int32)  # every row < 2**FREE_BITS_CAP
+        for t, (i, j) in pairs:
+            unchanged = np.empty(live.size, dtype=bool)
+            for first in range(0, live.size, _BLOCK):
+                r = live[first:first + _BLOCK]
+                if t < low:
+                    other, at = cols, r ^ (1 << t)
+                else:
+                    other, at = _utilities(tables, society, r + (start ^ (1 << t))), slice(None)
+                present = ((r + start) >> t & 1).astype(bool)
+                unchanged[first:first + _BLOCK] = ~_pair_changes(
+                    present, other[i, at] - cols[i, r], other[j, at] - cols[j, r])
+            live = live[unchanged]
+            if not live.size:
+                break
+        stable[live + start] = True
     stable.flags.writeable = welfare.flags.writeable = False
     scan = tables._scan[society] = SpaceScan(space, stable, welfare.__getitem__)
     return scan

@@ -203,20 +203,29 @@ def reference_welfare(tables: SpaceTables, society: Society) -> np.ndarray:
     return welfare
 
 
-def reference_stable(tables: SpaceTables, society: Society) -> np.ndarray:
-    """Pairwise stability of every network in the tables, each free pair's
-    partner network reached by an explicit index gather."""
+def reference_changing_pairs(tables: SpaceTables, society: Society,
+                             bits: Sequence[int] | None = None) -> np.ndarray:
+    """How many of the free pairs ``bits`` (all by default) change each
+    network in the tables, each pair's partner network reached by an
+    explicit index gather."""
     util = reference_utilities(tables, society)
     size = tables.space.size
     idx = np.arange(size, dtype=np.int64)
-    stable = np.ones(size, dtype=bool)
-    for t, (i, j) in enumerate(tables.space.free_pairs):
+    changing = np.zeros(size, dtype=np.int64)
+    for t in range(len(tables.space.free_pairs)) if bits is None else bits:
+        i, j = tables.space.free_pairs[t]
         partner = idx ^ (1 << t)
         du_i = util[partner, i] - util[:, i]
         du_j = util[partner, j] - util[:, j]
         present = (idx >> t & 1).astype(bool)
-        stable &= ~_pair_changes(present, du_i, du_j)
-    return stable
+        changing += _pair_changes(present, du_i, du_j)
+    return changing
+
+
+def reference_stable(tables: SpaceTables, society: Society) -> np.ndarray:
+    """Pairwise stability of every network in the tables: no free pair
+    changes it (`reference_changing_pairs`)."""
+    return reference_changing_pairs(tables, society) == 0
 
 
 def reduced_answers(scan: SpaceScan) -> tuple[float, np.ndarray, float]:

@@ -51,6 +51,7 @@ from groupform.stability import (
 )
 from groupform.thresholds import (
     RegimeKind,
+    below_clique_bound,
     classify_two_group_stable,
     efficient_boundaries,
     stable_boundaries,
@@ -62,6 +63,7 @@ from oracles import (
     exact_pairwise_stable,
     exact_payoff,
     free_mask_of,
+    reference_changing_pairs,
     reference_stable,
     reference_tables_chunk,
     reference_utilities,
@@ -489,9 +491,39 @@ class TestEngineAgainstReference:
         self.assert_identical(compute_tables(full_graph_space(6), society.partition,
                                              PARAMS.delta), society)
 
+    # With 2^10-network chunks, each chunk of the full 3+3 space decides its
+    # 10 pairs below bit 10 and then the 5 above it on its live networks.
+    # Each case first shows from the oracle that its situation occurs.
+    @pytest.mark.parametrize("case, cost, f12, block", [
+        ("above-clique-bound", 0.3, 0.45, 1 << 12),
+        ("chunk-empties-early", 0.2, 0.1, 1 << 12),
+        ("partial-block-above-chunk", 0.3, 0.9, 8),
+    ])
+    def test_live_set_scan_matches_the_reference(self, monkeypatch, case, cost, f12, block):
+        monkeypatch.setattr(stability, "_CHUNK_BITS", 10)
+        monkeypatch.setattr(stability, "_BLOCK", block)
+        society = society_3_3(f12, ModelParams(PARAMS.delta, cost))
+        tables = compute_tables(full_graph_space(6), society.partition, PARAMS.delta)
+        if case == "above-clique-bound":
+            # intra-group pairs no longer change every network without them
+            assert not below_clique_bound(society.params)
+        elif case == "chunk-empties-early":
+            # two pairs change every network of some chunk, so whatever the
+            # order its live set empties before its last pair
+            by_chunk = reference_changing_pairs(tables, society).reshape(32, -1)
+            assert (by_chunk.min(axis=1) >= 2).any()
+        else:
+            # some chunk's live set reaches the pairs above the chunk in
+            # whole blocks and a last partial one
+            in_chunk = reference_changing_pairs(tables, society, range(10)) == 0
+            survivors = in_chunk.reshape(32, -1).sum(axis=1)
+            assert ((survivors > block) & (survivors % block != 0)).any()
+        self.assert_identical(tables, society)
+
     def test_scan_holds_no_whole_space_util(self, monkeypatch):
-        # a whole-space util is K * n doubles; the chunked scan holds welfare,
-        # stable, one chunk's utilities and the high-bit endpoints' columns
+        # a whole-space util is K * n doubles; the chunked scan holds
+        # welfare, stable, one chunk's utilities and live rows, and the
+        # utilities of one block of partner networks
         monkeypatch.setattr(stability, "_CHUNK_BITS", 10)
         society = society_3_3(0.45)
         tables = compute_tables(full_graph_space(6), society.partition, PARAMS.delta)
@@ -501,7 +533,7 @@ class TestEngineAgainstReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * tables.degree.size * 8
+        assert peak < 3 * tables.space.size * 8
 
     @pytest.fixture(scope="class")
     def tables_3_5(self) -> SpaceTables:
