@@ -320,9 +320,7 @@ class SpaceTables:
     built on the second scan at a cost: `scan_space` reads the cost of the
     scan in ``_scan`` before it replaces that scan.  The intervals settle a
     scan whole or not at all: one NaN end, or one end within `_MARGIN` of
-    F12, makes the scan the per-pair scan.  Their build first fills
-    ``_columns`` (`_cache_columns`): node-major copies of ``benefit`` and
-    ``degree``, which hold for every cost and which every later scan reads.
+    F12, makes the scan the per-pair scan.
     """
 
     space: SearchSpace
@@ -332,19 +330,14 @@ class SpaceTables:
     degree: np.ndarray   # (K, n) uint8
     # cost -> its `_AtCost`, built ones only; one cost at a time
     _intervals: dict = field(default_factory=dict, init=False, repr=False)
-    # "benefit": (n, m, K) float64, "degree": (n, K) uint8; set by the interval build
-    _columns: dict = field(default_factory=dict, init=False, repr=False)
     # society -> its SpaceScan; one society at a time
     _scan: dict = field(default_factory=dict, init=False, repr=False)
 
     def _arrays(self) -> SpaceTables:
-        """A table with these arrays and node-major copy but no memos: what a
-        line scan keeps to compute its welfare later, so that a table and
-        its last scan hold no reference cycle and a dropped table is freed
-        at once."""
-        arrays = SpaceTables(self.space, self.partition, self.delta, self.benefit, self.degree)
-        arrays._columns.update(self._columns)
-        return arrays
+        """A table with these arrays but no memos: what a line scan keeps to
+        compute its welfare later, so that a table and its last scan hold no
+        reference cycle and a dropped table is freed at once."""
+        return SpaceTables(self.space, self.partition, self.delta, self.benefit, self.degree)
 
 
 class _AtCost(NamedTuple):
@@ -530,11 +523,8 @@ class SpaceScan:
 
 
 def _node_major(tables: SpaceTables) -> tuple[np.ndarray, np.ndarray]:
-    """``(benefit, degree)`` node-major, as ``(n, m, K)`` and ``(n, K)``: the
-    table's contiguous copy when it holds one (`_cache_columns`), strided
-    views of ``tables.benefit`` and ``tables.degree`` otherwise."""
-    if tables._columns:
-        return tables._columns["benefit"], tables._columns["degree"]
+    """``(benefit, degree)`` node-major, as ``(n, m, K)`` and ``(n, K)``
+    strided views of ``tables.benefit`` and ``tables.degree``."""
     return tables.benefit.transpose(1, 2, 0), tables.degree.T
 
 
@@ -584,15 +574,6 @@ def _welfare(util: np.ndarray, out: np.ndarray) -> np.ndarray:
     for column in util:
         out += column
     return out
-
-
-def _cache_columns(tables: SpaceTables) -> None:
-    """Fill the table's ``_columns``, unless it holds them: contiguous
-    node-major copies of ``benefit``, ``(n, m, K)``, and ``degree``,
-    ``(n, K)``, which every later `_node_major` reads."""
-    if not tables._columns:
-        tables._columns.update(benefit=np.ascontiguousarray(tables.benefit.transpose(1, 2, 0)),
-                               degree=np.ascontiguousarray(tables.degree.T))
 
 
 def _pair_intervals(change_i, change_j, eta: float):
@@ -796,16 +777,14 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
     the whole scan is the per-pair scan.  Such a line row evaluates every
     line once, picks the networks that can hold its answers
     (`_line_rows`), and runs the utility kernel on those alone; its
-    ``welfare`` is computed through the same kernel when first read.  The
-    build first copies the table node-major (`_cache_columns`, 4.25 MB on a
-    32,768-network table of 8 nodes), and from then on every scan at any
-    cost reads that copy.  Either way the flags, the answers and the
-    welfare are those of a first scan.
+    ``welfare`` is computed through the same kernel when first read.
+    Either way the flags, the answers and the welfare are those of a first
+    scan.
 
     The table remembers its last scan: for a society equal to that scan's,
     the same `SpaceScan` is returned, with its read-only ``stable`` and
     ``welfare``, and nothing is scanned.  So one society scanned twice
-    never makes a second scan at its cost, nor the copy above.
+    never makes a second scan at its cost.
     """
     space, partition = tables.space, tables.partition
     params = society.params
@@ -827,8 +806,7 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
     tables._scan.clear()  # free the old scan before making the next
     if last is None or last.params.cost != params.cost:
         tables._intervals.clear()  # a first scan at this cost: per pair
-    elif partition.m == 2 and not tables._intervals:
-        _cache_columns(tables)  # the second: build the F12 intervals and lines
+    elif partition.m == 2 and not tables._intervals:  # the second: intervals and lines
         tables._intervals[params.cost] = _AtCost(*_stability_intervals(tables, society),
                                                  *_welfare_lines(tables, society))
     flags = _interval_flags(tables, society)

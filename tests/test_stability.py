@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import operator
 import random
@@ -557,6 +558,45 @@ class TestEngineAgainstReference:
         assert util.shape == (8, 9000) and util.flags.c_contiguous
         assert np.array_equal(util, reference_utilities(tables_3_5, society)[1000:10000].T)
 
+    def test_utilities_of_three_groups(self):
+        partition = GroupPartition.from_sizes([3, 3, 3])
+        space = SearchSpace(kind="interconnection", n=9,
+                            fixed_edges=frozenset(partition.intra_pairs()),
+                            free_pairs=tuple(partition.cross_pairs()[::3]))
+        tables = compute_tables(space, partition, PARAMS.delta)
+        society = Society(partition, CoordinationMatrix.from_upper_triangle(3, [0.1, 0.35, 0.7]),
+                          PARAMS)
+        expected = reference_utilities(tables, society)
+        for rows in (slice(None), slice(100, 700)):
+            assert np.array_equal(_utilities(tables, society, rows), expected[rows].T), rows
+
+    # a two-group table after its interval build, and a three-group table,
+    # which never builds one
+    @pytest.mark.parametrize("groups", [2, 3])
+    def test_node_major_reads_are_views_of_the_table(self, groups):
+        if groups == 2:
+            tables = TestStabilityIntervals.sweep_tables()
+            for f12 in (0.1, 0.3):
+                scan_space(tables, society_3_5(f12))
+            assert tables._intervals
+        else:
+            partition = GroupPartition.from_sizes([3, 3, 3])
+            space = SearchSpace(kind="interconnection", n=9,
+                                fixed_edges=frozenset(partition.intra_pairs()),
+                                free_pairs=tuple(partition.cross_pairs()[::3]))
+            tables = compute_tables(space, partition, PARAMS.delta)
+            for f12 in (0.1, 0.3):
+                scan_space(tables, Society(partition, CoordinationMatrix.uniform(3, f12), PARAMS))
+            assert not tables._intervals
+        count, n, m = tables.benefit.shape
+        benefit, degree = stability._node_major(tables)
+        assert benefit.shape == (n, m, count) and degree.shape == (n, count)
+        # views: no second copy of the table, whatever the scans before
+        assert benefit.base is tables.benefit and degree.base is tables.degree
+        for k in (0, count // 3, count - 1):
+            assert np.array_equal(benefit[:, :, k], tables.benefit[k]), k
+            assert np.array_equal(degree[:, k], tables.degree[k]), k
+
     # the four stable bounds (0.2, 0.4, 8/15, 0.8), 0.32 with its real ties,
     # and an interior point of the 3-link regime
     @pytest.mark.parametrize("f12", [*stable_boundaries(3, 5, PARAMS), 0.32, 0.6])
@@ -579,6 +619,11 @@ class TestStabilityIntervals:
         fresh = SpaceTables(tables.space, tables.partition, tables.delta,
                             tables.benefit, tables.degree)
         return scan_space(fresh, society)
+
+    @staticmethod
+    def sweep_tables() -> SpaceTables:
+        partition = GroupPartition.from_sizes([3, 5])
+        return compute_tables(interconnection_space(partition), partition, PARAMS.delta)
 
     def assert_second_scans_match(self, tables: SpaceTables, society_at, grid) -> None:
         # the per-pair scan, then the interval build: two distinct societies,
@@ -679,6 +724,75 @@ class TestStabilityIntervals:
             self.assert_second_scans_match(
                 tables, lambda f12: self.society((3, 5), PARAMS.delta, cost, f12), grid)
             assert list(tables._intervals) == [cost]
+
+    @pytest.mark.parametrize("f12", [0.2, 0.4, 0.8])
+    def test_per_pair_scans_after_the_build_equal_a_first_scan(self, f12):
+        tables = self.sweep_tables()
+        for x in (0.1, 0.3):
+            scan_space(tables, society_3_5(x))
+        assert list(tables._intervals) == [PARAMS.cost]
+        society = society_3_5(f12)
+        assert stability._interval_flags(tables, society) is None  # an end within the margin
+        scan = scan_space(tables, society)
+        expected = self.first_scan(tables, society)
+        assert np.array_equal(scan.stable, expected.stable)
+        assert scan.welfare.tobytes() == expected.welfare.tobytes()
+
+    # the kernel on a table that holds its intervals and lines, over the whole
+    # table and a slice off the block grid, on every eighth sweep point
+    @pytest.mark.parametrize("cost", [0.2, 0.1])
+    @pytest.mark.parametrize("rows", [slice(None), slice(1000, 10000)], ids=["all", "slice"])
+    def test_utilities_after_the_build_equal_the_reference(self, cost, rows):
+        tables = self.sweep_tables()
+        for f12 in (0.1, 0.3):
+            scan_space(tables, self.society((3, 5), PARAMS.delta, cost, f12))
+        assert list(tables._intervals) == [cost]
+        for f12 in _grid(0.0, 1.0, 0.005)[::8]:
+            society = self.society((3, 5), PARAMS.delta, cost, f12)
+            expected = np.ascontiguousarray(reference_utilities(tables, society)[rows].T)
+            assert _utilities(tables, society, rows).tobytes() == expected.tobytes(), f12
+
+    def test_rows_and_costs_leave_the_table_as_built(self, builds):
+        # perfbench's two-worker check hashes ``benefit`` as built, so no
+        # scan, build or memo may replace, re-lay or write into it
+        partition = GroupPartition.from_sizes([3, 5])
+        stability._last_tables.clear()  # a fresh table, with no memos
+        tables = compute_tables(interconnection_space(partition), partition, PARAMS.delta)
+        benefit, degree = tables.benefit, tables.degree
+        digests = hashlib.sha256(benefit).digest(), hashlib.sha256(degree).digest()
+        for f12, cost in [(0.1, 0.2), (0.3, 0.2), (0.4, 0.2), (0.8, 0.2),
+                          (0.3, 0.1), (0.7, 0.1), (0.5, 0.2)]:
+            scan_space(tables, self.society((3, 5), PARAMS.delta, cost, f12))
+        # one build per cost, on the second scan at each, and none on the
+        # first scan back at 0.2
+        assert builds == [0.2, 0.1] and list(tables._intervals) == []
+        assert tables.benefit is benefit and tables.degree is degree
+        assert benefit.shape == (tables.space.size, 8, 2) and benefit.flags.c_contiguous
+        assert degree.shape == (tables.space.size, 8) and degree.flags.c_contiguous
+        assert (hashlib.sha256(benefit).digest(), hashlib.sha256(degree).digest()) == digests
+
+    def test_rows_after_the_first_keep_no_copy_of_the_table(self):
+        # What stays allocated after the rows is the intervals and lines
+        # (four float64 per network, 1 MB here), the last row's flags and
+        # whatever its answers read.  A node-major copy of the table would
+        # add all of ``benefit`` (4.19 MB) and ``degree``, so half of
+        # ``benefit`` separates the two with room on either side.
+        partition = GroupPartition.from_sizes([3, 5])
+        stability._last_tables.clear()  # a fresh table, with no memos
+        tables = compute_tables(interconnection_space(partition), partition, PARAMS.delta)
+        # the one layout: (K, n, m) and (K, n), C-contiguous
+        assert tables.benefit.flags.c_contiguous and tables.degree.flags.c_contiguous
+        scan_space(tables, society_3_5(0.1))
+        tracemalloc.start()
+        try:
+            for f12 in (0.3, 0.5, 0.8, 0.9):  # the build, then line and per-pair rows
+                scan_space(tables, society_3_5(f12))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert list(tables._intervals) == [PARAMS.cost]
+        bound = tables.benefit.nbytes / 2
+        assert kept < bound, kept
 
     @pytest.fixture
     def builds(self, monkeypatch) -> list:
@@ -817,139 +931,6 @@ class TestWelfareLines:
         assert line_rows == rows
 
 
-class TestCachedColumns:
-    """The interval build of a two-group table first copies ``benefit`` and
-    ``degree`` node-major onto the tables; every later scan computes its
-    utilities from that copy, with the flags and welfare of a first scan."""
-
-    @pytest.fixture
-    def caches(self, monkeypatch) -> list:
-        calls = []
-        cache = stability._cache_columns
-
-        def spy(tables):
-            calls.append(tables)
-            return cache(tables)
-        monkeypatch.setattr(stability, "_cache_columns", spy)
-        return calls
-
-    @staticmethod
-    def sweep_tables() -> SpaceTables:
-        partition = GroupPartition.from_sizes([3, 5])
-        return compute_tables(interconnection_space(partition), partition, PARAMS.delta)
-
-    def test_built_once_and_kept_across_rows_and_costs(self, monkeypatch):
-        build, seen = stability._stability_intervals, []
-
-        def spy(tables, society):
-            seen.append(dict(tables._columns))
-            return build(tables, society)
-        monkeypatch.setattr(stability, "_stability_intervals", spy)
-        tables = self.sweep_tables()
-        scan_space(tables, society_3_5(0.1))  # a first scan: per-pair
-        assert tables._columns == {} and seen == []
-        scan_space(tables, society_3_5(0.3))  # builds the intervals, which settle it
-        assert stability._interval_flags(tables, society_3_5(0.3)) is not None
-        cached = dict(tables._columns)
-        assert sorted(cached) == ["benefit", "degree"]
-        for f12, cost in [(0.4, 0.2), (0.6, 0.2), (0.3, 0.1), (0.7, 0.1), (0.5, 0.2)]:
-            society = TestStabilityIntervals.society((3, 5), PARAMS.delta, cost, f12)
-            scan_space(tables, society)
-            assert tables._columns.keys() == cached.keys()
-            assert all(tables._columns[name] is cached[name] for name in cached)
-        # one build per cost, 0.2 and then 0.1, each reading the one copy
-        assert len(seen) == 2
-        assert all(copy[name] is cached[name] for copy in seen for name in cached)
-
-    def test_columns_equal_the_tables(self):
-        tables = self.sweep_tables()
-        for f12 in (0.1, 0.3):
-            scan_space(tables, society_3_5(f12))
-        expected = {"benefit": tables.benefit.transpose(1, 2, 0), "degree": tables.degree.T}
-        assert tables._columns.keys() == expected.keys()
-        for name, copy in tables._columns.items():
-            assert copy.flags.c_contiguous and copy.dtype == expected[name].dtype, name
-            assert copy.shape == expected[name].shape, name
-            assert copy.tobytes() == np.ascontiguousarray(expected[name]).tobytes(), name
-        assert tables.benefit.flags.c_contiguous and tables.degree.flags.c_contiguous
-
-    def test_one_scan_commands_first_scans_and_three_groups_never_build(self, caches):
-        partition = GroupPartition.from_sizes([3, 5])
-        space = interconnection_space(partition)
-        for f12 in (0.1, 0.3, 0.8):
-            stability._last_tables.clear()  # each society in a process of its own
-            enumerate_stable(space, society_3_5(f12))
-            efficient_search(space, society_3_5(f12))
-            price_of_anarchy(space, society_3_5(f12))
-        stability._last_tables.clear()
-        tables = compute_tables(space, partition, PARAMS.delta)
-        scan_space(tables, society_3_5(0.3))
-        assert tables._columns == {}
-        partition = GroupPartition.from_sizes([3, 3, 3])
-        space = SearchSpace(kind="interconnection", n=9,
-                            fixed_edges=frozenset(partition.intra_pairs()),
-                            free_pairs=tuple(partition.cross_pairs()[::3]))
-        tables = compute_tables(space, partition, PARAMS.delta)
-        for f12 in (0.1, 0.3, 0.8):
-            scan_space(tables, Society(partition, CoordinationMatrix.uniform(3, f12), PARAMS))
-        assert tables._columns == {} and caches == []
-
-    @pytest.mark.parametrize("f12", [0.2, 0.4, 0.8])
-    def test_per_pair_scans_from_the_columns_equal_a_first_scan(self, f12):
-        tables = self.sweep_tables()
-        for x in (0.1, 0.3):
-            scan_space(tables, society_3_5(x))
-        assert tables._columns
-        society = society_3_5(f12)
-        assert stability._interval_flags(tables, society) is None  # an end within the margin
-        scan = scan_space(tables, society)
-        expected = TestStabilityIntervals.first_scan(tables, society)
-        assert np.array_equal(scan.stable, expected.stable)
-        assert scan.welfare.tobytes() == expected.welfare.tobytes()
-
-
-class TestKernelSources:
-    """`_utilities` reads a table's node-major copy when it holds one and
-    strided views of the table otherwise; both give the same bytes."""
-
-    @pytest.fixture(scope="class")
-    def tables_3_5(self) -> tuple[SpaceTables, SpaceTables]:
-        copied = TestCachedColumns.sweep_tables()
-        stability._last_tables.clear()  # so that `fresh` is a second table
-        fresh = TestCachedColumns.sweep_tables()
-        for f12 in (0.1, 0.3):
-            scan_space(copied, society_3_5(f12))  # the second scan copies the table
-        assert copied._columns and not fresh._columns
-        return copied, fresh
-
-    @pytest.mark.parametrize("cost", [0.2, 0.1])
-    @pytest.mark.parametrize("rows", [slice(None), slice(1000, 10000)])
-    def test_copy_and_strided_views_agree_on_the_sweep(self, tables_3_5, cost, rows):
-        copied, fresh = tables_3_5
-        for f12 in _grid(0.0, 1.0, 0.005)[::8]:
-            society = TestStabilityIntervals.society((3, 5), PARAMS.delta, cost, f12)
-            assert (_utilities(copied, society, rows).tobytes()
-                    == _utilities(fresh, society, rows).tobytes()), f12
-        assert not fresh._columns
-
-    def test_copy_and_strided_views_agree_for_three_groups(self):
-        partition = GroupPartition.from_sizes([3, 3, 3])
-        space = SearchSpace(kind="interconnection", n=9,
-                            fixed_edges=frozenset(partition.intra_pairs()),
-                            free_pairs=tuple(partition.cross_pairs()[::3]))
-        copied = compute_tables(space, partition, PARAMS.delta)
-        stability._last_tables.clear()  # so that `fresh` is a second table
-        fresh = compute_tables(space, partition, PARAMS.delta)
-        stability._cache_columns(copied)
-        assert copied._columns["benefit"].shape == (9, 3, space.size)
-        society = Society(partition, CoordinationMatrix.from_upper_triangle(3, [0.1, 0.35, 0.7]),
-                          PARAMS)
-        for rows in (slice(None), slice(100, 700)):
-            util = _utilities(copied, society, rows)
-            assert util.tobytes() == _utilities(fresh, society, rows).tobytes()
-            assert np.array_equal(util, reference_utilities(fresh, society)[rows].T)
-
-
 class TestColumnWelfare:
     """`_welfare` adds each network's node-major columns left to right from
     0.0, bit for bit."""
@@ -971,12 +952,11 @@ class TestColumnWelfare:
     def test_sweep_welfare_is_the_reference_welfare(self):
         # every fourth sweep row: the first scan, the interval build, the
         # per-pair scans at 0.2, 0.4 and 0.8, and interval scans between
-        tables = TestCachedColumns.sweep_tables()
+        tables = TestStabilityIntervals.sweep_tables()
         for f12 in _grid(0.0, 1.0, 0.005)[::4]:
             society = society_3_5(f12)
             expected = reference_welfare(tables, society)
             assert scan_space(tables, society).welfare.tobytes() == expected.tobytes(), f12
-        assert tables._columns  # the later rows read the node-major copy
 
 
 class TestIdentity:
