@@ -29,7 +29,7 @@ def efficient_search(space: SearchSpace, society: Society) -> tuple[float, list[
 
 
 def argmax_from_scan(scan: SpaceScan) -> tuple[float, list[Network]]:
-    return scan.best, [scan.space.network_for(int(m)) for m in scan.argmax_masks()]
+    return scan.best, [scan.space.network_for(int(m)) for m in scan.argmax_masks]
 
 
 def _group_cliques_present(network: Network, partition: GroupPartition) -> bool:

@@ -30,9 +30,9 @@ network's flag off its interval, unless some network has a NaN end or an
 end within 1e-6 of the scanned F12: then the whole scan is the per-pair
 scan.  On such a line row the lines pick the few networks that can hold
 the best welfare, the networks within EPSILON of it and the least stable
-welfare, and the utility kernel runs on those alone; the whole welfare
-vector is computed only when read.  On the checked-in sweep 4 of its 201
-rows are per pair and 197 are line rows.
+welfare, and the utility kernel runs on those alone.  Either way a scan
+keeps its flags and those three answers, not a welfare vector.  On the
+checked-in sweep 4 of its 201 rows are per pair and 197 are line rows.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from collections.abc import Collection
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -312,7 +312,8 @@ class SpaceTables:
     so a sweep over those reuses one table.  Tables compare and hash by
     identity, and ``benefit`` and ``degree`` are read-only: `compute_tables`
     hands the same table to every caller with equal arguments.  ``_scan``
-    remembers the last scan (`scan_space`) and the society it was made for.
+    remembers the last scan (`scan_space`), which holds no reference to the
+    table, and the society it was made for.
 
     For two groups, ``_intervals`` holds each network's F12 stability
     interval and welfare line at one cost (`_AtCost`): four float64 per
@@ -332,12 +333,6 @@ class SpaceTables:
     _intervals: dict = field(default_factory=dict, init=False, repr=False)
     # society -> its SpaceScan; one society at a time
     _scan: dict = field(default_factory=dict, init=False, repr=False)
-
-    def _arrays(self) -> SpaceTables:
-        """A table with these arrays but no memos: what a line scan keeps to
-        compute its welfare later, so that a table and its last scan hold no
-        reference cycle and a dropped table is freed at once."""
-        return SpaceTables(self.space, self.partition, self.delta, self.benefit, self.degree)
 
 
 class _AtCost(NamedTuple):
@@ -469,57 +464,36 @@ def compute_tables(space: SearchSpace, partition: GroupPartition, delta: float,
 
 @dataclass(frozen=True, eq=False)
 class SpaceScan:
-    """Stability flags and welfare for every network in a space, and the
-    answers every report reads: ``best``, ``argmax_masks()`` and
-    ``stable_min``.  Scans compare and hash by identity.
-
-    ``welfare_of`` gives the utility kernel's welfare of the networks at a
-    slice or an index array of rows.  ``welfare`` is computed through it on
-    first read, and ``welfare[k] == welfare_of(rows)[r]`` bitwise for
-    ``rows[r] == k``.  A line row of a sweep (`scan_space`) names the rows
-    that can hold each answer: ``top`` those that may lie within EPSILON of
-    the best welfare, ``low`` the stable ones that may hold the least stable
-    welfare.  The answers then read only those rows, and equal a whole
-    scan's.  None, the default, means every row (every stable row for
-    ``low``).
+    """Stability flags for every network in a space, and the answers every
+    report reads: ``best``, the highest welfare; ``argmax_masks``, the
+    networks within EPSILON of it in bitmask order; and ``stable_min``, the
+    least welfare of a stable network, NaN when none is stable.  A table
+    hands its last scan to every caller with an equal society, so
+    ``stable`` and ``argmax_masks`` are read-only.  Scans compare and hash
+    by identity.
     """
 
     space: SearchSpace
-    stable: np.ndarray  # (K,) bool
-    welfare_of: Callable[[slice | np.ndarray], np.ndarray] = field(repr=False)
-    top: np.ndarray | None = field(default=None, repr=False)
-    low: np.ndarray | None = field(default=None, repr=False)
+    stable: np.ndarray        # (K,) bool
+    best: float
+    argmax_masks: np.ndarray  # int64 masks
+    stable_min: float
+
+    def __post_init__(self):
+        self.stable.flags.writeable = self.argmax_masks.flags.writeable = False
 
     def stable_masks(self) -> np.ndarray:
         return np.flatnonzero(self.stable)
 
-    @cached_property
-    def welfare(self) -> np.ndarray:
-        """(K,) float64, read-only: every network's welfare."""
-        welfare = self.welfare_of(slice(None))
-        welfare.flags.writeable = False
-        return welfare
 
-    @cached_property
-    def _top_welfare(self) -> np.ndarray:
-        return self.welfare if self.top is None else self.welfare_of(self.top)
-
-    @cached_property
-    def best(self) -> float:
-        """The highest welfare."""
-        return float(self._top_welfare.max())
-
-    def argmax_masks(self) -> np.ndarray:
-        """The networks within EPSILON of ``best``, in bitmask order."""
-        hits = np.flatnonzero(self._top_welfare >= self.best - EPSILON)
-        return hits if self.top is None else self.top[hits]
-
-    @cached_property
-    def stable_min(self) -> float:
-        """The least welfare of a stable network; NaN when none is stable."""
-        stable_welfare = (self.welfare[self.stable] if self.low is None
-                          else self.welfare_of(self.low))
-        return float(stable_welfare.min()) if stable_welfare.size else math.nan
+def _answers(top_welfare: np.ndarray,
+             stable_welfare: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """``(best, hits, stable_min)``: the highest of ``top_welfare``, which
+    holds every welfare within EPSILON of it, the indices of those in it,
+    and the least of ``stable_welfare``, NaN when it is empty."""
+    best = float(top_welfare.max())
+    stable_min = float(stable_welfare.min()) if stable_welfare.size else math.nan
+    return best, np.flatnonzero(top_welfare >= best - EPSILON), stable_min
 
 
 def _node_major(tables: SpaceTables) -> tuple[np.ndarray, np.ndarray]:
@@ -713,10 +687,10 @@ def _line_radius(n: int, cost: float) -> float:
 
 def _line_rows(at_cost: _AtCost, stable: np.ndarray, x: float,
                radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(top, low)`` of a line row at F12 = x (`SpaceScan`): the networks
+    """``(top, low)`` of a line row at F12 = x (`scan_space`): the networks
     whose line lies within ``EPSILON + 2 * radius`` of the highest line, and
     the stable ones whose line lies within ``2 * radius`` of the least
-    stable line.
+    stable line.  `_answers` reads the scan's answers off their welfare.
 
     Every line is within ``radius`` of its kernel welfare.  So a network
     within EPSILON of the best welfare is within EPSILON + 2 * radius of
@@ -755,36 +729,69 @@ def _interval_flags(tables: SpaceTables, society: Society) -> np.ndarray | None:
     return (lo <= x) & (x <= hi)
 
 
+def _pair_scan(tables: SpaceTables, society: Society) -> tuple[np.ndarray, np.ndarray]:
+    """``(stable, welfare)`` of every network, pair by pair, in chunks of
+    ``1 << _CHUNK_BITS`` networks: a first scan.  Each chunk's utilities
+    come node-major from `_utilities`, and `_welfare` adds the node columns
+    left to right from 0.0.  A network is stable only if no free pair
+    changes it, so each pair is decided only on the chunk's live networks,
+    those no earlier pair changes, as `_pair_changes` of each endpoint's
+    change to the partner network, gathered ``_BLOCK`` rows at a time.
+    Besides the tables it holds ``welfare``, ``stable``, one chunk's
+    utilities and live rows, and one block's partner utilities, and it
+    frees the last two before `scan_space` reduces ``welfare``.
+    """
+    space = tables.space
+    chunk = min(1 << _CHUNK_BITS, space.size)
+    low = chunk.bit_length() - 1
+    cross = space.cross_bits(tables.partition)
+    # Pairs below bit `low`, whose partner networks lie in the chunk, come
+    # first, and intra-group pairs first among them: below the clique bound
+    # each one halves the live set.  A higher pair's partners lie in another
+    # chunk; `_utilities` computes theirs by index.
+    pairs = sorted(enumerate(space.free_pairs), key=lambda tp: (tp[0] >= low, cross >> tp[0] & 1))
+    stable = np.zeros(space.size, dtype=bool)
+    welfare = np.empty(space.size, dtype=np.float64)
+    for start in range(0, space.size, chunk):
+        cols = _utilities(tables, society, slice(start, start + chunk))
+        _welfare(cols, welfare[start:start + chunk])
+        live = np.arange(chunk, dtype=np.int32)  # every row < 2**FREE_BITS_CAP
+        for t, (i, j) in pairs:
+            unchanged = np.empty(live.size, dtype=bool)
+            for first in range(0, live.size, _BLOCK):
+                r = live[first:first + _BLOCK]
+                if t < low:
+                    other, at = cols, r ^ (1 << t)
+                else:
+                    other, at = _utilities(tables, society, r + (start ^ (1 << t))), slice(None)
+                present = ((r + start) >> t & 1).astype(bool)
+                unchanged[first:first + _BLOCK] = ~_pair_changes(
+                    present, other[i, at] - cols[i, r], other[j, at] - cols[j, r])
+            live = live[unchanged]
+            if not live.size:
+                break
+        stable[live + start] = True
+    return stable, welfare
+
+
 def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
     """Evaluate stability and welfare of every network against one society.
 
-    A first scan is the per-pair scan.  It works through the space in
-    chunks of ``1 << _CHUNK_BITS`` networks.  Each chunk's utilities come
-    node-major from `_utilities`, and `_welfare` adds the node columns left
-    to right from 0.0.  Each free pair is decided only on the chunk's live
-    networks, those no earlier pair changes, as `_pair_changes` of each
-    endpoint's change to the partner network, gathered ``_BLOCK`` rows at a
-    time; a partner outside the chunk gets its utilities from `_utilities`
-    by index.  Besides the tables it holds ``welfare``, ``stable``, one
-    chunk's utilities and live rows, and one block's partner utilities.
-
-    A two-group table's second scan at one cost, known as such because the
-    scan the table remembers (below) was made at that cost, builds each
-    network's F12 stability interval (`_stability_intervals`) and welfare
-    line (`_welfare_lines`) and keeps them on the tables.  That scan and
-    every later one at that cost take all the flags from the intervals when
-    no network has a NaN end or an end within `_MARGIN` of F12; otherwise
-    the whole scan is the per-pair scan.  Such a line row evaluates every
-    line once, picks the networks that can hold its answers
-    (`_line_rows`), and runs the utility kernel on those alone; its
-    ``welfare`` is computed through the same kernel when first read.
-    Either way the flags, the answers and the welfare are those of a first
-    scan.
+    A first scan is the per-pair scan (`_pair_scan`).  A two-group table's
+    second scan at one cost, known as such because the scan the table
+    remembers (below) was made at that cost, builds each network's F12
+    stability interval (`_stability_intervals`) and welfare line
+    (`_welfare_lines`) and keeps them on the tables.  That scan and every
+    later one at that cost take all the flags from the intervals when no
+    network has a NaN end or an end within `_MARGIN` of F12; otherwise the
+    whole scan is the per-pair scan.  Such a line row evaluates every line
+    once, picks the networks that can hold its answers (`_line_rows`), and
+    runs the utility kernel on those alone.  Either way `_answers` reads
+    the answers off the welfare computed, equal to a first scan's.
 
     The table remembers its last scan: for a society equal to that scan's,
-    the same `SpaceScan` is returned, with its read-only ``stable`` and
-    ``welfare``, and nothing is scanned.  So one society scanned twice
-    never makes a second scan at its cost.
+    the same `SpaceScan` is returned, and nothing is scanned.  So one
+    society scanned twice never makes a second scan at its cost.
     """
     space, partition = tables.space, tables.partition
     params = society.params
@@ -811,45 +818,14 @@ def scan_space(tables: SpaceTables, society: Society) -> SpaceScan:
                                                  *_welfare_lines(tables, society))
     flags = _interval_flags(tables, society)
     if flags is not None:  # a line row
-        flags.flags.writeable = False
         top, low = _line_rows(tables._intervals[params.cost], flags,
                               society.coordination[0, 1], _line_radius(space.n, params.cost))
-        scan = tables._scan[society] = SpaceScan(
-            space, flags, partial(_rows_welfare, tables._arrays(), society), top, low)
+        best, hits, stable_min = _answers(_rows_welfare(tables, society, top),
+                                          _rows_welfare(tables, society, low))
+        scan = tables._scan[society] = SpaceScan(space, flags, best, top[hits], stable_min)
         return scan
-    chunk = min(1 << _CHUNK_BITS, space.size)
-    low = chunk.bit_length() - 1
-    cross = space.cross_bits(partition)
-    # A network is stable only if no free pair changes it, so each chunk
-    # decides each pair on its live rows alone: those no earlier pair has
-    # changed.  Pairs below bit `low`, whose partner networks lie in the
-    # chunk, come first, and intra-group pairs first among them: below the
-    # clique bound each one halves the live set.  A higher pair's partners
-    # lie in another chunk; `_utilities` computes theirs.
-    pairs = sorted(enumerate(space.free_pairs), key=lambda tp: (tp[0] >= low, cross >> tp[0] & 1))
-    stable = np.zeros(space.size, dtype=bool)
-    welfare = np.empty(space.size, dtype=np.float64)
-    for start in range(0, space.size, chunk):
-        cols = _utilities(tables, society, slice(start, start + chunk))
-        _welfare(cols, welfare[start:start + chunk])
-        live = np.arange(chunk, dtype=np.int32)  # every row < 2**FREE_BITS_CAP
-        for t, (i, j) in pairs:
-            unchanged = np.empty(live.size, dtype=bool)
-            for first in range(0, live.size, _BLOCK):
-                r = live[first:first + _BLOCK]
-                if t < low:
-                    other, at = cols, r ^ (1 << t)
-                else:
-                    other, at = _utilities(tables, society, r + (start ^ (1 << t))), slice(None)
-                present = ((r + start) >> t & 1).astype(bool)
-                unchanged[first:first + _BLOCK] = ~_pair_changes(
-                    present, other[i, at] - cols[i, r], other[j, at] - cols[j, r])
-            live = live[unchanged]
-            if not live.size:
-                break
-        stable[live + start] = True
-    stable.flags.writeable = welfare.flags.writeable = False
-    scan = tables._scan[society] = SpaceScan(space, stable, welfare.__getitem__)
+    stable, welfare = _pair_scan(tables, society)
+    scan = tables._scan[society] = SpaceScan(space, stable, *_answers(welfare, welfare[stable]))
     return scan
 
 

@@ -71,15 +71,17 @@ def assert_memo_on(memo, network, society):
         assert read == payoff(network, v, society), v
 
 
-def assert_scan_answers(scan: SpaceScan) -> None:
-    """The scan's ``best``, ``argmax_masks()`` and ``stable_min`` are
-    `oracles.reduced_answers` bit for bit, and `argmax_from_scan` and
-    `poa_from_scan` report them."""
-    def bits(x: float) -> bytes:
-        return np.float64(x).tobytes()
-    best, argmax, stable_min = reduced_answers(scan)
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def assert_scan_answers(scan: SpaceScan, welfare: np.ndarray) -> None:
+    """The scan's ``best``, ``argmax_masks`` and ``stable_min`` are
+    `oracles.reduced_answers` of ``welfare`` and the scan's flags, bit for
+    bit, and `argmax_from_scan` and `poa_from_scan` report them."""
+    best, argmax, stable_min = reduced_answers(welfare, scan.stable)
     assert bits(scan.best) == bits(best)
-    assert np.array_equal(scan.argmax_masks(), argmax)
+    assert np.array_equal(scan.argmax_masks, argmax)
     assert bits(scan.stable_min) == bits(stable_min)
     reported, networks = argmax_from_scan(scan)
     assert bits(reported) == bits(best)
@@ -89,3 +91,11 @@ def assert_scan_answers(scan: SpaceScan) -> None:
     else:  # no stable network (NaN), or a non-positive least stable welfare
         with pytest.raises(PoAUndefinedError):
             poa_from_scan(scan)
+
+
+def assert_same_scan(scan: SpaceScan, expected: SpaceScan, where=None) -> None:
+    """``scan`` has ``expected``'s flags and answers, bit for bit."""
+    assert scan.stable.tobytes() == expected.stable.tobytes(), where
+    assert bits(scan.best) == bits(expected.best), where
+    assert np.array_equal(scan.argmax_masks, expected.argmax_masks), where
+    assert bits(scan.stable_min) == bits(expected.stable_min), where

@@ -20,9 +20,9 @@ from groupform.model import (
 )
 from groupform.stability import (
     SearchSpace,
-    SpaceScan,
     SpaceTables,
     _pair_changes,
+    _rows_welfare,
 )
 
 
@@ -228,17 +228,29 @@ def reference_stable(tables: SpaceTables, society: Society) -> np.ndarray:
     return reference_changing_pairs(tables, society) == 0
 
 
-def reduced_answers(scan: SpaceScan) -> tuple[float, np.ndarray, float]:
-    """``(best, argmax, stable_min)`` reduced from ``scan.welfare`` written
-    out: the highest welfare, the masks within EPSILON of it in bitmask
-    order, and the least welfare of a stable network (NaN when none is)."""
-    best = float(scan.welfare.max())
-    stable_welfare = scan.welfare[scan.stable]
+def reduced_answers(welfare: np.ndarray, stable: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """``(best, argmax, stable_min)`` reduced from every network's welfare
+    and stability flag, written out: the highest welfare, the masks within
+    EPSILON of it in bitmask order, and the least welfare of a stable
+    network (NaN when none is)."""
+    best = float(welfare.max())
+    stable_welfare = welfare[stable]
     stable_min = float(stable_welfare.min()) if stable_welfare.size else math.nan
-    return best, np.flatnonzero(scan.welfare >= best - EPSILON), stable_min
+    return best, np.flatnonzero(welfare >= best - EPSILON), stable_min
 
 
 # -- test-only helpers over library structures ---------------------------------
+
+def kernel_welfare(tables: SpaceTables, society: Society) -> np.ndarray:
+    """Every network's welfare from the library's utility kernel
+    (`stability._rows_welfare`), 2**16 networks at a time: the node-major
+    utilities of a whole n = 7 space would take 117 MB."""
+    size, chunk = tables.space.size, 1 << 16
+    welfare = np.empty(size)
+    for start in range(0, size, chunk):
+        welfare[start:start + chunk] = _rows_welfare(tables, society, slice(start, start + chunk))
+    return welfare
+
 
 def density(network: Network) -> float:
     """Observed over possible edges, 2|E| / (n (n-1))."""

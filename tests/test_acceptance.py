@@ -22,7 +22,6 @@ from groupform.cli import _fmt, load_scenario, main as cli_main
 from groupform.dynamics import Action, Scripted, SeededUniform, in_invariant_set_run, run, step
 from groupform.efficiency import argmax_from_scan, consolidate_representatives
 from groupform.model import (
-    EPSILON,
     CoordinationMatrix,
     GroupPartition,
     ModelParams,
@@ -52,7 +51,7 @@ from groupform.thresholds import (
 )
 
 from conftest import assert_scan_answers, random_network, random_society
-from oracles import exact_payoff, reference_welfare
+from oracles import exact_payoff, kernel_welfare, reference_welfare
 from test_efficiency import random_forest_instance
 
 
@@ -323,9 +322,9 @@ def test_exact_integer_decisions_on_the_full_space_workload(full7_tables):
     scan = scan_space(tables, society)
     assert np.array_equal(stable, scan.stable)
     assert np.count_nonzero(stable) == 12
-    assert np.array_equal(argmax, np.flatnonzero(scan.welfare >= scan.welfare.max() - EPSILON))
-    assert float(scan.welfare[scan.stable].min()) == pytest.approx(float(stable_min), rel=1e-12)
-    assert float(scan.welfare.max()) == pytest.approx(float(best), rel=1e-12)
+    assert np.array_equal(argmax, scan.argmax_masks)
+    assert scan.stable_min == pytest.approx(float(stable_min), rel=1e-12)
+    assert scan.best == pytest.approx(float(best), rel=1e-12)
     assert poa_from_scan(scan) == pytest.approx(float(poa), rel=1e-12)
 
 
@@ -333,13 +332,14 @@ def test_full_space_welfare_is_the_reference_welfare(full7_tables):
     # the scan adds each network's utility columns left to right from 0.0
     society = Society(FULL7_PARTITION, CoordinationMatrix.uniform(2, 0.3), FULL7_PARAMS)
     expected = reference_welfare(full7_tables, society)
-    assert scan_space(full7_tables, society).welfare.tobytes() == expected.tobytes()
+    assert kernel_welfare(full7_tables, society).tobytes() == expected.tobytes()
+    assert_scan_answers(scan_space(full7_tables, society), expected)
 
 
 def test_full_space_scan_answers_are_the_welfare_reductions(full7_tables):
     # the enumerate_full7 society, whose scan stable, efficient and poa share
     society = Society(FULL7_PARTITION, CoordinationMatrix.uniform(2, 0.3), FULL7_PARAMS)
-    assert_scan_answers(scan_space(full7_tables, society))
+    assert_scan_answers(scan_space(full7_tables, society), kernel_welfare(full7_tables, society))
 
 
 def test_exact_integer_decisions_on_the_sweep_workload():

@@ -58,12 +58,13 @@ from groupform.thresholds import (
     stable_boundaries,
 )
 
-from conftest import assert_scan_answers, random_network, random_society
+from conftest import assert_same_scan, assert_scan_answers, random_network, random_society
 from oracles import (
     exact_pair_changes,
     exact_pairwise_stable,
     exact_payoff,
     free_mask_of,
+    kernel_welfare,
     reference_changing_pairs,
     reference_stable,
     reference_tables_chunk,
@@ -369,10 +370,11 @@ class TestEngineAgainstDefinition:
             society = society_3_3(rng.uniform(0, 1))
         space = full_graph_space(society.partition.n)
         tables = compute_tables(space, society.partition, society.params.delta)
-        scan = scan_space(tables, society)
+        kernel = kernel_welfare(tables, society)
         for _ in range(10):
             mask = rng.randrange(space.size)
-            assert scan.welfare[mask] == welfare(space.network_for(mask), society)
+            assert kernel[mask] == welfare(space.network_for(mask), society)
+        assert_scan_answers(scan_space(tables, society), kernel)
 
     @pytest.mark.parametrize("f12", [0.2, 0.45, 0.8])
     def test_scan_welfare_equals_model_welfare_at_eight_nodes(self, f12):
@@ -381,12 +383,14 @@ class TestEngineAgainstDefinition:
         # added right to left differ on some of the sampled networks.
         society = society_3_5(f12)
         space = interconnection_space(society.partition)
-        scan = scan_space(compute_tables(space, society.partition, PARAMS.delta), society)
+        tables = compute_tables(space, society.partition, PARAMS.delta)
+        kernel = kernel_welfare(tables, society)
         masks = random.Random(f12).sample(range(space.size), 200)
         networks = [space.network_for(k) for k in masks]
-        assert [scan.welfare[k] for k in masks] == [welfare(g, society) for g in networks]
+        assert [kernel[k] for k in masks] == [welfare(g, society) for g in networks]
         assert any(reduce(operator.add, payoffs(g, society)[::-1].tolist(), 0.0)
-                   != scan.welfare[k] for k, g in zip(masks, networks))
+                   != kernel[k] for k, g in zip(masks, networks))
+        assert_scan_answers(scan_space(tables, society), kernel)
 
     @pytest.mark.parametrize("delta", [0.5, 0.45])
     @pytest.mark.parametrize("f12", [0.3, 0.37, 0.71])
@@ -461,7 +465,9 @@ class TestEngineAgainstReference:
         reference = SpaceTables(space, partition, delta, benefit, degree)
         scan = scan_space(tables, society)
         assert np.array_equal(scan.stable, reference_stable(reference, society))
-        assert np.array_equal(scan.welfare, reference_welfare(reference, society))
+        expected = reference_welfare(reference, society)
+        assert np.array_equal(kernel_welfare(tables, society), expected)
+        assert_scan_answers(scan, expected)
 
     # Lanes are uint8 up to 8 nodes (inter-3+5 sets node 7, the top bit),
     # uint16 up to 16 and uint32 up to 32, which no workload space reaches:
@@ -606,7 +612,7 @@ class TestEngineAgainstReference:
 
 class TestStabilityIntervals:
     """From the second scan of a two-group table at one cost, `scan_space`
-    reads the flags off per-network F12 intervals; every flag and welfare
+    reads the flags off per-network F12 intervals; every flag and answer
     must equal a first scan's on a fresh table, bit for bit."""
 
     @staticmethod
@@ -638,8 +644,8 @@ class TestStabilityIntervals:
         for f12 in grid:
             society = society_at(f12)
             scan, expected = scan_space(tables, society), self.first_scan(tables, society)
-            assert np.array_equal(scan.stable, expected.stable), f12
-            assert np.array_equal(scan.welfare, expected.welfare), f12
+            assert_same_scan(scan, expected, f12)
+            assert_scan_answers(scan, kernel_welfare(tables, society))
 
     # the workload society, the other size split, both delta extremes, a cost
     # just below the clique bound, and a full space (n = 6: two groups of at
@@ -734,9 +740,8 @@ class TestStabilityIntervals:
         society = society_3_5(f12)
         assert stability._interval_flags(tables, society) is None  # an end within the margin
         scan = scan_space(tables, society)
-        expected = self.first_scan(tables, society)
-        assert np.array_equal(scan.stable, expected.stable)
-        assert scan.welfare.tobytes() == expected.welfare.tobytes()
+        assert_same_scan(scan, self.first_scan(tables, society))
+        assert_scan_answers(scan, kernel_welfare(tables, society))
 
     # the kernel on a table that holds its intervals and lines, over the whole
     # table and a slice off the block grid, on every eighth sweep point
@@ -840,8 +845,8 @@ class TestStabilityIntervals:
 
 class TestWelfareLines:
     """On a line row (`scan_space`) the answers come from the networks that
-    the welfare lines pick (`stability._line_rows`), and the whole welfare
-    is computed on first read; all must equal a first scan's, bit for bit."""
+    the welfare lines pick (`stability._line_rows`) alone, and must equal a
+    first scan's, bit for bit."""
 
     def test_kernel_welfare_lies_within_the_line_radius(self):
         # The margin argument of `_welfare_lines`, measured exactly at the 201
@@ -889,11 +894,14 @@ class TestWelfareLines:
         assert top.tolist() == [1, 2] and low.tolist() == [4, 5]
         top, low = stability._line_rows(at_cost, np.zeros(6, dtype=bool), 1.0, radius)
         assert top.tolist() == [1, 2] and low.size == 0
-        scan = SpaceScan(space=full_graph_space(3), stable=np.zeros(8, dtype=bool),
-                         welfare_of=np.arange(8.0).__getitem__, top=np.array([6, 7]), low=low)
-        assert scan.best == 7.0 and scan.argmax_masks().tolist() == [7]
+        # the answers read off the welfare of `top` and `low` alone
+        top, every_welfare = np.array([6, 7]), np.arange(8.0)
+        best, hits, stable_min = stability._answers(every_welfare[top], every_welfare[low])
+        scan = SpaceScan(full_graph_space(3), np.zeros(8, dtype=bool), best, top[hits],
+                         stable_min)
+        assert scan.best == 7.0 and scan.argmax_masks.tolist() == [7]
         assert math.isnan(scan.stable_min)
-        assert_scan_answers(scan)
+        assert_scan_answers(scan, every_welfare)
 
     # the sweep's table, the other size splits, both delta extremes and a
     # full space at two costs, each with its count of line rows among the
@@ -908,8 +916,6 @@ class TestWelfareLines:
         ((3, 3), 0.5, 0.1, True, 197),
     ], ids=["3+5", "4+4", "3+4", "delta-0.05", "delta-0.95", "full-3+3", "full-3+3-cost-0.1"])
     def test_line_rows_equal_first_scans(self, sizes, delta, cost, full, rows):
-        def bits(x: float) -> bytes:
-            return np.float64(x).tobytes()
         partition = GroupPartition.from_sizes(sizes)
         space = full_graph_space(partition.n) if full else interconnection_space(partition)
         stability._last_tables.clear()
@@ -917,17 +923,13 @@ class TestWelfareLines:
         for f12 in _grid(0.0, 1.0, 0.005):
             society = TestStabilityIntervals.society(sizes, delta, cost, f12)
             scan = stability._scan_for(space, society)  # the sweep's own path
-            if scan.top is None:
+            tables = compute_tables(space, partition, delta)
+            if stability._interval_flags(tables, society) is None:  # per pair
                 continue
             line_rows += 1
-            expected = TestStabilityIntervals.first_scan(
-                compute_tables(space, partition, delta), society)
-            assert expected.top is None
-            assert scan.stable.tobytes() == expected.stable.tobytes(), f12
-            assert bits(scan.best) == bits(expected.best), f12
-            assert np.array_equal(scan.argmax_masks(), expected.argmax_masks()), f12
-            assert bits(scan.stable_min) == bits(expected.stable_min), f12
-            assert scan.welfare.tobytes() == expected.welfare.tobytes(), f12
+            fresh = SpaceTables(space, partition, delta, tables.benefit, tables.degree)
+            assert stability._interval_flags(fresh, society) is None
+            assert_same_scan(scan, scan_space(fresh, society), f12)
         assert line_rows == rows
 
 
@@ -956,7 +958,8 @@ class TestColumnWelfare:
         for f12 in _grid(0.0, 1.0, 0.005)[::4]:
             society = society_3_5(f12)
             expected = reference_welfare(tables, society)
-            assert scan_space(tables, society).welfare.tobytes() == expected.tobytes(), f12
+            assert kernel_welfare(tables, society).tobytes() == expected.tobytes(), f12
+            assert_scan_answers(scan_space(tables, society), expected)
 
 
 class TestIdentity:
@@ -1014,14 +1017,14 @@ class TestMemo:
         assert compute_tables(**args) is tables
 
     def test_a_table_with_a_line_row_is_freed_once_dropped(self):
-        # a line row keeps the table's arrays for its welfare, not the table,
-        # so the table and its remembered scan hold no reference cycle
+        # a line row keeps its answers, not the table, so the table and its
+        # remembered scan hold no reference cycle
         partition = GroupPartition.from_sizes([3, 5])
         tables = compute_tables(interconnection_space(partition), partition, PARAMS.delta)
         for f12 in (0.3, 0.6):
             scan = scan_space(tables, society_3_5(f12))
-        assert scan.top is not None  # a line row
-        expected = TestStabilityIntervals.first_scan(tables, society_3_5(0.6)).welfare
+        assert stability._interval_flags(tables, society_3_5(0.6)) is not None  # a line row
+        expected = TestStabilityIntervals.first_scan(tables, society_3_5(0.6))
         old = weakref.ref(tables)
         del tables
         gc.disable()  # freed by reference counts alone
@@ -1030,7 +1033,24 @@ class TestMemo:
             assert old() is None
         finally:
             gc.enable()
-        assert scan.welfare.tobytes() == expected.tobytes()
+        assert_same_scan(scan, expected)
+
+    def test_a_remembered_scan_keeps_its_flags_and_answers_alone(self):
+        # What stays allocated while a first (per-pair) scan is remembered is
+        # its flags, 1 B per network, and a few argmax masks; a kept float64
+        # welfare would add 8 B per network.  2 B per network separates the
+        # two.
+        partition = GroupPartition.from_sizes([3, 5])
+        stability._last_tables.clear()  # a fresh table, with no memos
+        tables = compute_tables(interconnection_space(partition), partition, PARAMS.delta)
+        tracemalloc.start()
+        try:
+            scan_space(tables, society_3_5(0.1))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert list(tables._scan) == [society_3_5(0.1)]
+        assert kept < 2 * tables.space.size, kept
 
     def test_another_society_scans_anew_as_a_first_scan_would(self):
         # cost 0.2 per pair, then the interval build; cost 0.1 per pair, then
@@ -1042,9 +1062,9 @@ class TestMemo:
             society = TestStabilityIntervals.society((3, 5), PARAMS.delta, cost, f12)
             scan = scan_space(tables, society)
             assert scan is not previous
-            expected = TestStabilityIntervals.first_scan(tables, society)
-            assert scan.stable.tobytes() == expected.stable.tobytes(), (cost, f12)
-            assert scan.welfare.tobytes() == expected.welfare.tobytes(), (cost, f12)
+            assert_same_scan(scan, TestStabilityIntervals.first_scan(tables, society),
+                             (cost, f12))
+            assert_scan_answers(scan, kernel_welfare(tables, society))
             assert scan_space(tables, society) is scan
             previous = scan
 
@@ -1054,8 +1074,8 @@ class TestMemo:
         first = scan_space(tables, society_3_5(0.3))  # per pair
         second = scan_space(tables, society_3_5(0.6))  # flags off the intervals
         assert stability._interval_flags(tables, society_3_5(0.6)) is not None
-        for array in (tables.benefit, tables.degree, first.stable, first.welfare,
-                      second.stable, second.welfare):
+        for array in (tables.benefit, tables.degree, first.stable, first.argmax_masks,
+                      second.stable, second.argmax_masks):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
@@ -1550,14 +1570,16 @@ class TestScanAnswers:
         for value, line in zip(grid, lines[1:]):
             society = _society_at(scenario.society, "F12", value)
             scan = stability._scan_for(space, society)  # the sweep's own path
-            assert_scan_answers(scan)
+            tables = compute_tables(space, society.partition, society.params.delta)
+            assert_scan_answers(scan, kernel_welfare(tables, society))
             assert _sweep_row(value, society, scan) == line
 
     def test_stable_min_is_nan_without_a_stable_network(self):
-        scan = SpaceScan(space=full_graph_space(3), stable=np.zeros(8, dtype=bool),
-                         welfare_of=np.arange(8.0).__getitem__)
+        stable, every_welfare = np.zeros(8, dtype=bool), np.arange(8.0)
+        scan = SpaceScan(full_graph_space(3), stable,
+                         *stability._answers(every_welfare, every_welfare[stable]))
         assert math.isnan(scan.stable_min) and scan.best == 7.0
-        assert_scan_answers(scan)
+        assert_scan_answers(scan, every_welfare)
 
 
 class TestPriceOfAnarchy:
@@ -1577,9 +1599,8 @@ class TestPriceOfAnarchy:
         assert price_of_anarchy(space, society) > 1.0 + 1e-9
 
     def test_undefined_without_stable_networks(self):
-        scan = SpaceScan(space=full_graph_space(3),
-                         stable=np.zeros(8, dtype=bool),
-                         welfare_of=np.ones(8).__getitem__)
+        scan = SpaceScan(space=full_graph_space(3), stable=np.zeros(8, dtype=bool),
+                         best=1.0, argmax_masks=np.arange(8), stable_min=math.nan)
         with pytest.raises(PoAUndefinedError,
                            match="^no pairwise stable network in the search space$"):
             poa_from_scan(scan)
